@@ -107,7 +107,11 @@ def _build_statistics(args):
     state = state_from_descriptor(_load_descriptor(args.state))
     dets = [detector_from_descriptor(_load_descriptor(d))
             for d in args.detector or []]
-    prec = args.precision
+    return _statistics(state, dets, args.precision)
+
+
+def _statistics(state, dets, prec):
+    """Exact statistics of a state on its one bank, or two for a joint one."""
     if isinstance(state, JointPhotonDistribution):
         if len(dets) != 2:
             raise DescriptorError(
@@ -150,6 +154,9 @@ def _emit_table(header: list, rows: list, args) -> None:
 
 def cmd_stats(args) -> int:
     stats = _build_statistics(args)
+    if stats.formal:
+        print("note: formal statistics of a superlinear response; entries "
+              "may be negative", file=sys.stderr)
     if hasattr(stats, "N1"):
         header = ["k1", "k2", "probability"]
         rows = [[k1, k2, float(stats.probs[k1, k2])]
@@ -202,19 +209,8 @@ def cmd_witness(args) -> int:
         for v in values:
             desc = dict(base)
             desc[name] = float(v)
-            state = state_from_descriptor(desc)
-            if isinstance(state, JointPhotonDistribution):
-                if len(dets) != 2:
-                    raise DescriptorError(
-                        "a joint state needs exactly 2 detectors")
-                stats = joint_click_statistics(state, dets[0], dets[1],
-                                               prec=args.precision)
-            else:
-                if len(dets) != 1:
-                    raise DescriptorError(
-                        "a single-mode state needs exactly 1 detector")
-                stats = click_statistics(state, dets[0], prec=args.precision)
-            report = witness_report(stats)
+            report = witness_report(_statistics(state_from_descriptor(desc),
+                                                dets, args.precision))
             if joint is None:
                 joint = report.cross_minor is not None
                 d = len(report.leading_minors)

@@ -27,6 +27,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +47,7 @@ from .states import (
     CoherentSuperposition,
     JointPhotonDistribution,
     PhotonNumberDistribution,
+    _finite,
 )
 
 __all__ = [
@@ -98,8 +100,8 @@ class Affine:
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"efficiency {self.eta!r} outside (0, 1]")
-        if self.nu < 0.0:
-            raise ValueError(f"dark-count rate {self.nu!r} must be >= 0")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"dark-count rate {self.nu!r} outside [0, inf)")
 
     def evaluate(self, x):
         return self.eta * x + self.nu
@@ -135,6 +137,8 @@ class PolynomialSeries:
         coeffs = tuple(float(c) for c in self.coefficients)
         if not coeffs:
             raise ValueError("polynomial response needs coefficients")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"coefficients {coeffs!r} must be finite")
         object.__setattr__(self, "coefficients", coeffs)
         if coeffs[0] < 0.0:
             raise NegativeResponse(f"f(0) = {coeffs[0]!r} is negative")
@@ -291,7 +295,7 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False):
                 c = 0.0
         cleaned.append(float(c))
     total = math.fsum(cleaned)
-    if abs(total - 1.0) > _NORM_TOL + total_slack:
+    if not abs(total - 1.0) <= _NORM_TOL + total_slack:
         raise NormalizationViolation(
             f"{what} probabilities sum to {total!r} "
             f"(allowed slack {_NORM_TOL + total_slack:.3e})")
@@ -366,10 +370,7 @@ def _bucket(order: int) -> int:
     return 128 * math.ceil(order / 128)
 
 
-_KERNEL_CACHE: dict = {}
-_KERNEL_CACHE_LIMIT = 64
-
-
+@lru_cache(maxsize=64)
 def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
     """Cached per-Fock-level click kernels.
 
@@ -377,10 +378,6 @@ def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
     det.N diodes given exactly n photons, as mpf values with certified
     absolute error below 1e-40.
     """
-    key = (det, order, prec)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
     N = det.N
     resp = det.response
     if isinstance(resp, (Linear, Affine)):
@@ -401,12 +398,7 @@ def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
                     val *= base
                     row.append(val)
                 K.append(row)
-            T = _assemble_click_kernels(N, K, order)
-        result = (p, T)
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-            _KERNEL_CACHE.clear()
-        _KERNEL_CACHE[key] = result
-        return result
+            return p, _binomial_assembly(N, K)
     forced = prec is not None
     p = prec if forced else auto_precision(order)
     guard = 50 + 2 * N + order.bit_length()
@@ -429,12 +421,7 @@ def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
             bound = worst * mp.mpf(2) ** (guard - p)
             if forced or bound <= _KERNEL_TARGET:
                 K = _diag_table([h for h, _ in pairs], order)
-                T = _assemble_click_kernels(N, K, order)
-                result = (p, T)
-                if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-                    _KERNEL_CACHE.clear()
-                _KERNEL_CACHE[key] = result
-                return result
+                return p, _binomial_assembly(N, K)
             needed = int(mp.log(worst / _KERNEL_TARGET, 2)) + guard + 80
         p = max(2 * p, needed)
     raise PrecisionLoss(f"click kernels for {det} unstable at {p} bits")
@@ -454,17 +441,18 @@ def _diag_table(h_lists, order: int):
     return K
 
 
-def _assemble_click_kernels(N: int, K, order: int):
-    """t_k(n) = C(N,k) sum_j C(k,j)(-1)^j K[N-k+j][n]."""
-    T = []
+def _binomial_assembly(N: int, X):
+    """C(N,k) sum_j C(k,j)(-1)^j X[N-k+j] for k = 0..N, at the current
+    precision.  X[s] lists no-click expectations <:exp[-s f(nhat/N)]:>, per
+    Fock level (giving kernels t_k(n)) or one for a whole state (giving c_k).
+    """
+    out = []
     for k in range(N + 1):
-        weights = [(N - k + j, mp.mpf(math.comb(N, k) * math.comb(k, j))
-                    * (-1) ** j) for j in range(k + 1)]
-        row = []
-        for n in range(order + 1):
-            row.append(mp.fsum(w * K[s][n] for s, w in weights))
-        T.append(tuple(row))
-    return tuple(T)
+        weights = [math.comb(N, k) * math.comb(k, j) * (-1) ** j
+                   for j in range(k + 1)]
+        out.append(tuple(mp.fsum(w * x for w, x in zip(weights, column))
+                         for column in zip(*X[N - k:])))
+    return tuple(out)
 
 
 # --- forward model ---------------------------------------------------------------
@@ -505,11 +493,7 @@ def _click_from_distribution(state, det, prec):
 def _click_from_E(N, E, prec, norm_slack, formal):
     """Assemble c_k from the no-click expectations E[s], s = 0..N."""
     with mp.workprec(max(240, prec or 0)):
-        exact = []
-        for k in range(N + 1):
-            exact.append(mp.fsum(
-                math.comb(N, k) * math.comb(k, j) * (-1) ** j * E[N - k + j]
-                for j in range(k + 1)))
+        exact = [c for (c,) in _binomial_assembly(N, [(e,) for e in E])]
     return ClickStatistics(N, tuple(float(c) for c in exact),
                            exact=tuple(exact), norm_slack=norm_slack,
                            formal=formal)
@@ -521,9 +505,7 @@ def _click_from_superposition(state, det, prec):
                          formal=_superlinear(det.response))
 
 
-_ANALYTIC_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
     """<:exp[-s f(nhat/N)]:> from the family's exact representation.
 
@@ -536,10 +518,6 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
 
     both of which decay fast enough for any response.
     """
-    key = (tag, det, s, prec)
-    hit = _ANALYTIC_CACHE.get(key)
-    if hit is not None:
-        return hit
     kind, param = tag
     p = prec if prec is not None else 220
     N = det.N
@@ -572,27 +550,15 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
         else:
             raise UnboundedKernel(f"no analytic representation for "
                                   f"family {kind!r}")
-    if len(_ANALYTIC_CACHE) >= 4096:
-        _ANALYTIC_CACHE.clear()
-    _ANALYTIC_CACHE[key] = val
     return val
 
 
-_EXP_SERIES_CACHE: dict = {}
-
-
+@lru_cache(maxsize=512)
 def _exp_series(det: DetectorConfig, s: int, order: int, prec: int):
-    key = (det, s, order, prec)
-    hit = _EXP_SERIES_CACHE.get(key)
-    if hit is None:
-        with mp.workprec(prec):
-            fc = _scaled_response_coeffs(det.response, det.N, order)
-            h, _ = _exp_neg_lists(fc, s, order)
-        if len(_EXP_SERIES_CACHE) >= 512:
-            _EXP_SERIES_CACHE.clear()
-        _EXP_SERIES_CACHE[key] = h
-        hit = h
-    return hit
+    with mp.workprec(prec):
+        fc = _scaled_response_coeffs(det.response, det.N, order)
+        h, _ = _exp_neg_lists(fc, s, order)
+    return tuple(h)
 
 
 def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
@@ -730,13 +696,14 @@ def detector_from_descriptor(desc: dict) -> DetectorConfig:
         r = desc["response"]
         kind = r.get("kind") if isinstance(r, dict) else None
         if kind == "linear":
-            resp = Linear(float(r["eta"]))
+            resp = Linear(_finite(r["eta"], "eta"))
         elif kind == "affine":
-            resp = Affine(float(r["eta"]), float(r["nu"]))
+            resp = Affine(_finite(r["eta"], "eta"), _finite(r["nu"], "nu"))
         elif kind == "power":
             resp = Power(int(r["n0"]))
         elif kind == "poly":
-            resp = PolynomialSeries(tuple(float(c) for c in r["coefficients"]))
+            resp = PolynomialSeries(tuple(_finite(c, "coefficient")
+                                          for c in r["coefficients"]))
         elif kind == "nabs":
             resp = NPhotonAbsorption(int(r["n0"]))
         else:
@@ -744,5 +711,5 @@ def detector_from_descriptor(desc: dict) -> DetectorConfig:
         return DetectorConfig(N, resp)
     except KeyError as exc:
         raise DescriptorError(f"detector descriptor missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"bad detector parameter: {exc}") from exc

@@ -11,7 +11,8 @@ generator) with a 64-bit seed, fixed for the lifetime of this package:
 identical seeds and request sequences reproduce histograms bit for bit.
 
 Point estimates of minors are computed through the standard witness
-path (extended precision); the bootstrap resamples use batched float
+path (extended precision); the bootstrap resamples run the same witness
+formulas over a leading resample axis and take batched float
 determinants, which is adequate because sampling noise dominates float
 rounding by many orders of magnitude at any realistic sample size.
 """
@@ -19,7 +20,6 @@ rounding by many orders of magnitude at any realistic sample size.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +27,16 @@ import numpy as np
 
 from .detector import ClickStatistics, JointClickStatistics
 from .errors import EmptyHistogram
-from .witness import WitnessReport, _joint_basis, witness_report
+from .witness import (
+    WitnessReport,
+    _cross_minor,
+    _graded,
+    _hankel,
+    _joint_pi_map,
+    _pi_map,
+    _qb_terms,
+    witness_report,
+)
 
 __all__ = [
     "RngSeed",
@@ -179,12 +188,6 @@ def estimate_statistics(hist: ClickHistogram):
 # --- bootstrap ------------------------------------------------------------------
 
 
-def _perm_matrix(N: int) -> np.ndarray:
-    """F[m, k] = k!/(k-m)! / (N!/(N-m)!), the click-to-moment map."""
-    return np.array([[math.perm(k, m) / math.perm(N, m)
-                      for k in range(N + 1)] for m in range(N + 1)])
-
-
 def _batched_minors(mats: np.ndarray) -> np.ndarray:
     """Leading principal minors of a stack of symmetric matrices.
 
@@ -197,39 +200,24 @@ def _batched_minors(mats: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _single_bank_resamples(freqs: np.ndarray, N: int) -> dict:
-    """Minor and Q_B replicas for resampled single-bank frequencies."""
-    F = _perm_matrix(N)
-    moms = freqs @ F.T
-    d = N // 2 + 1
-    idx = np.add.outer(np.arange(d), np.arange(d))
-    mats = moms[:, idx]
-    minors = _batched_minors(mats)
+def _replicas(freqs: np.ndarray, hist: ClickHistogram) -> dict:
+    """Moments and witness criteria of a stack of frequency tables.
 
-    k = np.arange(N + 1, dtype=float)
-    mean = freqs @ k
-    second = freqs @ (k * k)
-    denom = mean * (N - mean)
-    ok = denom > 0
-    qb = np.full(freqs.shape[0], np.nan)
-    qb[ok] = N * (second[ok] - mean[ok] ** 2) / denom[ok] - 1.0
-    return {"minors": minors, "qb": qb[ok] if ok.sum() >= 2 else None}
-
-
-def _joint_resamples(freqs: np.ndarray, N1: int, N2: int, basis: tuple) -> dict:
-    """Minor and cross-minor replicas for resampled joint frequencies."""
-    F1 = _perm_matrix(N1)
-    F2 = _perm_matrix(N2)
-    vals = np.einsum("ma,rab,nb->rmn", F1, freqs, F2)
-    rows1 = np.array([[a[0] + b[0] for b in basis] for a in basis])
-    rows2 = np.array([[a[1] + b[1] for b in basis] for a in basis])
-    mats = vals[:, rows1, rows2]
-    minors = _batched_minors(mats)
-
-    v1 = vals[:, 2, 0] - vals[:, 1, 0] ** 2
-    v2 = vals[:, 0, 2] - vals[:, 0, 1] ** 2
-    cov = vals[:, 1, 1] - vals[:, 1, 0] * vals[:, 0, 1]
-    return {"minors": minors, "cross": v1 * v2 - cov ** 2}
+    freqs carries a leading resample axis; the witness formulas of the
+    point estimates run over it unchanged, and only the minors are taken
+    in float.  Q_B keeps the replicas whose mean leaves a spread.
+    """
+    if hist.is_joint:
+        moms = _joint_pi_map(freqs, hist.N1, hist.N2)
+        return {"moments": moms,
+                "minors": _batched_minors(_graded(moms, hist.N1, hist.N2)),
+                "cross": _cross_minor(moms)}
+    moms = _pi_map(freqs, hist.N)
+    _, num, den = _qb_terms(freqs, hist.N)
+    ok = den > 0
+    return {"moments": moms,
+            "minors": _batched_minors(_hankel(moms, hist.N)),
+            "qb": num[ok] / den[ok] - 1.0}
 
 
 def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
@@ -265,18 +253,11 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
     rng = _generator(seed)
     draws = rng.multinomial(total, weights, size=resamples) / total
 
-    if hist.is_joint:
-        freqs = draws.reshape(resamples, hist.N1 + 1, hist.N2 + 1)
-        # same basis the point-estimate matrix was built on
-        basis = _joint_basis(hist.N1 // 2, hist.N2 // 2)
-        rep = _joint_resamples(freqs, hist.N1, hist.N2, basis)
-        cross_se = float(np.std(rep["cross"], ddof=1))
-        qb_se = None
-    else:
-        rep = _single_bank_resamples(draws, hist.N)
-        cross_se = None
-        qb_se = (float(np.std(rep["qb"], ddof=1))
-                 if rep["qb"] is not None else None)
+    rep = _replicas(draws.reshape((resamples,) + hist.counts.shape), hist)
+    cross_se = (float(np.std(rep["cross"], ddof=1)) if "cross" in rep
+                else None)
+    qb_se = (float(np.std(rep["qb"], ddof=1))
+             if len(rep.get("qb", ())) >= 2 else None)
 
     minor_se = tuple(float(s) for s in np.std(rep["minors"], axis=0, ddof=1))
 

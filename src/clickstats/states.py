@@ -58,6 +58,7 @@ __all__ = [
 DEFAULT_TAIL_TOL = 1e-14
 
 _NORM_SLACK = 1e-12
+_MAX_CUTOFF = 100000
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class PhotonNumberDistribution:
         if self.tail_bound < 0.0:
             raise ValueError("tail bound must be non-negative")
         total = math.fsum(probs) + self.tail_bound
-        if abs(total - 1.0) > _NORM_SLACK:
+        if not abs(total - 1.0) <= _NORM_SLACK:
             raise NormalizationViolation(
                 f"probabilities plus tail sum to {total!r}, not 1")
         object.__setattr__(self, "probs", probs)
@@ -110,7 +111,7 @@ class CoherentSuperposition:
             raise ValueError("superposition needs at least one term")
         object.__setattr__(self, "terms", terms)
         norm = self.overlap_norm()
-        if abs(norm - 1.0) > _NORM_SLACK:
+        if not abs(norm - 1.0) <= _NORM_SLACK:
             raise NormalizationViolation(
                 f"superposition norm is {norm!r}, not 1")
 
@@ -146,7 +147,7 @@ class JointPhotonDistribution:
         if (arr < 0.0).any():
             raise ValueError("negative probability in joint distribution")
         total = float(arr.sum()) + self.tail_bound
-        if abs(total - 1.0) > _NORM_SLACK:
+        if not abs(total - 1.0) <= _NORM_SLACK:
             raise NormalizationViolation(
                 f"joint probabilities plus tail sum to {total!r}, not 1")
         arr.setflags(write=False)
@@ -167,13 +168,25 @@ def _check_tol(tol: float):
         raise ValueError(f"truncation tolerance {tol!r} outside (0,1)")
 
 
+def _check_mean(mean: float, limit: float = math.inf):
+    if not 0.0 <= mean < limit:
+        raise ValueError(f"mean photon number {mean!r} outside [0, {limit})")
+
+
+def _check_cutoff(q: float, tol: float):
+    """Reject a tail q^M that falls below tol only beyond _MAX_CUTOFF."""
+    if not (q < 1.0 and math.log(tol) / math.log(q) <= _MAX_CUTOFF):
+        raise ValueError(
+            f"tail below {tol!r} needs more than {_MAX_CUTOFF} photon numbers")
+
+
 def coherent_distribution(mean_photons: float,
                           tol: float = DEFAULT_TAIL_TOL) -> PhotonNumberDistribution:
     """Poisson photon statistics of a coherent state with <n> = mean_photons."""
     _check_tol(tol)
     mu = float(mean_photons)
-    if mu < 0.0:
-        raise ValueError("mean photon number must be >= 0")
+    # the loop below runs at least to n = mu
+    _check_mean(mu, _MAX_CUTOFF)
     if mu == 0.0:
         return PhotonNumberDistribution((1.0,), 0.0)
     # successive term ratios p_{m+1}/p_m = mu/(m+1) only decrease, so the
@@ -192,8 +205,8 @@ def coherent_distribution(mean_photons: float,
             p = p * mu / n
             probs.append(p)
             acc += p
-            if n > 100000:
-                raise RuntimeError("coherent cutoff runaway")
+            if n > _MAX_CUTOFF:
+                raise ValueError(f"coherent cutoff above {_MAX_CUTOFF}")
         tail = float(1 - acc)
     return PhotonNumberDistribution(tuple(float(q) for q in probs), max(tail, 0.0),
                                    analytic=("coherent", mu))
@@ -204,11 +217,11 @@ def thermal_distribution(nbar: float,
     """Geometric photon statistics p_n = nbar^n/(nbar+1)^{n+1}."""
     _check_tol(tol)
     nb = float(nbar)
-    if nb < 0.0:
-        raise ValueError("mean photon number must be >= 0")
+    _check_mean(nb)
     if nb == 0.0:
         return PhotonNumberDistribution((1.0,), 0.0)
     q = nb / (nb + 1.0)
+    _check_cutoff(q, tol)
     # tail beyond cutoff M is exactly q^{M+1}
     cutoff = 0
     while q ** (cutoff + 1) > tol:
@@ -227,11 +240,11 @@ def spats_distribution(nbar: float,
     """
     _check_tol(tol)
     nb = float(nbar)
-    if nb < 0.0:
-        raise ValueError("mean photon number must be >= 0")
+    _check_mean(nb)
     if nb == 0.0:
         return PhotonNumberDistribution((0.0, 1.0), 0.0)
     q = nb / (nb + 1.0)
+    _check_cutoff(q, tol)  # the tail below is at least q^M
     cutoff = 1
     def tail(m):
         return q ** m * (m + 1.0 + nb) / (nb + 1.0)
@@ -270,6 +283,7 @@ def tmsv_joint(xi: complex, tol: float = DEFAULT_TAIL_TOL) -> JointPhotonDistrib
         raise SqueezingOutOfRange(f"|xi| = {abs(x)!r} must be < 1")
     if r == 0.0:
         return JointPhotonDistribution(np.array([[1.0]]), 0.0)
+    _check_cutoff(r, tol)
     cutoff = 0
     while r ** (cutoff + 1) > tol:
         cutoff += 1
@@ -295,7 +309,8 @@ def mixture_joint(weights, components) -> JointPhotonDistribution:
         raise ValueError("one weight per component required")
     if not components:
         raise ValueError("mixture needs at least one component")
-    if any(w < 0.0 for w in weights) or abs(math.fsum(weights) - 1.0) > 1e-12:
+    if not (all(w >= 0.0 for w in weights)
+            and abs(math.fsum(weights) - 1.0) <= 1e-12):
         raise ValueError("weights must be non-negative and sum to 1")
     shape = (max(c.probs.shape[0] for c in components),
              max(c.probs.shape[1] for c in components))
@@ -391,13 +406,21 @@ def mandel_q(state) -> float:
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
+def _finite(value, what: str) -> float:
+    """A descriptor number as a float; NaN and infinities are rejected."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise DescriptorError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _complex_param(value, what: str) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise DescriptorError(f"{what} as a pair must be [re, im]")
-        return complex(float(value[0]), float(value[1]))
+        return complex(_finite(value[0], what), _finite(value[1], what))
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_finite(value, what))
     raise DescriptorError(f"{what} must be a number or an [re, im] pair")
 
 
@@ -409,11 +432,12 @@ def state_from_descriptor(desc: dict):
     tol = desc.get("tol", DEFAULT_TAIL_TOL)
     try:
         if kind == "coherent":
-            return coherent_distribution(float(desc["mean_photons"]), tol)
+            return coherent_distribution(
+                _finite(desc["mean_photons"], "mean_photons"), tol)
         if kind == "thermal":
-            return thermal_distribution(float(desc["nbar"]), tol)
+            return thermal_distribution(_finite(desc["nbar"], "nbar"), tol)
         if kind == "spats":
-            return spats_distribution(float(desc["nbar"]), tol)
+            return spats_distribution(_finite(desc["nbar"], "nbar"), tol)
         if kind == "fock":
             return fock_distribution(int(desc["n"]))
         if kind == "odd_coherent":
@@ -422,6 +446,6 @@ def state_from_descriptor(desc: dict):
             return tmsv_joint(_complex_param(desc["xi"], "xi"), tol)
     except KeyError as exc:
         raise DescriptorError(f"state descriptor missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"bad state parameter: {exc}") from exc
     raise DescriptorError(f"unknown state kind {kind!r}")

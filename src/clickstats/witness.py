@@ -3,21 +3,29 @@
 The click-fraction observable of one diode has normally ordered moments
 that are plain linear combinations of the click numbers,
 
-    <:pi^m:> = (N-m)!/N! * sum_k k(k-1)...(k-m+1) c_k,
+    <:pi^m:> = (N-m)!/N! * sum_k k(k-1)...(k-m+1) c_k.
 
-so empirical and exact statistics share one code path.  Arranging the
-moments into a Hankel matrix (or its two-bank generalization over a graded
-basis) gives a matrix that is positive semidefinite for every classical
-state; any negative leading principal minor, negative eigenvalue, negative
-cross-correlation minor, or negative binomial Q parameter certifies
-nonclassicality.  Minors are evaluated by pivoted elimination in extended
+Arranging the moments into a Hankel matrix (or its two-bank generalization
+over a graded basis) gives a matrix that is positive semidefinite for every
+classical state; any negative leading principal minor, negative eigenvalue,
+negative cross-correlation minor, or negative binomial Q parameter
+certifies nonclassicality.
+
+Each formula is written once, over any leading axes (the bootstrap runs
+them over a stack of resamples), on the statistics' own numbers: mpf at
+_WITNESS_PREC bits when the forward model supplied extended-precision values
+(`exact`), floats for empirical data.  The extended values matter for the
+signed formal statistics of superlinear responses, whose click numbers reach
+1e4 and cancel to a sum of one.  Minors are always eliminated in extended
 precision because they sit many orders below the matrix entries.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -48,7 +56,14 @@ __all__ = [
 ]
 
 _WITNESS_PREC = 220
+_UNIT_TOL = 1e-12
 DEFAULT_THRESHOLD = 1e-9
+
+
+def _check_unit(value: float, slack: float, what: str) -> None:
+    """The zeroth moment is one, less at most the state's tail (`slack`)."""
+    if not abs(value - 1.0) <= _UNIT_TOL + slack:
+        raise NormalizationViolation(f"{what} is {value!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -59,15 +74,14 @@ class PiMoments:
     max_order: int
     exact: tuple | None = None
     formal: bool = False
+    norm_slack: float = 0.0
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
         if len(values) != self.max_order + 1:
             raise ValueError(f"expected {self.max_order + 1} values, "
                              f"got {len(values)}")
-        if abs(values[0] - 1.0) > 1e-12:
-            raise NormalizationViolation(
-                f"zeroth moment is {values[0]!r}, not 1")
+        _check_unit(values[0], self.norm_slack, "zeroth moment")
         object.__setattr__(self, "values", values)
 
 
@@ -79,15 +93,14 @@ class JointPiMoments:
     max_orders: tuple
     exact: tuple | None = None
     formal: bool = False
+    norm_slack: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
         expected = (self.max_orders[0] + 1, self.max_orders[1] + 1)
         if arr.shape != expected:
             raise ValueError(f"expected shape {expected}, got {arr.shape}")
-        if abs(arr[0, 0] - 1.0) > 1e-12:
-            raise NormalizationViolation(
-                f"(0,0) moment is {arr[0, 0]!r}, not 1")
+        _check_unit(arr[0, 0], self.norm_slack, "(0,0) moment")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "max_orders",
@@ -101,6 +114,7 @@ class MomentMatrix:
     entries: np.ndarray
     index_basis: tuple
     exact: tuple | None = None
+    norm_slack: float = 0.0
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -108,11 +122,9 @@ class MomentMatrix:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] != len(self.index_basis):
             raise ValueError("basis length does not match matrix dimension")
-        if np.max(np.abs(arr - arr.T)) > 1e-12:
+        if not np.max(np.abs(arr - arr.T)) <= 1e-12:
             raise ValueError("matrix of moments must be symmetric")
-        if abs(arr[0, 0] - 1.0) > 1e-12:
-            raise NormalizationViolation(
-                f"top-left entry is {arr[0, 0]!r}, not 1")
+        _check_unit(arr[0, 0], self.norm_slack, "top-left entry")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "index_basis", tuple(self.index_basis))
@@ -157,7 +169,99 @@ class WitnessReport:
         return out
 
 
-# --- single-bank moments --------------------------------------------------------
+# --- number type ------------------------------------------------------------------
+
+@contextmanager
+def _numbers(exact, floats):
+    """An object's numbers as one array: its `exact` values as mpf under
+    the witness precision when it carries them, its floats otherwise."""
+    if exact is None:
+        yield np.asarray(floats, dtype=float)
+        return
+    with mp.workprec(_WITNESS_PREC):
+        yield np.array(exact, dtype=object)
+
+
+def _exact(a):
+    """mpf values of a 1-D or 2-D result as nested tuples; None for floats."""
+    if a.dtype != object:
+        return None
+    return tuple(tuple(r) if isinstance(r, list) else r for r in a.tolist())
+
+
+# --- the inverse formulas, over any leading axes ----------------------------------
+
+@lru_cache(maxsize=64)
+def _weights(N: int, dtype) -> tuple:
+    """Integer weights over k = 0..N in the data's number type (Python
+    integers for mpf data): the falling factorials P[m, k] = k!/(k-m)! and
+    the click powers (k, k^2)."""
+    ks = range(N + 1)
+    falling = np.array([[math.perm(k, m) for k in ks] for m in ks],
+                       dtype=dtype)
+    powers = np.array([list(ks), [k * k for k in ks]], dtype=dtype)
+    falling.setflags(write=False)
+    powers.setflags(write=False)
+    return falling, powers
+
+
+def _dot(x, W):
+    """x @ W.T over the last axis; mpf rows by mp.fsum, skipping zeros."""
+    if x.dtype != object:
+        return x @ W.T
+    w = W.tolist()
+    rows = [[mp.fsum(a * b for a, b in zip(wm, r) if a) for wm in w]
+            for r in x.reshape(-1, x.shape[-1]).tolist()]
+    return np.array(rows, dtype=object).reshape(x.shape[:-1] + (len(w),))
+
+
+def _pi_map(c, N: int):
+    """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k for m = 0..N."""
+    falling = _weights(N, c.dtype)[0]
+    return _dot(c, falling) / falling[:, N]
+
+
+def _joint_pi_map(c, N1: int, N2: int):
+    """Two-bank moments [m1, m2]: the single-bank map along each axis."""
+    per_k1 = _pi_map(c, N2)
+    return np.swapaxes(_pi_map(np.swapaxes(per_k1, -1, -2), N1), -1, -2)
+
+
+def _hankel(v, N: int):
+    """M[i, j] = <:pi^(i+j):> for i, j = 0..N//2."""
+    d = N // 2 + 1
+    return v[..., np.add.outer(np.arange(d), np.arange(d))]
+
+
+@lru_cache(maxsize=64)
+def _joint_basis(N1: int, N2: int) -> tuple:
+    """Exponent pairs up to (N1//2, N2//2) by degree, first mode first."""
+    b1, b2 = N1 // 2, N2 // 2
+    return tuple((m1, deg - m1) for deg in range(b1 + b2 + 1)
+                 for m1 in range(min(deg, b1), -1, -1) if deg - m1 <= b2)
+
+
+def _graded(v, N1: int, N2: int):
+    """M[a, b] = <:pi1^(m1a+m1b) pi2^(m2a+m2b):> over the graded basis."""
+    e = np.array(_joint_basis(N1, N2))
+    return v[..., e[:, 0, None] + e[:, 0], e[:, 1, None] + e[:, 1]]
+
+
+def _qb_terms(c, N: int):
+    """<c>, and Q_B + 1 as numerator N Var(c) and denominator <c>(N - <c>)."""
+    mean, second = _dot(c, _weights(N, c.dtype)[1]).T
+    return mean, N * (second - mean ** 2), mean * (N - mean)
+
+
+def _cross_minor(v):
+    """det of the centered second-moment block from two-bank moments."""
+    v1 = v[..., 2, 0] - v[..., 1, 0] ** 2
+    v2 = v[..., 0, 2] - v[..., 0, 1] ** 2
+    cov = v[..., 1, 1] - v[..., 1, 0] * v[..., 0, 1]
+    return v1 * v2 - cov ** 2
+
+
+# --- moments and moment matrices --------------------------------------------------
 
 def factorial_moment(stats: ClickStatistics, m: int) -> float:
     """sum_k k(k-1)...(k-m+1) c_k."""
@@ -166,63 +270,26 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
     if m > stats.N:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
-    if stats.exact is not None:
-        with mp.workprec(_WITNESS_PREC):
-            return float(mp.fsum(math.perm(k, m) * stats.exact[k]
-                                 for k in range(m, stats.N + 1)))
-    return math.fsum(math.perm(k, m) * c
-                     for k, c in enumerate(stats.probs) if k >= m)
+    with _numbers(stats.exact, stats.probs) as c:
+        return float(_dot(c, _weights(stats.N, c.dtype)[0])[m])
 
 
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    N = stats.N
-    exact = None
-    if stats.exact is not None:
-        with mp.workprec(_WITNESS_PREC):
-            exact = tuple(
-                mp.fsum(math.perm(k, m) * stats.exact[k]
-                        for k in range(m, N + 1)) / math.perm(N, m)
-                for m in range(N + 1))
-        values = tuple(float(v) for v in exact)
-    else:
-        values = tuple(
-            math.fsum(math.perm(k, m) * c
-                      for k, c in enumerate(stats.probs) if k >= m)
-            / math.perm(N, m)
-            for m in range(N + 1))
-    return PiMoments(values, N, exact=exact, formal=stats.formal)
+    with _numbers(stats.exact, stats.probs) as c:
+        mom = _pi_map(c, stats.N)
+    return PiMoments(mom.astype(float), stats.N, exact=_exact(mom),
+                     formal=stats.formal, norm_slack=stats.norm_slack)
 
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    N1, N2 = stats.N1, stats.N2
-    exact = None
-    if stats.exact is not None:
-        with mp.workprec(_WITNESS_PREC):
-            rows = []
-            for m1 in range(N1 + 1):
-                row = []
-                for m2 in range(N2 + 1):
-                    acc = mp.fsum(
-                        math.perm(k1, m1) * math.perm(k2, m2)
-                        * stats.exact[k1][k2]
-                        for k1 in range(m1, N1 + 1)
-                        for k2 in range(m2, N2 + 1))
-                    row.append(acc / (math.perm(N1, m1) * math.perm(N2, m2)))
-                rows.append(tuple(row))
-            exact = tuple(rows)
-        values = np.array([[float(v) for v in row] for row in exact])
-    else:
-        F1 = np.array([[math.perm(k, m) / math.perm(N1, m)
-                        for k in range(N1 + 1)] for m in range(N1 + 1)])
-        F2 = np.array([[math.perm(k, m) / math.perm(N2, m)
-                        for k in range(N2 + 1)] for m in range(N2 + 1)])
-        values = F1 @ stats.probs @ F2.T
-    return JointPiMoments(values, (N1, N2), exact=exact, formal=stats.formal)
+    with _numbers(stats.exact, stats.probs) as c:
+        mom = _joint_pi_map(c, stats.N1, stats.N2)
+    return JointPiMoments(mom.astype(float), (stats.N1, stats.N2),
+                          exact=_exact(mom), formal=stats.formal,
+                          norm_slack=stats.norm_slack)
 
-
-# --- moment matrices -------------------------------------------------------------
 
 def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
     """Hankel matrix M[i,j] = <:pi^(i+j):> of size floor(N/2)+1."""
@@ -230,25 +297,11 @@ def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
     if mom.max_order < 2 * half:
         raise InsufficientOrder(
             f"need moments through order {2 * half}, have {mom.max_order}")
-    d = half + 1
-    entries = np.array([[mom.values[i + j] for j in range(d)]
-                        for i in range(d)])
-    exact = None
-    if mom.exact is not None:
-        exact = tuple(tuple(mom.exact[i + j] for j in range(d))
-                      for i in range(d))
-    return MomentMatrix(entries, tuple(range(d)), exact=exact)
-
-
-def _joint_basis(b1: int, b2: int) -> tuple:
-    """Exponent pairs ordered by total degree, first mode first."""
-    basis = []
-    for deg in range(b1 + b2 + 1):
-        for m1 in range(min(deg, b1), -1, -1):
-            m2 = deg - m1
-            if m2 <= b2:
-                basis.append((m1, m2))
-    return tuple(basis)
+    with _numbers(mom.exact, mom.values) as v:
+        exact = _exact(_hankel(v, N))
+    return MomentMatrix(_hankel(np.asarray(mom.values), N),
+                        tuple(range(half + 1)), exact=exact,
+                        norm_slack=mom.norm_slack)
 
 
 def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
@@ -258,14 +311,10 @@ def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
         raise InsufficientOrder(
             f"need moments through orders ({2 * b1}, {2 * b2}), "
             f"have {mom.max_orders}")
-    basis = _joint_basis(b1, b2)
-    entries = np.array([[mom.values[a[0] + b[0], a[1] + b[1]] for b in basis]
-                        for a in basis])
-    exact = None
-    if mom.exact is not None:
-        exact = tuple(tuple(mom.exact[a[0] + b[0]][a[1] + b[1]]
-                            for b in basis) for a in basis)
-    return MomentMatrix(entries, basis, exact=exact)
+    with _numbers(mom.exact, mom.values) as v:
+        exact = _exact(_graded(v, N1, N2))
+    return MomentMatrix(_graded(mom.values, N1, N2), _joint_basis(N1, N2),
+                        exact=exact, norm_slack=mom.norm_slack)
 
 
 # --- minors, eigenvalues, verdicts ------------------------------------------------
@@ -299,16 +348,12 @@ def leading_principal_minors(M: MomentMatrix) -> tuple:
     eliminated in extended precision (exact entries are used when the
     matrix carries them).
     """
-    if M.exact is not None:
-        rows = [list(r) for r in M.exact]
-    else:
-        rows = [[mp.mpf(float(x)) for x in r] for r in M.entries]
-    out = []
-    with mp.workprec(_WITNESS_PREC):
-        for k in range(1, M.dim + 1):
-            block = [row[:k] for row in rows[:k]]
-            out.append(float(_det_pivoted(block)))
-    return tuple(out)
+    with _numbers(M.exact, M.entries) as a, mp.workprec(_WITNESS_PREC):
+        rows = a.tolist()
+        if a.dtype != object:  # converted once, exactly
+            rows = [[mp.mpf(x) for x in r] for r in rows]
+        return tuple(float(_det_pivoted([row[:k] for row in rows[:k]]))
+                     for k in range(1, M.dim + 1))
 
 
 def min_eigenvalue(M: MomentMatrix) -> float:
@@ -322,23 +367,12 @@ def qb_parameter(stats: ClickStatistics) -> float:
     Zero for binomial statistics; negative values certify nonclassicality,
     positive values mark super-binomial spread.
     """
-    N = stats.N
-    if stats.exact is not None:
-        with mp.workprec(_WITNESS_PREC):
-            mean = mp.fsum(k * c for k, c in enumerate(stats.exact))
-            second = mp.fsum(k * k * c for k, c in enumerate(stats.exact))
-            denom = mean * (N - mean)
-            if denom <= 0:
-                raise DegenerateMean(
-                    f"mean click number {float(mean)!r} leaves no spread")
-            return float(N * (second - mean ** 2) / denom - 1)
-    mean = math.fsum(k * c for k, c in enumerate(stats.probs))
-    second = math.fsum(k * k * c for k, c in enumerate(stats.probs))
-    denom = mean * (N - mean)
-    if denom <= 0:
-        raise DegenerateMean(
-            f"mean click number {mean!r} leaves no spread")
-    return N * (second - mean ** 2) / denom - 1
+    with _numbers(stats.exact, stats.probs) as c:
+        mean, num, den = _qb_terms(c, stats.N)
+        if not den > 0:
+            raise DegenerateMean(
+                f"mean click number {float(mean)!r} leaves no spread")
+        return float(num / den - 1)
 
 
 def cross_correlation_minor(stats: JointClickStatistics) -> float:
@@ -352,17 +386,8 @@ def cross_correlation_minor(stats: JointClickStatistics) -> float:
         raise OrderExceedsDiodes(
             "cross-correlation minor needs at least two diodes per bank")
     mom = joint_pi_moments(stats)
-    if mom.exact is not None:
-        with mp.workprec(_WITNESS_PREC):
-            v1 = mom.exact[2][0] - mom.exact[1][0] ** 2
-            v2 = mom.exact[0][2] - mom.exact[0][1] ** 2
-            cov = mom.exact[1][1] - mom.exact[1][0] * mom.exact[0][1]
-            return float(v1 * v2 - cov ** 2)
-    v = mom.values
-    v1 = v[2, 0] - v[1, 0] ** 2
-    v2 = v[0, 2] - v[0, 1] ** 2
-    cov = v[1, 1] - v[1, 0] * v[0, 1]
-    return v1 * v2 - cov ** 2
+    with _numbers(mom.exact, mom.values) as v:
+        return float(_cross_minor(v))
 
 
 def witness_report(stats, threshold: float = DEFAULT_THRESHOLD) -> WitnessReport:

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +291,98 @@ class TestErrorMapping:
         code = main(["stats", "--state", FOCK1, "--detector",
                      '{"N": 4, "response": {"kind": "warp"}}'])
         assert code == 2
+
+
+LINEAR4 = {"N": 4, "response": {"kind": "linear", "eta": 0.9}}
+
+
+class TestBadNumbers:
+    """Non-finite or unusable descriptor numbers give exit 2 and a message,
+    never NaN output with exit 0, a traceback or a hang."""
+
+    @pytest.mark.parametrize("state,detector", [
+        ({"kind": "thermal", "nbar": "nan"}, LINEAR4),
+        ({"kind": "spats", "nbar": "nan"}, LINEAR4),
+        ({"kind": "thermal", "nbar": math.nan}, LINEAR4),
+        ({"kind": "coherent", "mean_photons": "inf"}, LINEAR4),
+        ({"kind": "coherent", "mean_photons": 1e308}, LINEAR4),
+        ({"kind": "spats", "nbar": 1e308}, LINEAR4),
+        ({"kind": "fock", "n": math.inf}, LINEAR4),
+        ({"kind": "thermal", "nbar": 1.0},
+         {"N": 4, "response": {"kind": "affine", "eta": 0.9, "nu": "nan"}}),
+        ({"kind": "thermal", "nbar": 1.0},
+         {"N": 4, "response": {"kind": "poly",
+                               "coefficients": [0.0, 1.0, "nan"]}}),
+        ({"kind": "thermal", "nbar": 1.0},
+         {"N": math.inf, "response": {"kind": "linear", "eta": 0.9}}),
+    ])
+    def test_exit_two(self, state, detector, capsys):
+        code = main(["stats", "--state", json.dumps(state),
+                     "--detector", json.dumps(detector)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_tmsv_near_one_exit_two(self, capsys):
+        det = json.dumps(LINEAR4)
+        code = main(["stats", "--state",
+                     '{"kind": "tmsv", "xi": 0.99999999999}',
+                     "--detector", det, "--detector", det])
+        assert code == 2
+        assert "100000" in capsys.readouterr().err
+
+    def test_bright_thermal_ends(self):
+        # q = nbar/(nbar+1) rounds to one at nbar = 1e308, where an
+        # unchecked cutoff loop never ends; a child process under a timeout
+        # keeps such a hang from stalling the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "clickstats", "stats", "--state",
+             '{"kind": "thermal", "nbar": 1e308}',
+             "--detector", json.dumps(LINEAR4)],
+            capture_output=True, text=True, timeout=60, env=_child_env())
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "100000" in proc.stderr
+
+    def test_thermal_tail_within_its_slack(self, capsys):
+        # a 1e-11 tolerance leaves a 7.3e-12 tail; the moment checks
+        # allow the statistics' own slack
+        code = main(["witness", "--state",
+                     '{"kind": "thermal", "nbar": 1.0, "tol": 1e-11}',
+                     "--detector", DET_N8])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "consistent-with-classical"
+
+
+def _child_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+class TestEntryPoints:
+    def test_python_dash_m(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "clickstats", "stats", "--state", FOCK1,
+             "--detector", DET_N4],
+            capture_output=True, text=True, timeout=60, env=_child_env())
+        assert proc.returncode == 0
+        assert main(["stats", "--state", FOCK1, "--detector", DET_N4]) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_formal_stats_note(self, capsys):
+        power = '{"N": 4, "response": {"kind": "power", "n0": 2}}'
+        # one photon never fires a two-photon absorber; the table itself
+        # is unchanged and the note goes to standard error alone
+        assert main(["stats", "--state", FOCK1, "--detector", power]) == 0
+        formal = capsys.readouterr()
+        assert formal.out == ("k,probability\n0,1.0\n1,0.0\n2,0.0\n"
+                              "3,0.0\n4,0.0\n")
+        assert len(formal.err.splitlines()) == 1
+        assert "formal" in formal.err
+        assert main(["stats", "--state", FOCK1, "--detector", DET_N4]) == 0
+        assert capsys.readouterr().err == ""

@@ -24,6 +24,14 @@ from clickstats import (
     write_histogram_csv,
 )
 from clickstats.errors import EmptyHistogram
+from clickstats.sampler import _replicas
+from clickstats.witness import (
+    cross_correlation_minor,
+    joint_pi_moments,
+    pi_moments,
+    qb_parameter,
+    witness_report,
+)
 
 
 def binomial_stats(N: int, p: float) -> ClickStatistics:
@@ -271,6 +279,34 @@ class TestBootstrapWitness:
             if abs(report.qb) <= 3 * report.uncertainties["qb"]:
                 hits += 1
         assert hits >= 0.95 * runs
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_replica_of_the_point_estimate(self, joint):
+        # one resample equal to the data must reproduce the point estimates:
+        # the replicas run the witness formulas over a leading axis
+        if joint:
+            det = DetectorConfig(N=4, response=Linear(eta=0.8))
+            stats = joint_click_statistics(tmsv_joint(0.6), det, det)
+        else:
+            det = DetectorConfig(N=8, response=Linear(eta=0.9))
+            stats = click_statistics(fock_distribution(3), det)
+        h = sample_clicks(stats, 20000, RngSeed(5))
+        point = estimate_statistics(h)
+        freqs = (h.counts / h.total)[None]
+        rep = _replicas(freqs, h)
+        if joint:
+            moments = joint_pi_moments(point).values
+            assert rep["cross"][0] == pytest.approx(
+                cross_correlation_minor(point), rel=1e-12, abs=1e-15)
+        else:
+            moments = pi_moments(point).values
+            assert rep["qb"][0] == pytest.approx(qb_parameter(point),
+                                                 rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(rep["moments"][0], moments,
+                                   rtol=1e-13, atol=1e-16)
+        minors = witness_report(point).leading_minors
+        np.testing.assert_allclose(rep["minors"][0], minors,
+                                   rtol=1e-6, atol=1e-14)
 
 
 class TestHistogramCsv:

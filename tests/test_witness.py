@@ -39,6 +39,7 @@ from clickstats.errors import (
     OrderExceedsDiodes,
 )
 from clickstats.witness import (
+    JointPiMoments,
     MomentMatrix,
     PiMoments,
     cross_correlation_minor,
@@ -140,6 +141,102 @@ class TestPiMoments:
     def test_bad_zeroth_entry(self):
         with pytest.raises(NormalizationViolation):
             PiMoments((0.9, 0.1), 1)
+
+    def test_matches_summation_loop(self):
+        # the per-order loop as reference: extended values must agree to
+        # the last bit, floats (summed in matrix order) to a few ulp
+        N = 8
+        stats = click_statistics(spats_distribution(0.7),
+                                 DetectorConfig(N, Linear(0.9)))
+        with mp.workprec(220):
+            ref = tuple(mp.fsum(math.perm(k, m) * stats.exact[k]
+                                for k in range(m, N + 1)) / math.perm(N, m)
+                        for m in range(N + 1))
+        assert pi_moments(stats).exact == ref
+        floats = ClickStatistics(N, stats.probs)
+        ref = [math.fsum(math.perm(k, m) * c for k, c in
+                         enumerate(floats.probs) if k >= m) / math.perm(N, m)
+               for m in range(N + 1)]
+        np.testing.assert_allclose(pi_moments(floats).values, ref,
+                                   rtol=0, atol=4 * N * 2.0 ** -52)
+
+
+class TestNormSlack:
+    """The zeroth moment may fall short of one by the state's tail."""
+
+    def test_truncated_state_within_its_tail(self):
+        # tol 1e-11 leaves a tail of 7.3e-12, well beyond the bare 1e-12
+        state = thermal_distribution(1.0, tol=1e-11)
+        stats = click_statistics(state, DetectorConfig(8, Linear(0.9)))
+        assert stats.norm_slack == state.tail_bound > 1e-12
+        mom = pi_moments(stats)
+        assert mom.norm_slack == stats.norm_slack
+        assert abs(mom.values[0] - 1.0) > 1e-12
+        M = moment_matrix(mom, 8)
+        assert M.norm_slack == stats.norm_slack
+        assert witness_report(stats).verdict == "consistent-with-classical"
+
+    def test_slack_is_added_to_the_bare_tolerance(self):
+        PiMoments((1.0 - 5e-12, 0.5), 1, norm_slack=4.5e-12)
+        with pytest.raises(NormalizationViolation):
+            PiMoments((1.0 - 5e-12, 0.5), 1, norm_slack=3.5e-12)
+        with pytest.raises(NormalizationViolation):
+            PiMoments((1.0 + 2e-11, 0.5), 1, norm_slack=1e-11)
+
+    def test_joint_and_matrix_checks(self):
+        vals = np.array([[1.0 - 5e-12, 0.1], [0.1, 0.05]])
+        JointPiMoments(vals, (1, 1), norm_slack=5e-12)
+        with pytest.raises(NormalizationViolation):
+            JointPiMoments(vals, (1, 1), norm_slack=3e-12)
+        MomentMatrix(vals, (0, 1), norm_slack=5e-12)
+        with pytest.raises(NormalizationViolation):
+            MomentMatrix(vals, (0, 1))
+
+    def test_nan_never_passes(self):
+        with pytest.raises(NormalizationViolation):
+            PiMoments((math.nan, 0.5), 1, norm_slack=1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            MomentMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]), (0, 1))
+
+
+class TestFormalStatistics:
+    """Superlinear responses give signed click numbers far above one whose
+    sum is one; the inverse path runs on their extended values."""
+
+    def test_fock20_power2_report(self):
+        stats = click_statistics(fock_distribution(20),
+                                 DetectorConfig(8, Power(2)))
+        assert stats.formal and max(abs(c) for c in stats.probs) > 1e4
+        # the floats alone miss the normalization by more than 1e-12 ...
+        assert abs(math.fsum(stats.probs) - 1.0) > 1e-12
+        # ... while the extended values keep it
+        assert pi_moments(stats).values[0] == pytest.approx(1.0, abs=1e-15)
+        report = witness_report(stats)
+        assert report.verdict == "nonclassical"
+        assert report.leading_minors[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_formal_joint_mixture_is_the_mixture_of_products(self):
+        det = DetectorConfig(4, Power(2))
+        weights = (0.3, 0.3, 0.4)
+        pairs = ((12, 12), (12, 3), (5, 12))
+        state = mixture_joint(weights, [
+            product_joint(fock_distribution(a), fock_distribution(b))
+            for a, b in pairs])
+        stats = joint_click_statistics(state, det, det)
+        assert stats.formal and stats.exact is not None
+        single = {n: click_statistics(fock_distribution(n), det).exact
+                  for n in (3, 5, 12)}
+        with mp.workprec(240):
+            for k1 in range(5):
+                for k2 in range(5):
+                    want = mp.fsum(w * single[a][k1] * single[b][k2]
+                                   for w, (a, b) in zip(weights, pairs))
+                    assert abs(stats.exact[k1][k2] - want) < 1e-60
+        assert np.abs(stats.probs).max() > 1e4
+        report = witness_report(stats)
+        assert joint_pi_moments(stats).values[0, 0] == pytest.approx(
+            1.0, abs=1e-15)
+        assert math.isfinite(report.cross_minor)
 
 
 class TestRoundTrip:
