@@ -17,8 +17,9 @@ table per mode contracted with the two-mode probability table.
 
 The alternating sums above cancel catastrophically (see the series module);
 every kernel carries a certified absolute error below 1e-40, far under any
-tolerance exposed to callers, with the working precision raised automatically
-when a response's growth demands it.
+tolerance exposed to callers.  The working precision of a kernel table is
+chosen once, before the table is built, from the response's positive
+majorant at the deepest Fock level; each table is built exactly once.
 """
 
 from __future__ import annotations
@@ -36,18 +37,27 @@ from .errors import (
     DescriptorError,
     LengthMismatch,
     NegativeResponse,
-    NonHermitianResult,
     NormalizationViolation,
     OrderTooLow,
     PrecisionLoss,
     UnboundedKernel,
 )
-from .series import PowerSeries, _exp_neg_lists, _log_series, auto_precision
+from .series import (
+    _ABS_TARGET,
+    PowerSeries,
+    _exp_neg_lists,
+    _fock_terms,
+    _log_series,
+    _majorant_lists,
+    _precision_for,
+    auto_precision,
+)
 from .states import (
     CoherentSuperposition,
     JointPhotonDistribution,
     PhotonNumberDistribution,
     _finite,
+    _superposition_expectation,
 )
 
 __all__ = [
@@ -70,8 +80,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CLAMP = 1e-12
-_NORM_TOL = 1e-10
-_KERNEL_TARGET = mp.mpf("1e-40")
+#: Distance from one allowed to click totals and zeroth moments, beyond a tail
+_NORM_TOL = 1e-12
 
 
 # --- response functions -------------------------------------------------------
@@ -273,17 +283,20 @@ def response_series(resp, N: int, s, order: int, prec: int | None = None) -> Pow
         if fc[0] < 0:
             # unreachable for built-in variants; poly constant is checked >= 0
             raise NegativeResponse(f"f(0) = {fc[0]} is negative")
-        h, _ = _exp_neg_lists(fc, s, order)
+        h = _exp_neg_lists(fc, s, order)
     return PowerSeries(tuple(h))
 
 
 # --- click statistics containers ----------------------------------------------
 
-def _validate_probs(flat, total_slack: float, what: str, formal: bool = False):
+def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
+                    exact=None):
     """Clamp tiny negatives to zero; reject material ones; check the total.
 
     `formal` statistics (superlinear response models) are signed by nature,
-    so only their total is checked.
+    so only their total is checked.  The total is taken over the `exact`
+    values when the statistics carry them: formal click numbers can reach
+    1e16 and cancel to a sum of one, which a float sum cannot resolve.
     """
     cleaned = []
     for c in flat:
@@ -294,7 +307,7 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False):
                 logger.debug("%s: clamping %r to 0", what, c)
                 c = 0.0
         cleaned.append(float(c))
-    total = math.fsum(cleaned)
+    total = math.fsum(cleaned) if exact is None else float(mp.fsum(exact))
     if not abs(total - 1.0) <= _NORM_TOL + total_slack:
         raise NormalizationViolation(
             f"{what} probabilities sum to {total!r} "
@@ -312,7 +325,9 @@ class ClickStatistics:
     `norm_slack` is the extra normalization deficit allowed for truncated
     input states (their tail bound).  `formal` marks statistics of a
     superlinear response model, which are signed in general; only their
-    total is constrained.
+    total is constrained.  `exact_error` bounds the absolute error of each
+    `exact` entry as the forward model computes it, and is 0 where it gives
+    no bound (empirical data, quadrature of the analytic families).
     """
 
     N: int
@@ -321,6 +336,7 @@ class ClickStatistics:
     stderr: tuple | None = None
     norm_slack: float = 0.0
     formal: bool = False
+    exact_error: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 1:
@@ -329,7 +345,7 @@ class ClickStatistics:
             raise ValueError(
                 f"expected {self.N + 1} entries, got {len(self.probs)}")
         cleaned = _validate_probs(self.probs, self.norm_slack, "click",
-                                  self.formal)
+                                  self.formal, self.exact)
         object.__setattr__(self, "probs", tuple(cleaned))
         if self.stderr is not None:
             object.__setattr__(self, "stderr", tuple(float(s) for s in self.stderr))
@@ -352,8 +368,9 @@ class JointClickStatistics:
         if arr.shape != (self.N1 + 1, self.N2 + 1):
             raise ValueError(f"expected shape {(self.N1 + 1, self.N2 + 1)}, "
                              f"got {arr.shape}")
+        exact = None if self.exact is None else sum(self.exact, ())
         cleaned = _validate_probs(arr.ravel(), self.norm_slack, "joint click",
-                                  self.formal)
+                                  self.formal, exact)
         arr = np.array(cleaned).reshape(arr.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -399,32 +416,22 @@ def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
                     row.append(val)
                 K.append(row)
             return p, _binomial_assembly(N, K)
-    forced = prec is not None
-    p = prec if forced else auto_precision(order)
-    guard = 50 + 2 * N + order.bit_length()
-    for _ in range(5):
-        with mp.workprec(p):
-            fc = _scaled_response_coeffs(det.response, N, order)
-            pairs = [_exp_neg_lists(fc, s, order, want_majorant=True)
-                     for s in range(N + 1)]
-            # cancellation severity peaks at the deepest Fock level; a
-            # majorant bound there covers the whole table
-            ff_top = [1]
-            for k in range(1, order + 1):
-                ff_top.append(ff_top[-1] * (order - k + 1))
-            worst = mp.mpf(0)
-            for _, hmaj in pairs:
-                m = mp.mpf(0)
-                for k in range(order + 1):
-                    m += hmaj[k] * ff_top[k]
-                worst = max(worst, m)
-            bound = worst * mp.mpf(2) ** (guard - p)
-            if forced or bound <= _KERNEL_TARGET:
-                K = _diag_table([h for h, _ in pairs], order)
-                return p, _binomial_assembly(N, K)
-            needed = int(mp.log(worst / _KERNEL_TARGET, 2)) + guard + 80
-        p = max(2 * p, needed)
-    raise PrecisionLoss(f"click kernels for {det} unstable at {p} bits")
+    if prec is None:
+        # cancellation peaks at the deepest Fock level, so the majorant's
+        # sum there bounds the rounding error of the whole table; the
+        # majorant has no cancellation, so 53 bits give it to a few ulps
+        with mp.workprec(53):
+            fc = _scaled_response_coeffs(resp, N, order)
+            worst = max(mp.fsum(_fock_terms(_majorant_lists(fc, s, order),
+                                            order))
+                        for s in range(N + 1))
+        prec = _precision_for(worst, 50 + 2 * N + order.bit_length(),
+                              auto_precision(order))
+    with mp.workprec(prec):
+        fc = _scaled_response_coeffs(resp, N, order)
+        K = _diag_table([_exp_neg_lists(fc, s, order) for s in range(N + 1)],
+                        order)
+        return prec, _binomial_assembly(N, K)
 
 
 def _diag_table(h_lists, order: int):
@@ -487,22 +494,24 @@ def _click_from_distribution(state, det, prec):
                  for k in range(det.N + 1)]
     return ClickStatistics(det.N, tuple(float(c) for c in exact),
                            exact=tuple(exact), norm_slack=state.tail_bound,
-                           formal=formal)
+                           formal=formal, exact_error=float(_ABS_TARGET))
 
 
-def _click_from_E(N, E, prec, norm_slack, formal):
-    """Assemble c_k from the no-click expectations E[s], s = 0..N."""
+def _click_from_E(N, E, prec, norm_slack, formal, e_error=0):
+    """Assemble c_k from the no-click expectations E[s], s = 0..N.  With each
+    E[s] within `e_error`, c_k is within C(N,k) 2^k e_error."""
     with mp.workprec(max(240, prec or 0)):
         exact = [c for (c,) in _binomial_assembly(N, [(e,) for e in E])]
+        error = max(math.comb(N, k) * 2 ** k for k in range(N + 1)) * e_error
     return ClickStatistics(N, tuple(float(c) for c in exact),
                            exact=tuple(exact), norm_slack=norm_slack,
-                           formal=formal)
+                           formal=formal, exact_error=float(error))
 
 
 def _click_from_superposition(state, det, prec):
     E = [_superposition_E(state, det, s, prec) for s in range(det.N + 1)]
     return _click_from_E(det.N, E, prec, norm_slack=0.0,
-                         formal=_superlinear(det.response))
+                         formal=_superlinear(det.response), e_error=_ABS_TARGET)
 
 
 @lru_cache(maxsize=4096)
@@ -554,73 +563,47 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
 
 
 @lru_cache(maxsize=512)
-def _exp_series(det: DetectorConfig, s: int, order: int, prec: int):
-    with mp.workprec(prec):
+def _exp_series(det: DetectorConfig, s: int, order: int, prec: int) -> PowerSeries:
+    return response_series(det.response, det.N, s, order, prec)
+
+
+@lru_cache(maxsize=64)
+def _majorant_exponent(det: DetectorConfig, order: int, r: float):
+    """g(r) = sum_{j>=1} |f_j| r^j - f_0 at 53 bits.  The positive majorant
+    of exp[-s f] (`_majorant_lists`) holds the coefficients of exp[s g], all
+    non-negative, so its truncation at any argument up to r is below
+    exp[s g(r)]."""
+    with mp.workprec(53):
         fc = _scaled_response_coeffs(det.response, det.N, order)
-        h, _ = _exp_neg_lists(fc, s, order)
-    return tuple(h)
+        return mp.fsum(abs(c) * mp.mpf(r) ** j
+                       for j, c in enumerate(fc) if j) - fc[0]
 
 
 def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
                      s: int, prec: int | None):
     """<:exp[-s f(nhat/N)]:> for a coherent superposition, as mpf.
 
-    The response series is evaluated at the cross amplitudes conj(a_i)*a_j;
-    the truncation order is doubled until the evaluation's own tail terms are
-    negligible, and the precision raised if the evaluation loses digits.
+    The truncation order doubles from 64 until the evaluation's own tail
+    terms fall below 1e-40 relative.  At each order the precision is chosen
+    before the sum from (sum_i |c_i|)^2 exp[s g(max |a_i|^2)], which bounds
+    sum_ij |c_i c_j| times the majorant at |z_ij|.
     """
-    forced = prec is not None
-    p = prec if forced else 240
+    weight = math.fsum(abs(c) for c, _ in state.terms) ** 2
     order = 64
     while True:
-        h = _exp_series(det, s, order, p)
+        p = prec
+        if p is None:
+            g = _majorant_exponent(det, order, state.max_intensity)
+            p = _precision_for(weight * mp.exp(s * g), 12, 240)
         with mp.workprec(p):
-            acc = mp.mpc(0)
-            pos = mp.mpf(0)
-            tail_ok = True
-            for ci, ai in state.terms:
-                for cj, aj in state.terms:
-                    z = mp.conj(mp.mpc(ai)) * mp.mpc(aj)
-                    val, pos_ij, tail = _eval_forward(h, z)
-                    pos += abs(mp.mpc(ci)) * abs(mp.mpc(cj)) * pos_ij
-                    if tail > mp.mpf("1e-33") * (1 + abs(val)):
-                        tail_ok = False
-                    ov = mp.exp(-abs(mp.mpc(ai)) ** 2 / 2
-                                - abs(mp.mpc(aj)) ** 2 / 2
-                                + mp.conj(mp.mpc(ai)) * mp.mpc(aj))
-                    acc += mp.conj(mp.mpc(ci)) * mp.mpc(cj) * val * ov
-            lost = pos * mp.mpf(2) ** (12 - p)
-            if tail_ok and (forced or lost <= mp.mpf("1e-33")):
-                if abs(mp.im(acc)) > mp.mpf("1e-10") * max(1, abs(acc)):
-                    raise NonHermitianResult(
-                        f"imaginary residue {float(mp.im(acc))!r} in E({s})")
-                return mp.re(acc)
-            if not tail_ok:
-                order *= 2
-                if order > 8192:
-                    raise OrderTooLow(
-                        f"response series did not converge by order {order // 2}")
-            if not forced and lost > mp.mpf("1e-33"):
-                p = max(2 * p, int(mp.log(pos / mp.mpf("1e-33"), 2)) + 80)
-
-
-def _eval_forward(h, z):
-    """Forward power-sum evaluation returning (value, magnitude sum, max of
-    the last eight term magnitudes) for convergence and conditioning checks."""
-    acc = mp.mpc(0)
-    power = mp.mpc(1)
-    pos = mp.mpf(0)
-    tail = mp.mpf(0)
-    last = len(h) - 8
-    for k, c in enumerate(h):
-        t = c * power
-        acc += t
-        a = abs(t)
-        pos += a
-        if k >= last:
-            tail = max(tail, a)
-        power *= z
-    return acc, pos, tail
+            value, tail = _superposition_expectation(
+                state.terms, _exp_series(det, s, order, p))
+        if tail <= _ABS_TARGET:
+            return value
+        order *= 2
+        if order > 8192:
+            raise OrderTooLow(
+                f"response series did not converge by order {order // 2}")
 
 
 def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,

@@ -10,9 +10,15 @@ n! while the h_k of interest (coefficients of exp[-s*f(x/N)]) alternate in
 sign, so the terms cancel almost completely: for a linear response the sum
 collapses from magnitude ~(1+g)^n down to (1-g)^n.  Double precision loses
 every digit of that well before n = 60.  All such sums are therefore taken
-with mpmath floats at a working precision chosen from the observed term
-magnitudes, with one automatic retry at higher precision if the cancellation
-turns out worse than predicted.
+with mpmath floats, at a working precision chosen once, before the sum, from
+a magnitude that bounds its rounding error: the sum of the absolute terms, or
+of a positive majorant series (`_majorant_lists`) when the coefficients were
+themselves computed by a cancelling recurrence.  `_precision_for` turns that
+magnitude into bits against the one absolute error target, 1e-40.
+
+mpmath keeps its working precision in one process-global context, which
+`mp.workprec` changes for the duration of a block; concurrent threads would
+see each other's precision, so these sums are not thread-safe.
 
 Conventions: a series of order L stores coefficients c_0..c_L; arithmetic
 truncates above the requested order and never wraps.  Coefficients may be
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import NegativeConstantTerm, OrderTooLow, PrecisionLoss
+from .errors import NegativeConstantTerm, OrderTooLow
 
 __all__ = [
     "PowerSeries",
@@ -45,8 +51,9 @@ __all__ = [
 #: a wide margin.
 MIN_PRECISION = 120
 
-#: Absolute error target for internal extended-precision sums.  Far below any
-#: tolerance exposed to callers, so the retry logic has a huge safety margin.
+#: Absolute error target for every extended-precision sum in the package:
+#: kernels, Fock sums and superposition expectations.  Far below any
+#: tolerance exposed to callers.
 _ABS_TARGET = mp.mpf("1e-40")
 
 
@@ -54,10 +61,19 @@ def auto_precision(order: int) -> int:
     """Default working precision in bits for sums over a series of this order.
 
     The positive part of the Fock sum for a contracting response grows at most
-    like 2^n, so one bit per order plus generous guard bits suffices; genuinely
-    worse cancellation is caught at run time and retried higher.
+    like 2^n, so one bit per order plus generous guard bits suffices; worse
+    cancellation shows in the magnitude handed to `_precision_for`, which
+    uses this as its floor.
     """
     return max(MIN_PRECISION, int(1.2 * order) + 160)
+
+
+def _precision_for(magnitude, guard: int, floor: int) -> int:
+    """Bits p that keep a rounding error of magnitude * 2^(guard - p) within
+    _ABS_TARGET, and never fewer than `floor`."""
+    if magnitude * mp.mpf(2) ** (guard - floor) <= _ABS_TARGET:
+        return floor
+    return guard + int(mp.floor(mp.log(magnitude / _ABS_TARGET, 2))) + 1
 
 
 @dataclass(frozen=True)
@@ -115,20 +131,14 @@ def series_mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> Powe
     return PowerSeries(tuple(out))
 
 
-def _exp_neg_lists(f_coeffs, s, order: int, want_majorant: bool = False):
-    """Series of exp(-s*f(x)) from the coefficients of f, order `order`.
-
-    Runs at the caller's current mpmath precision.  Returns (h, hmaj) where
-    hmaj majorizes |h_k| coefficient-wise (computed from |f_j| with the same
-    recurrence, no cancellation); hmaj is None unless requested.
-    """
+def _exp_neg_lists(f_coeffs, s, order: int):
+    """Coefficients of exp(-s*f(x)) from those of f, order `order`, at the
+    caller's current mpmath precision."""
     s = mp.mpf(s)
     f0 = mp.mpf(f_coeffs[0]) if len(f_coeffs) > 0 else mp.mpf(0)
     h = [mp.exp(-s * f0)]
-    hmaj = [h[0]] if want_majorant else None
     # only nonzero f_j contribute; responses are often very sparse
     nz = [(j, mp.mpf(fj)) for j, fj in enumerate(f_coeffs) if j >= 1 and fj != 0]
-    nz_abs = [(j, abs(fj)) for j, fj in nz] if want_majorant else None
     for k in range(1, order + 1):
         acc = mp.mpf(0)
         for j, fj in nz:
@@ -136,14 +146,18 @@ def _exp_neg_lists(f_coeffs, s, order: int, want_majorant: bool = False):
                 break
             acc += j * fj * h[k - j]
         h.append(-(s / k) * acc)
-        if want_majorant:
-            macc = mp.mpf(0)
-            for j, afj in nz_abs:
-                if j > k:
-                    break
-                macc += j * afj * hmaj[k - j]
-            hmaj.append((s / k) * macc)
-    return h, hmaj
+    return h
+
+
+def _majorant_lists(f_coeffs, s, order: int):
+    """Positive majorant of `_exp_neg_lists(f_coeffs, s, order)`.
+
+    The same recurrence on (-f_0, |f_1|, |f_2|, ...) with -s has no
+    cancellation; its k-th coefficient bounds |h_k| and, times k 2^-p, the
+    rounding error that computing h_k at p bits leaves.
+    """
+    g = [-mp.mpf(f_coeffs[0])] + [abs(mp.mpf(c)) for c in f_coeffs[1:]]
+    return _exp_neg_lists(g, -s, order)
 
 
 def series_exp_neg(f: PowerSeries, s=1.0, order: int | None = None,
@@ -163,7 +177,7 @@ def series_exp_neg(f: PowerSeries, s=1.0, order: int | None = None,
     if prec is None:
         prec = auto_precision(order)
     with mp.workprec(prec):
-        h, _ = _exp_neg_lists(f.coefficients, s, order)
+        h = _exp_neg_lists(f.coefficients, s, order)
     return PowerSeries(tuple(h))
 
 
@@ -187,31 +201,27 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
-def _diag_sum(coeffs, n: int):
-    """Sum of coeffs[k]*n^(k) plus the positive-part magnitude for error control.
+def _fock_terms(coeffs, n: int) -> list:
+    """The terms coeffs[k] * n^(k) of a Fock sum, at the current precision.
 
-    Runs at the caller's current precision; coefficients beyond index n cannot
-    contribute (the falling factorial annihilates them) and are skipped.
+    Coefficients beyond index n cannot contribute (the falling factorial
+    annihilates them) and are skipped.
     """
-    top = min(len(coeffs) - 1, n)
     terms = []
-    abs_sum = mp.mpf(0)
     ff = 1
-    for k in range(top + 1):
+    for k in range(min(len(coeffs) - 1, n) + 1):
         if k:
             ff *= n - k + 1
-        t = coeffs[k] * ff
-        terms.append(t)
-        abs_sum += abs(t)
-    return mp.fsum(terms), abs_sum
+        terms.append(coeffs[k] * ff)
+    return terms
 
 
 def diag_matrix_element(h: PowerSeries, n: int, prec: int | None = None) -> float:
     """<n| :h(nhat): |n> = sum_k h_k * n(n-1)...(n-k+1) for a Fock state.
 
-    Accumulated with mpmath's exact summation at extended precision.  When no
-    precision is forced, the working precision is raised automatically until
-    the cancellation error bound drops below 1e-40 absolute.
+    Accumulated with mpmath's exact summation at extended precision.  Unless
+    `prec` forces one, the working precision is chosen from the sum of the
+    absolute terms so that the cancellation error stays below 1e-40 absolute.
 
     The bound covers only errors introduced here: coefficients that were
     already rounded to double precision limit the achievable accuracy to
@@ -224,16 +234,21 @@ def diag_matrix_element(h: PowerSeries, n: int, prec: int | None = None) -> floa
     if h.order < n:
         raise OrderTooLow(
             f"series order {h.order} cannot resolve Fock level {n}")
-    forced = prec is not None
-    p = prec if forced else auto_precision(n)
-    for _ in range(4):
-        with mp.workprec(p):
-            value, abs_sum = _diag_sum(h.coefficients, n)
-            # bound on the rounding error of the products feeding fsum
-            bound = abs_sum * mp.mpf(2) ** (4 + (n + 1).bit_length() - p)
-            if forced or bound <= _ABS_TARGET:
-                return float(value)
-            needed = int(mp.log(abs_sum / _ABS_TARGET, 2)) + 80
-        p = max(p * 2, needed)
-    raise PrecisionLoss(
-        f"Fock sum at n={n} still uncertain at {p} bits")
+    return _fock_average(h.coefficients, [(n, 1)], 4 + (n + 1).bit_length(),
+                         auto_precision(n), prec)
+
+
+def _fock_average(coeffs, levels, guard: int, floor: int, prec: int | None):
+    """sum of w * sum_k coeffs[k] n^(k) over the (n, w) levels, as a float, at
+    `prec` bits, or else at the bits that the sum of its absolute terms calls
+    for (`_precision_for`).  That sum has no cancellation, so it is taken at
+    53 bits."""
+    if prec is None:
+        with mp.workprec(53):
+            magnitude = mp.fsum(
+                w * mp.fsum(_fock_terms(coeffs, n), absolute=True)
+                for n, w in levels)
+        prec = _precision_for(magnitude, guard, floor)
+    with mp.workprec(prec):
+        return float(mp.fsum(w * mp.fsum(_fock_terms(coeffs, n))
+                             for n, w in levels))

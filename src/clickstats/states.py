@@ -31,12 +31,11 @@ from .errors import (
     NonHermitianResult,
     NormalizationViolation,
     OrderTooLow,
-    PrecisionLoss,
     SqueezingOutOfRange,
     ZeroAmplitude,
     ZeroMeanPhotonNumber,
 )
-from .series import MIN_PRECISION, PowerSeries, _diag_sum, auto_precision
+from .series import MIN_PRECISION, PowerSeries, _fock_average, auto_precision
 
 __all__ = [
     "PhotonNumberDistribution",
@@ -266,6 +265,10 @@ def fock_distribution(n: int) -> PhotonNumberDistribution:
 def odd_coherent(alpha: complex) -> CoherentSuperposition:
     """Normalized superposition of |alpha> and -|-alpha> (odd Fock support)."""
     a = complex(alpha)
+    # products overflow to inf where abs(a) ** 2 would raise
+    if not a.real * a.real + a.imag * a.imag < _MAX_CUTOFF:
+        raise ValueError(
+            f"amplitude alpha = {alpha!r}: |alpha|^2 must be below {_MAX_CUTOFF}")
     if abs(a) ** 2 < 1e-150:
         raise ZeroAmplitude("odd superposition is undefined at zero amplitude")
     mu = abs(a) ** 2
@@ -324,62 +327,54 @@ def mixture_joint(weights, components) -> JointPhotonDistribution:
 
 
 def _superposition_expectation(terms, h: PowerSeries, hermitian_tol: float = 1e-10):
-    """sum_ij conj(c_i) c_j h(conj(a_i) a_j) <a_i|a_j> at the current precision.
+    """sum_ij conj(c_i) c_j h(z_ij) <a_i|a_j> with z_ij = conj(a_i) a_j, at the
+    current precision.
 
-    Returns the real part; a large imaginary residue means the evaluation
-    lost accuracy and is rejected rather than silently truncated.
+    Returns the real value and, as a measure of what truncating h leaves
+    out, the largest of the last eight |h_k z_ij^k| / (1 + |h(z_ij)|).  A
+    large imaginary residue means lost accuracy and is rejected.
     """
     acc = mp.mpc(0)
+    tail = mp.mpf(0)
+    last = max(h.order - 7, 0)
+    sizes = [abs(c) for c in h.coefficients[last:]]
     for ci, ai in terms:
         for cj, aj in terms:
             z = mp.conj(mp.mpc(ai)) * mp.mpc(aj)
+            r = abs(z)
             val = h.evaluate(z)
-            ov = mp.exp(-abs(mp.mpc(ai)) ** 2 / 2 - abs(mp.mpc(aj)) ** 2 / 2
-                        + mp.conj(mp.mpc(ai)) * mp.mpc(aj))
+            ov = mp.exp(-abs(mp.mpc(ai)) ** 2 / 2 - abs(mp.mpc(aj)) ** 2 / 2 + z)
             acc += mp.conj(mp.mpc(ci)) * mp.mpc(cj) * val * ov
-    scale = max(1.0, abs(acc))
-    if abs(mp.im(acc)) > hermitian_tol * scale:
+            top = max(a * r ** k for k, a in enumerate(sizes, last))
+            tail = max(tail, top / (1 + abs(val)))
+    if abs(mp.im(acc)) > hermitian_tol * max(1, abs(acc)):
         raise NonHermitianResult(
             f"imaginary residue {float(mp.im(acc))!r} exceeds {hermitian_tol}")
-    return mp.re(acc)
+    return mp.re(acc), tail
 
 
 def nom_expectation(state, h: PowerSeries, prec: int | None = None) -> float:
     """Normally ordered expectation <:h(nhat):> for the given state.
 
     Distributions: sum of p_n times the diagonal Fock matrix element, which
-    requires h to resolve every retained Fock level (h.order >= cutoff).
-    Superpositions: the cross-amplitude rule; h is evaluated as given, so the
-    caller is responsible for carrying enough orders for convergence at the
-    relevant amplitudes.
+    requires h to resolve every retained Fock level (h.order >= cutoff); the
+    working precision comes from the sum of the absolute terms, as in
+    diag_matrix_element.  Superpositions: the cross-amplitude rule; h is
+    evaluated as given, so the caller is responsible for carrying enough
+    orders for convergence at the relevant amplitudes.
     """
     if isinstance(state, PhotonNumberDistribution):
         if h.order < state.cutoff:
             raise OrderTooLow(
                 f"series order {h.order} below state cutoff {state.cutoff}")
-        forced = prec is not None
-        p = prec if forced else auto_precision(state.cutoff)
-        guard = 20 + state.cutoff.bit_length()
-        for _ in range(4):
-            with mp.workprec(p):
-                parts, weights = [], mp.mpf(0)
-                for n, pn in enumerate(state.probs):
-                    if pn == 0.0:
-                        continue
-                    value, abs_sum = _diag_sum(h.coefficients, n)
-                    parts.append(pn * value)
-                    weights += pn * abs_sum
-                total = mp.fsum(parts)
-                bound = weights * mp.mpf(2) ** (guard - p)
-                if forced or bound <= mp.mpf("1e-35"):
-                    return float(total)
-                needed = int(mp.log(max(weights, mp.mpf(1)) * mp.mpf("1e35"), 2)) + 80
-            p = max(p * 2, needed)
-        raise PrecisionLoss(f"Fock sum still uncertain at {p} bits")
+        levels = [(n, pn) for n, pn in enumerate(state.probs) if pn != 0.0]
+        return _fock_average(h.coefficients, levels,
+                             20 + state.cutoff.bit_length(),
+                             auto_precision(state.cutoff), prec)
     if isinstance(state, CoherentSuperposition):
         p = prec if prec is not None else auto_precision(h.order)
         with mp.workprec(p):
-            return float(_superposition_expectation(state.terms, h))
+            return float(_superposition_expectation(state.terms, h)[0])
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .detector import ClickStatistics, JointClickStatistics
+from .detector import _NORM_TOL, ClickStatistics, JointClickStatistics
 from .errors import (
     DegenerateMean,
     InsufficientOrder,
@@ -56,13 +56,12 @@ __all__ = [
 ]
 
 _WITNESS_PREC = 220
-_UNIT_TOL = 1e-12
 DEFAULT_THRESHOLD = 1e-9
 
 
 def _check_unit(value: float, slack: float, what: str) -> None:
     """The zeroth moment is one, less at most the state's tail (`slack`)."""
-    if not abs(value - 1.0) <= _UNIT_TOL + slack:
+    if not abs(value - 1.0) <= _NORM_TOL + slack:
         raise NormalizationViolation(f"{what} is {value!r}, not 1")
 
 
@@ -365,11 +364,16 @@ def qb_parameter(stats: ClickStatistics) -> float:
     """Binomial Q parameter N Var(c)/(<c>(N - <c>)) - 1.
 
     Zero for binomial statistics; negative values certify nonclassicality,
-    positive values mark super-binomial spread.
+    positive values mark super-binomial spread.  A mean that may be 0 or N
+    leaves no spread to measure: the error of the click numbers
+    (`exact_error`) moves it either way by up to sum_k k times that, and a
+    truncated state's tail only adds clicks, at most N * norm_slack.
     """
+    N = stats.N
+    err = N * (N + 1) / 2 * stats.exact_error
     with _numbers(stats.exact, stats.probs) as c:
-        mean, num, den = _qb_terms(c, stats.N)
-        if not den > 0:
+        mean, num, den = _qb_terms(c, N)
+        if not err < mean < N - err - N * stats.norm_slack:
             raise DegenerateMean(
                 f"mean click number {float(mean)!r} leaves no spread")
         return float(num / den - 1)

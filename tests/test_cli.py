@@ -332,6 +332,15 @@ class TestBadNumbers:
         assert code == 2
         assert "100000" in capsys.readouterr().err
 
+    def test_huge_odd_coherent_amplitude_names_alpha(self, capsys):
+        # |alpha|^2 overflows a float here
+        code = main(["stats", "--state",
+                     '{"kind": "odd_coherent", "alpha": [1e300, 0]}',
+                     "--detector", json.dumps(LINEAR4)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "alpha" in err and "100000" in err
+
     def test_bright_thermal_ends(self):
         # q = nbar/(nbar+1) rounds to one at nbar = 1e308, where an
         # unchecked cutoff loop never ends; a child process under a timeout

@@ -8,7 +8,9 @@ series machinery under test.  Fock inputs give polynomial closed forms via
 """
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -306,6 +308,20 @@ class TestSuperlinearResponses:
         assert stats.formal
         assert abs(math.fsum(stats.probs) - 1.0) < 1e-9
         assert any(c < 0.0 for c in stats.probs)
+
+    @pytest.mark.parametrize("n0", [30, 28])
+    def test_deep_fock_total_taken_on_exact_values(self, n0):
+        # Fock 31 on four diodes: <:exp[-s (nhat/4)^n0]:> = 1 - s a with
+        # a = 31^(n0)/4^n0, so c = (1 - 4a, 4a, 0, 0, 0).  The click numbers
+        # reach 1e16 and cancel to a total of one, which their floats miss
+        stats = click_statistics(fock_distribution(31),
+                                 DetectorConfig(4, Power(n0)))
+        a = Fraction(math.perm(31, n0), 4 ** n0)
+        want = [1 - 4 * a, 4 * a, 0, 0, 0]
+        with mp.workprec(400):
+            for c, w in zip(stats.exact, want):
+                assert abs(c - mp.mpf(w.numerator) / w.denominator) < 1e-30
+        assert abs(math.fsum(stats.probs) - 1.0) >= 1.0
 
     def test_joint_superlinear_with_tail_rejected(self):
         state = tmsv_joint(0.5)

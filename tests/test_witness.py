@@ -199,6 +199,20 @@ class TestNormSlack:
             MomentMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]), (0, 1))
 
 
+class TestSharedTolerance:
+    """Statistics and moment containers allow the same distance from one,
+    so statistics that build also pass the inverse path."""
+
+    def test_deficit_within_tolerance_reaches_the_report(self):
+        stats = ClickStatistics(4, (0.5, 0.5 - 5e-13, 0.0, 0.0, 0.0))
+        report = witness_report(stats)
+        assert report.leading_minors[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_larger_deficit_stops_at_the_statistics(self):
+        with pytest.raises(NormalizationViolation):
+            ClickStatistics(4, (0.5, 0.5 - 5e-11, 0.0, 0.0, 0.0))
+
+
 class TestFormalStatistics:
     """Superlinear responses give signed click numbers far above one whose
     sum is one; the inverse path runs on their extended values."""
@@ -451,6 +465,49 @@ class TestQbParameter:
     def test_saturated_degenerate(self):
         with pytest.raises(DegenerateMean):
             qb_parameter(ClickStatistics(4, (0.0, 0.0, 0.0, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_mean_below_resolution_is_degenerate(self, N):
+        # thermal light on 24-photon absorbers: c_1..c_N are kernel noise,
+        # below the kernels' certified 1e-40 error and far below the
+        # state's 8.5e-15 tail, so the mean click number is zero within
+        # what the statistics resolve
+        stats = click_statistics(thermal_distribution(0.35),
+                                 DetectorConfig(N, NPhotonAbsorption(24)))
+        assert abs(sum(k * c for k, c in enumerate(stats.probs))) < 1e-40
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+        assert witness_report(stats).qb is None
+
+    def test_mean_below_the_tail_is_kept(self):
+        # the truncated tail only adds clicks, so a resolved mean below
+        # N * norm_slack (5.6e-15 against 6.8e-14) cannot be zero
+        stats = click_statistics(thermal_distribution(0.35),
+                                 DetectorConfig(8, NPhotonAbsorption(11)))
+        mean = sum(k * c for k, c in enumerate(stats.probs))
+        assert 1e-15 < mean < stats.N * stats.norm_slack
+        assert witness_report(stats).qb is not None
+
+    def test_superposition_mean_within_the_assembly_error_is_degenerate(self):
+        # c_k of a superposition are assembled from no-click values held to
+        # 1e-40 each, so each is within C(N,k) 2^k 1e-40 (32e-40 on N = 4);
+        # this mean, 1.6e-38, lies inside sum_k k times that, though outside
+        # the sum_k k 1e-40 of a kernel table
+        stats = click_statistics(odd_coherent(1.0),
+                                 DetectorConfig(4, NPhotonAbsorption(24)))
+        assert stats.exact_error == pytest.approx(32e-40)
+        with mp.workprec(220):
+            mean = mp.fsum(k * c for k, c in enumerate(stats.exact))
+        assert 10 * 1e-40 < mean < 10 * stats.exact_error
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+
+    def test_large_bank_keeps_its_margin_small(self):
+        # kernel tables hold every c_k to 1e-40, however large the bank
+        stats = click_statistics(fock_distribution(3),
+                                 DetectorConfig(100, Linear(0.9)))
+        assert stats.exact_error == 1e-40
+        assert qb_parameter(stats) < 0.0
 
 
 class TestMinEigenvalue:
