@@ -410,7 +410,7 @@ def _add_model_flags(sub) -> None:
                      help="detector descriptor: inline JSON or file; "
                           "repeat for a two-bank measurement")
     sub.add_argument("--precision", type=int, default=None, metavar="BITS",
-                     help="working precision for the forward model")
+                     help="floor in bits for the extended-precision series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a default grid")
     p_fig.add_argument("--dimensionless", action="store_true",
                        help="label decay axes as rate-time products")
-    p_fig.add_argument("--precision", type=int, default=None, metavar="BITS")
+    p_fig.add_argument("--precision", type=int, default=None, metavar="BITS",
+                       help="floor in bits for the extended-precision series")
     _add_io_flags(p_fig, "output directory (default current)")
     p_fig.set_defaults(func=cmd_figure)
 

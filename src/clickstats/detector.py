@@ -9,17 +9,16 @@ combination
     c_k = C(N,k) sum_j C(k,j) (-1)^j <:exp[-(N-k+j) f(nhat/N)]:>.
 
 For Fock-diagonal states everything reduces to per-level click kernels
-t_k(n) -- the probability of k clicks given exactly n photons -- assembled
-once per detector at extended precision and cached; statistics are then a
-single non-negative contraction with the state's probabilities, so state
-sweeps against a fixed detector are cheap.  Joint banks factor into a kernel
-table per mode contracted with the two-mode probability table.
-
-The alternating sums above cancel catastrophically (see the series module);
-every kernel carries a certified absolute error below 1e-40, far under any
-tolerance exposed to callers.  The working precision of a kernel table is
-chosen once, before the table is built, from the response's positive
-majorant at the deepest Fock level; each table is built exactly once.
+t_k(n) -- the probability of k clicks given exactly n photons -- built once
+per detector and cached; statistics are then one contraction with the
+state's probabilities, c = T p, or T1 P T2^T for two banks.  Physical
+responses (linear, affine, a degree-1 polynomial of slope at most one,
+n-photon absorption) build t_k(n) in float64 from non-negative terms only,
+accurate to (order + N) 2^-52 relative to each entry's size.  Formal
+(superlinear) responses have signed kernels and keep the alternating sum
+above, which cancels catastrophically (see the series module), in mpmath
+with a certified absolute error below 1e-40, at bits chosen once from the
+response's positive majorant at the deepest Fock level.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ class NPhotonAbsorption:
         partial = sum(x**j / math.factorial(j) for j in range(self.n0))
         if isinstance(x, complex):
             return x - cmath.log(partial)
-        return x - math.log(partial)
+        return x - (mp.log if isinstance(x, mp.mpf) else math.log)(partial)
 
 
 RESPONSE_TYPES = (Linear, Affine, Power, PolynomialSeries, NPhotonAbsorption)
@@ -198,25 +197,6 @@ def _superlinear(resp) -> bool:
     if isinstance(resp, PolynomialSeries):
         return any(c != 0.0 for c in resp.coefficients[2:])
     return False
-
-
-def _evaluate_mp(resp, x):
-    """resp.evaluate at mpf arguments, under the current working precision."""
-    if isinstance(resp, Linear):
-        return mp.mpf(resp.eta) * x
-    if isinstance(resp, Affine):
-        return mp.mpf(resp.eta) * x + mp.mpf(resp.nu)
-    if isinstance(resp, Power):
-        return x ** resp.n0
-    if isinstance(resp, PolynomialSeries):
-        acc = mp.mpf(0)
-        for c in reversed(resp.coefficients):
-            acc = acc * x + mp.mpf(c)
-        return acc
-    if isinstance(resp, NPhotonAbsorption):
-        partial = mp.fsum(x ** j / mp.factorial(j) for j in range(resp.n0))
-        return x - mp.log(partial)
-    raise TypeError(f"unsupported response {type(resp).__name__}")
 
 
 @dataclass(frozen=True)
@@ -279,11 +259,7 @@ def response_series(resp, N: int, s, order: int, prec: int | None = None) -> Pow
         raise ValueError("diode count must be >= 1")
     p = prec if prec is not None else auto_precision(order)
     with mp.workprec(p):
-        fc = _scaled_response_coeffs(resp, N, order)
-        if fc[0] < 0:
-            # unreachable for built-in variants; poly constant is checked >= 0
-            raise NegativeResponse(f"f(0) = {fc[0]} is negative")
-        h = _exp_neg_lists(fc, s, order)
+        h = _exp_neg_lists(_scaled_response_coeffs(resp, N, order), s, order)
     return PowerSeries(tuple(h))
 
 
@@ -325,9 +301,9 @@ class ClickStatistics:
     `norm_slack` is the extra normalization deficit allowed for truncated
     input states (their tail bound).  `formal` marks statistics of a
     superlinear response model, which are signed in general; only their
-    total is constrained.  `exact_error` bounds the absolute error of each
-    `exact` entry as the forward model computes it, and is 0 where it gives
-    no bound (empirical data, quadrature of the analytic families).
+    total is constrained.  Each `exact` entry c_k is within exact_error +
+    relative_error * |c_k| of the forward model's value; both are 0 where
+    it gives no bound (empirical data, quadrature of analytic families).
     """
 
     N: int
@@ -337,6 +313,7 @@ class ClickStatistics:
     norm_slack: float = 0.0
     formal: bool = False
     exact_error: float = 0.0
+    relative_error: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 1:
@@ -387,51 +364,96 @@ def _bucket(order: int) -> int:
     return 128 * math.ceil(order / 128)
 
 
+def _chain_parameters(resp):
+    """(eta, nu) when f(x) = eta x + nu with 0 <= eta <= 1, else None."""
+    if isinstance(resp, (Linear, Affine)):
+        return resp.eta, getattr(resp, "nu", 0.0)
+    if isinstance(resp, Power) and resp.n0 == 1:
+        return 1.0, 0.0
+    if isinstance(resp, PolynomialSeries) and not _superlinear(resp):
+        nu, eta = (resp.coefficients + (0.0,))[:2]
+        return (eta, nu) if eta <= 1.0 else None
+    return None
+
+
+def _kernels(det: DetectorConfig, order: int, prec: int | None):
+    """(bits, T): float64 kernels at 53 bits, or mpf for formal responses."""
+    if (_chain_parameters(det.response) is None
+            and not isinstance(det.response, NPhotonAbsorption)):
+        return _click_kernels(det, order, prec)
+    return 53, _positive_kernels(det, order)
+
+
+@lru_cache(maxsize=64)
+def _positive_kernels(det: DetectorConfig, order: int) -> np.ndarray:
+    """Read-only float64 T[k, n], n = 0..order, from non-negative terms."""
+    chain = _chain_parameters(det.response)
+    T = (_occupancy_chain(det.N, *chain, order + 1) if chain else
+         _threshold_occupancy(det.N, det.response.n0, order + 1))
+    T.setflags(write=False)
+    return T
+
+
+def _occupancy_chain(N: int, eta: float, nu: float, L: int) -> np.ndarray:
+    """f(x) = eta x + nu: dark counts fire each diode with 1 - e^-nu, so the
+    0-photon column is Binomial(N, 1 - e^-nu); each photon then lands, with
+    probability eta, on a uniformly chosen diode and fires it if still dark,
+    moving j fired diodes to j + 1 with probability eta (N - j)/N."""
+    T = np.zeros((N + 1, L))
+    T[0, 0] = 1.0
+    dark = (math.exp(-nu), -math.expm1(-nu))
+    for d in range(N):
+        T[:d + 2, 0] = np.convolve(T[:d + 1, 0], dark)
+    j = np.arange(N + 1)
+    stay = ((1.0 - eta) * (N - j) + j) / N  # no cancellation as eta -> 1
+    move = eta * (N - j[:-1]) / N
+    for n in range(1, L):
+        T[:, n] = T[:, n - 1] * stay
+        T[1:, n] += T[:-1, n - 1] * move
+    return T
+
+
+def _threshold_occupancy(N: int, n0: int, L: int) -> np.ndarray:
+    """Diodes that fire on n0 or more photons, landing uniformly: t_k(n) =
+    C(N,k) n!/N^n [x^n] A^k B^(N-k), B = sum_{j<n0} x^j/j!, A = e^x - B, as
+    a binomial convolution over diodes of coefficients scaled to
+    probabilities, all at most one: F[k, m] is the chance that k of the
+    first d diodes fire when m photons land on them."""
+    F = np.zeros((N + 1, L))
+    F[0, 0] = 1.0
+    for d in range(1, N + 1):
+        # G[m, i] = C(m, i) (d-1)^i/d^m: i of m photons miss diode d
+        G = np.zeros((L, L))
+        G[0, 0] = 1.0
+        for m in range(1, L):
+            G[m] = (G[m - 1] + (d - 1) * np.roll(G[m - 1], 1)) / d
+        fire = np.tril(G, -n0)  # diode d took n0 or more
+        F, prev = F @ (G - fire).T, F
+        F[1:] += prev[:-1] @ fire.T
+    return F
+
+
 @lru_cache(maxsize=64)
 def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
-    """Cached per-Fock-level click kernels.
-
-    Returns (prec_used, T) with T[k][n] = probability of k clicks among
-    det.N diodes given exactly n photons, as mpf values with certified
-    absolute error below 1e-40.
-    """
+    """Kernels of formal responses by the alternating series: (bits, T), T
+    of mpf with absolute error below 1e-40; a forced `prec` is a floor.
+    The majorant's sum at the deepest Fock level, where cancellation
+    peaks, bounds the rounding error; it has none itself, so 53 bits do."""
     N = det.N
     resp = det.response
-    if isinstance(resp, (Linear, Affine)):
-        # the diagonal is an exact power:
-        #   :exp(-s (eta nhat/N + nu)): -> exp(-s nu) (1 - s eta/N)^n,
-        # so the table is built by repeated multiplication with no series
-        # and no cancellation beyond the binomial assembly, whose weight
-        # sum 3^N is covered by the extra 2N guard bits
-        p = max(prec or 0, 240 + 2 * N + order.bit_length())
-        with mp.workprec(p):
-            nu = getattr(resp, "nu", 0.0)
-            K = []
-            for s in range(N + 1):
-                base = 1 - mp.mpf(s) * mp.mpf(resp.eta) / N
-                val = mp.e ** (-mp.mpf(s) * mp.mpf(nu))
-                row = [val]
-                for _ in range(order):
-                    val *= base
-                    row.append(val)
-                K.append(row)
-            return p, _binomial_assembly(N, K)
-    if prec is None:
-        # cancellation peaks at the deepest Fock level, so the majorant's
-        # sum there bounds the rounding error of the whole table; the
-        # majorant has no cancellation, so 53 bits give it to a few ulps
-        with mp.workprec(53):
-            fc = _scaled_response_coeffs(resp, N, order)
-            worst = max(mp.fsum(_fock_terms(_majorant_lists(fc, s, order),
-                                            order))
-                        for s in range(N + 1))
-        prec = _precision_for(worst, 50 + 2 * N + order.bit_length(),
-                              auto_precision(order))
-    with mp.workprec(prec):
+    with mp.workprec(53):
+        fc = _scaled_response_coeffs(resp, N, order)
+        worst = max(mp.fsum(_fock_terms(_majorant_lists(fc, s, order), order))
+                    for s in range(N + 1))
+    bits = max(prec or 0, _precision_for(
+        worst, 50 + 2 * N + order.bit_length(), auto_precision(order)))
+    with mp.workprec(bits):
         fc = _scaled_response_coeffs(resp, N, order)
         K = _diag_table([_exp_neg_lists(fc, s, order) for s in range(N + 1)],
                         order)
-        return prec, _binomial_assembly(N, K)
+        T = np.array(_binomial_assembly(N, K), dtype=object)
+    T.setflags(write=False)
+    return bits, T
 
 
 def _diag_table(h_lists, order: int):
@@ -487,14 +509,15 @@ def _click_from_distribution(state, det, prec):
              for s in range(det.N + 1)]
         return _click_from_E(det.N, E, prec, norm_slack=0.0, formal=True)
     order = _bucket(state.cutoff)
-    used_prec, T = _click_kernels(det, order, prec)
-    with mp.workprec(used_prec):
-        exact = [mp.fsum(pn * T[k][n] for n, pn in enumerate(state.probs)
-                         if pn != 0.0)
-                 for k in range(det.N + 1)]
-    return ClickStatistics(det.N, tuple(float(c) for c in exact),
-                           exact=tuple(exact), norm_slack=state.tail_bound,
-                           formal=formal, exact_error=float(_ABS_TARGET))
+    bits, T = _kernels(det, order, prec)
+    p = np.array(state.probs)
+    with mp.workprec(bits):
+        exact = tuple(map(mp.mpf, (T[:, :len(p)] @ p).tolist()))
+    rel = 0.0 if T.dtype == object else (order + det.N) * 2.0 ** -52
+    return ClickStatistics(det.N, tuple(map(float, exact)), exact=exact,
+                           norm_slack=state.tail_bound, formal=formal,
+                           exact_error=0.0 if rel else float(_ABS_TARGET),
+                           relative_error=rel)
 
 
 def _click_from_E(N, E, prec, norm_slack, formal, e_error=0):
@@ -535,12 +558,12 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
         _check_poly_positive(resp, 10.0 * max(1.0, float(param)) / N)
     with mp.workprec(p):
         if kind == "coherent":
-            val = mp.exp(-s * _evaluate_mp(resp, mp.mpf(param) / N))
+            val = mp.exp(-s * resp.evaluate(mp.mpf(param) / N))
         elif kind in ("thermal", "spats"):
             nb = mp.mpf(param)
 
             def g(x):
-                return mp.exp(-x / nb - s * _evaluate_mp(resp, x / N))
+                return mp.exp(-x / nb - s * resp.evaluate(x / N))
 
             if kind == "thermal":
                 f = g
@@ -586,15 +609,13 @@ def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
     The truncation order doubles from 64 until the evaluation's own tail
     terms fall below 1e-40 relative.  At each order the precision is chosen
     before the sum from (sum_i |c_i|)^2 exp[s g(max |a_i|^2)], which bounds
-    sum_ij |c_i c_j| times the majorant at |z_ij|.
+    sum_ij |c_i c_j| times the majorant at |z_ij|; `prec` is a floor.
     """
     weight = math.fsum(abs(c) for c, _ in state.terms) ** 2
     order = 64
     while True:
-        p = prec
-        if p is None:
-            g = _majorant_exponent(det, order, state.max_intensity)
-            p = _precision_for(weight * mp.exp(s * g), 12, 240)
+        g = _majorant_exponent(det, order, state.max_intensity)
+        p = max(prec or 0, _precision_for(weight * mp.exp(s * g), 12, 240))
         with mp.workprec(p):
             value, tail = _superposition_expectation(
                 state.terms, _exp_series(det, s, order, p))
@@ -617,33 +638,14 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
         raise UnboundedKernel(
             "superlinear response on a truncated two-mode distribution")
     c1, c2 = state.cutoffs
-    p1, T1 = _click_kernels(det1, _bucket(c1), prec)
-    p2, T2 = _click_kernels(det2, _bucket(c2), prec)
-    N1, N2 = det1.N, det2.N
-    nz_n, nz_m = np.nonzero(state.probs)
-    exact = None
-    if len(nz_n) * (N1 + 1) * (N2 + 1) <= 2_000_000:
-        with mp.workprec(max(p1, p2)):
-            acc = [[mp.mpf(0)] * (N2 + 1) for _ in range(N1 + 1)]
-            for n, m in zip(nz_n.tolist(), nz_m.tolist()):
-                pnm = float(state.probs[n, m])
-                for k1 in range(N1 + 1):
-                    w = pnm * T1[k1][n]
-                    row = acc[k1]
-                    for k2 in range(N2 + 1):
-                        row[k2] += w * T2[k2][m]
-            exact = tuple(tuple(row) for row in acc)
-        table = np.array([[float(v) for v in row] for row in exact])
-    else:
-        # kernels are probabilities (non-negative), so a float contraction
-        # loses nothing material once the cancellations are already resolved
-        f1 = np.array([[float(T1[k][n]) for n in range(state.probs.shape[0])]
-                       for k in range(N1 + 1)])
-        f2 = np.array([[float(T2[k][m]) for m in range(state.probs.shape[1])]
-                       for k in range(N2 + 1)])
-        table = f1 @ state.probs @ f2.T
-    return JointClickStatistics(N1, N2, table, exact=exact,
-                                norm_slack=state.tail_bound, formal=formal)
+    bits1, T1 = _kernels(det1, _bucket(c1), prec)
+    bits2, T2 = _kernels(det2, _bucket(c2), prec)
+    with mp.workprec(max(bits1, bits2)):
+        table = T1[:, :c1 + 1] @ state.probs @ T2[:, :c2 + 1].T
+        exact = tuple(tuple(map(mp.mpf, row)) for row in table.tolist())
+    return JointClickStatistics(det1.N, det2.N, np.array(exact, dtype=float),
+                                exact=exact, norm_slack=state.tail_bound,
+                                formal=formal)
 
 
 def generating_function(stats: ClickStatistics, z) -> float:

@@ -14,7 +14,8 @@ with mpmath floats, at a working precision chosen once, before the sum, from
 a magnitude that bounds its rounding error: the sum of the absolute terms, or
 of a positive majorant series (`_majorant_lists`) when the coefficients were
 themselves computed by a cancelling recurrence.  `_precision_for` turns that
-magnitude into bits against the one absolute error target, 1e-40.
+magnitude into bits against the one absolute error target, 1e-40.  (The
+click kernels of physical responses avoid these sums: see the detector.)
 
 mpmath keeps its working precision in one process-global context, which
 `mp.workprec` changes for the duration of a block; concurrent threads would
@@ -52,8 +53,7 @@ __all__ = [
 MIN_PRECISION = 120
 
 #: Absolute error target for every extended-precision sum in the package:
-#: kernels, Fock sums and superposition expectations.  Far below any
-#: tolerance exposed to callers.
+#: formal kernels, Fock sums and superposition expectations.
 _ABS_TARGET = mp.mpf("1e-40")
 
 
@@ -106,11 +106,6 @@ def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     ca = a.coefficients + (0,) * (n - len(a.coefficients))
     cb = b.coefficients + (0,) * (n - len(b.coefficients))
     return PowerSeries(tuple(x + y for x, y in zip(ca, cb)))
-
-
-def series_scale(a: PowerSeries, factor) -> PowerSeries:
-    """Multiply every coefficient by a scalar."""
-    return PowerSeries(tuple(c * factor for c in a.coefficients))
 
 
 def series_mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> PowerSeries:
@@ -219,9 +214,10 @@ def _fock_terms(coeffs, n: int) -> list:
 def diag_matrix_element(h: PowerSeries, n: int, prec: int | None = None) -> float:
     """<n| :h(nhat): |n> = sum_k h_k * n(n-1)...(n-k+1) for a Fock state.
 
-    Accumulated with mpmath's exact summation at extended precision.  Unless
-    `prec` forces one, the working precision is chosen from the sum of the
-    absolute terms so that the cancellation error stays below 1e-40 absolute.
+    Accumulated with mpmath's exact summation at extended precision.  The
+    working precision is chosen from the sum of the absolute terms so that
+    the cancellation error stays below 1e-40 absolute; `prec` can only raise
+    it.
 
     The bound covers only errors introduced here: coefficients that were
     already rounded to double precision limit the achievable accuracy to
@@ -240,15 +236,13 @@ def diag_matrix_element(h: PowerSeries, n: int, prec: int | None = None) -> floa
 
 def _fock_average(coeffs, levels, guard: int, floor: int, prec: int | None):
     """sum of w * sum_k coeffs[k] n^(k) over the (n, w) levels, as a float, at
-    `prec` bits, or else at the bits that the sum of its absolute terms calls
-    for (`_precision_for`).  That sum has no cancellation, so it is taken at
-    53 bits."""
-    if prec is None:
-        with mp.workprec(53):
-            magnitude = mp.fsum(
-                w * mp.fsum(_fock_terms(coeffs, n), absolute=True)
-                for n, w in levels)
-        prec = _precision_for(magnitude, guard, floor)
+    the bits that the sum of its absolute terms calls for (`_precision_for`),
+    or at `prec` where that is more.  That sum has no cancellation, so it is
+    taken at 53 bits."""
+    with mp.workprec(53):
+        magnitude = mp.fsum(w * mp.fsum(_fock_terms(coeffs, n), absolute=True)
+                            for n, w in levels)
+    prec = max(prec or 0, _precision_for(magnitude, guard, floor))
     with mp.workprec(prec):
         return float(mp.fsum(w * mp.fsum(_fock_terms(coeffs, n))
                              for n, w in levels))

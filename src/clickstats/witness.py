@@ -364,18 +364,21 @@ def qb_parameter(stats: ClickStatistics) -> float:
     """Binomial Q parameter N Var(c)/(<c>(N - <c>)) - 1.
 
     Zero for binomial statistics; negative values certify nonclassicality,
-    positive values mark super-binomial spread.  A mean that may be 0 or N
-    leaves no spread to measure: the error of the click numbers
-    (`exact_error`) moves it either way by up to sum_k k times that, and a
-    truncated state's tail only adds clicks, at most N * norm_slack.
+    positive values mark super-binomial spread.  With each c_k within
+    exact_error + relative_error |c_k|, the mean is within err = sum_k k
+    times that, and N Var - <c>(N - <c>) within (N-1) err (N + 2<c> + err).
+    Q_B is withheld when the mean may be 0 or N (a truncated tail only adds
+    clicks, at most N * norm_slack), or when that error reaches the
+    denominator, so that Q_B is not known to within one.
     """
     N = stats.N
-    err = N * (N + 1) / 2 * stats.exact_error
     with _numbers(stats.exact, stats.probs) as c:
         mean, num, den = _qb_terms(c, N)
-        if not err < mean < N - err - N * stats.norm_slack:
+        err = N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
+        if not (err < mean < N - err - N * stats.norm_slack
+                and (N - 1) * err * (N + 2 * mean + err) < den):
             raise DegenerateMean(
-                f"mean click number {float(mean)!r} leaves no spread")
+                f"mean click number {float(mean)!r} leaves no resolved spread")
         return float(num / den - 1)
 
 

@@ -97,6 +97,18 @@ class TestStats:
                      "--precision", "300"])
         assert code == 0
 
+    def test_forced_precision_is_a_floor(self, capsys):
+        # Fock 90 on 3-photon absorbers: --precision 280 lay below the bits
+        # the series kernels needed and printed c_0 = 1.9e-13 with exit 0;
+        # the float kernels take no precision and print the true 0.0
+        args = ["stats", "--state", '{"kind": "fock", "n": 90}', "--detector",
+                '{"N": 4, "response": {"kind": "nabs", "n0": 3}}']
+        assert main(args + ["--precision", "280"]) == 0
+        forced = capsys.readouterr().out
+        assert forced.splitlines()[1] == "0,0.0"
+        assert main(args) == 0
+        assert capsys.readouterr().out == forced
+
 
 class TestWitness:
     def test_fock_one_nonclassical_exit_zero(self, capsys):

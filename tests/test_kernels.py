@@ -1,0 +1,143 @@
+"""Positive float64 click kernels against exact rational kernels.
+
+Physical responses (linear, affine, a degree-1 polynomial of slope at most
+one, n-photon absorption) build t_k(n) from non-negative terms only, so
+every entry is held to (order + N) 2^-52 relative to its exact value, with
+an absolute allowance of (order + 1) 2^-1074 for entries whose exact value
+lies below the float range.  The exact kernels come from `exact_kernels`.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clickstats import click_statistics, coherent_distribution
+from clickstats.detector import (
+    Affine,
+    DetectorConfig,
+    Linear,
+    NPhotonAbsorption,
+    PolynomialSeries,
+    Power,
+    _positive_kernels,
+)
+from exact_kernels import linear_kernel, nabs_kernel
+
+RESPONSES = st.one_of(
+    st.builds(Linear, st.floats(1e-3, 1.0)),
+    st.builds(Affine, st.floats(1e-3, 1.0), st.floats(0.0, 3.0)),
+    st.builds(lambda nu, eta: PolynomialSeries((nu, eta)),
+              st.floats(0.0, 3.0), st.floats(0.0, 1.0)),
+    st.just(Power(1)),
+    st.builds(NPhotonAbsorption, st.integers(1, 6)),
+)
+BANKS = st.builds(DetectorConfig, st.integers(1, 6), RESPONSES)
+
+
+def _linear_parameters(resp):
+    if isinstance(resp, Linear):
+        return resp.eta, 0.0
+    if isinstance(resp, Affine):
+        return resp.eta, resp.nu
+    if isinstance(resp, PolynomialSeries):
+        return resp.coefficients[1], resp.coefficients[0]
+    return 1.0, 0.0  # Power(1)
+
+
+def exact_kernel(det, k, n):
+    if isinstance(det.response, NPhotonAbsorption):
+        return nabs_kernel(det.N, det.response.n0, k, n)
+    return linear_kernel(det.N, *_linear_parameters(det.response), k, n)
+
+
+def relative_bound(det, order):
+    return (order + det.N) * 2.0 ** -52
+
+
+def assert_matches_exact(det, order, columns):
+    # the exact values are rounded to 300 bits for the comparison, far
+    # below the bound
+    T = _positive_kernels(det, order)
+    assert T.shape == (det.N + 1, order + 1)
+    r = relative_bound(det, order)
+    with mp.workprec(300):
+        tiny = mp.ldexp(order + 1, -1074)
+        for n in columns:
+            for k in range(det.N + 1):
+                want = exact_kernel(det, k, n)
+                if want == 0:  # e.g. k clicks on fewer than k photons
+                    assert T[k, n] == 0.0, (k, n)
+                    continue
+                want = mp.mpf(want.numerator) / want.denominator
+                assert abs(T[k, n] - want) <= r * want + tiny, (
+                    k, n, T[k, n], float(want))
+
+
+def assert_stochastic(det, order):
+    T = _positive_kernels(det, order)
+    assert np.isfinite(T).all()
+    assert T.min() >= 0.0
+    r = relative_bound(det, order)
+    for col in T.T:
+        assert abs(math.fsum(col) - 1.0) <= (det.N + 1) * r
+
+
+class TestAgainstExactKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(det=BANKS, order=st.integers(0, 32))
+    def test_every_entry(self, det, order):
+        assert_matches_exact(det, order, range(order + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(det=BANKS, order=st.integers(0, 512))
+    def test_columns_are_distributions(self, det, order):
+        assert_stochastic(det, order)
+
+    def test_nabs_bank_of_16_at_order_256(self):
+        det = DetectorConfig(16, NPhotonAbsorption(3))
+        assert_matches_exact(det, 256, range(257))
+        assert_stochastic(det, 256)
+
+    def test_order_2048(self):
+        # float binomial coefficients overflow past n = 1029; these columns
+        # straddle that and reach the end of the table
+        columns = (0, 3, 1029, 1030, 2048)
+        for det in (DetectorConfig(8, NPhotonAbsorption(3)),
+                    DetectorConfig(4, Linear(0.9)),
+                    DetectorConfig(5, Affine(0.85, 0.1))):
+            assert_matches_exact(det, 2048, columns)
+            assert_stochastic(det, 2048)
+
+
+def _fire_probability(resp, x):
+    """1 - exp(-f(x)) at 100 bits."""
+    with mp.workprec(100):
+        x = mp.mpf(x)
+        if isinstance(resp, NPhotonAbsorption):
+            return 1 - mp.exp(-x) * mp.fsum(x ** j / mp.factorial(j)
+                                            for j in range(resp.n0))
+        eta, nu = _linear_parameters(resp)
+        return -mp.expm1(-(mp.mpf(eta) * x + mp.mpf(nu)))
+
+
+class TestCoherentInput:
+    @settings(max_examples=40, deadline=None)
+    @given(det=BANKS, mu=st.floats(0.0, 30.0))
+    def test_binomial_clicks(self, det, mu):
+        # a coherent state fires each diode apart with 1 - exp(-f(mu/N));
+        # the truncated table misses the Poisson mass beyond its cutoff,
+        # taken here at 100 bits (the state's own tail_bound is computed at
+        # 120 bits and reads 0 once that mass is below about 1e-36)
+        state = coherent_distribution(mu)
+        stats = click_statistics(state, det)
+        p = _fire_probability(det.response, mu / det.N)
+        with mp.workprec(100):
+            missing = mp.gammainc(state.cutoff + 1, 0, mu, regularized=True)
+            for k, got in enumerate(stats.probs):
+                want = mp.binomial(det.N, k) * p ** k * (1 - p) ** (det.N - k)
+                assert abs(got - want) <= (max(missing, state.tail_bound)
+                                           + 2 * stats.relative_error * want
+                                           + 1e-300), (k, got, float(want))

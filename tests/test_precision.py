@@ -1,9 +1,12 @@
 """Working precision chosen once, from a bound computed before the sum.
 
-Every cancelling sum (kernel tables, Fock sums, superposition expectations)
-picks its bits from a magnitude that bounds its rounding error and is then
-evaluated exactly once.  These tests hold the chosen precision against a
+Every cancelling sum (kernel tables of formal responses, Fock sums,
+superposition expectations) picks its bits from a magnitude that bounds its
+rounding error and is then evaluated exactly once; a forced precision is a
+floor under those bits.  These tests hold the chosen precision against a
 forced 1200-bit recomputation, which is far beyond any bound used here.
+The float kernels of physical responses have no precision to choose; they
+are held against exact rational kernels in test_kernels.
 """
 
 import math
@@ -27,6 +30,7 @@ from clickstats.detector import (
 from clickstats.series import (
     _ABS_TARGET,
     PowerSeries,
+    _exp_neg_lists,
     _majorant_lists,
     _precision_for,
     auto_precision,
@@ -34,6 +38,7 @@ from clickstats.series import (
     series_exp_neg,
 )
 from clickstats.states import (
+    _superposition_expectation,
     fock_distribution,
     nom_expectation,
     odd_coherent,
@@ -42,13 +47,11 @@ from clickstats.states import (
 REFERENCE_BITS = 1200
 
 RESPONSES = [
-    (NPhotonAbsorption(3), 32),
-    (NPhotonAbsorption(3), 96),
     (Power(3), 32),
     (PolynomialSeries((0.35, 0.8)), 32),
     (PolynomialSeries((0.0, 1.0, 0.25)), 32),
 ]
-IDS = ["nabs3-32", "nabs3-96", "power3", "poly-affine", "poly-quadratic"]
+IDS = ["power3", "poly-affine", "poly-quadratic"]
 
 
 def _gap(a, b):
@@ -78,15 +81,24 @@ class TestKernelTables:
         gap = max(_gap(row, ref) for row, ref in zip(T, R))
         assert gap <= _ABS_TARGET
 
-    def test_nabs_order_96_needs_more_than_the_floor(self):
-        # at the floor precision this table is wrong in the third digit, so
-        # the bound, not the floor, carries the accuracy
-        det = DetectorConfig(4, NPhotonAbsorption(3))
-        p, _ = _click_kernels(det, 96)
-        assert p > auto_precision(96)
-        _, floor_table = _click_kernels(det, 96, auto_precision(96))
-        _, R = _click_kernels(det, 96, REFERENCE_BITS)
+    def test_forced_bits_are_a_floor(self):
+        # at the floor precision this table is wrong in the fourth digit, so
+        # the bound, not the floor, carries the accuracy, and forcing the
+        # floor must not take it away
+        det = DetectorConfig(4, Power(3))
+        order, floor = 96, auto_precision(96)
+        p, T = _click_kernels(det, order)
+        assert p > floor
+        with mp.workprec(floor):
+            fc = _scaled_response_coeffs(det.response, det.N, order)
+            K = detector._diag_table(
+                [_exp_neg_lists(fc, s, order) for s in range(det.N + 1)], order)
+            floor_table = detector._binomial_assembly(det.N, K)
+        _, R = _click_kernels(det, order, REFERENCE_BITS)
         assert max(_gap(row, ref) for row, ref in zip(floor_table, R)) > 1e-6
+        forced_p, forced = _click_kernels(det, order, floor)
+        assert forced_p == p
+        assert forced.tolist() == T.tolist()
 
     def test_table_is_built_once(self, monkeypatch):
         calls = []
@@ -97,13 +109,21 @@ class TestKernelTables:
             return original(h_lists, order)
 
         monkeypatch.setattr(detector, "_diag_table", spy)
-        det = DetectorConfig(4, NPhotonAbsorption(3))
+        det = DetectorConfig(4, Power(3))
         p, _ = _click_kernels.__wrapped__(det, 32)
         # a table whose bound lies above the floor is still built once
         assert p > auto_precision(32)
         assert calls == [p]
 
-    @pytest.mark.parametrize("resp,order", RESPONSES[2:], ids=IDS[2:])
+    def test_forced_precision_below_the_bound(self):
+        # forcing 280 bits under the 461 that Fock 90 on this bank needs
+        # used to leave c_k off by 3.4e-12; the forced bits are now a floor
+        det = DetectorConfig(4, Power(3))
+        state = fock_distribution(90)
+        forced = detector.click_statistics(state, det, prec=280)
+        assert forced.exact == detector.click_statistics(state, det).exact
+
+    @pytest.mark.parametrize("resp,order", RESPONSES, ids=IDS)
     def test_fock_statistics_match(self, resp, order):
         det = DetectorConfig(4, resp)
         for n in (0, 7, 20, order):
@@ -114,8 +134,8 @@ class TestKernelTables:
 
 
 class TestSuperpositions:
-    @pytest.mark.parametrize("resp", [r for r, _ in RESPONSES[1:]]
-                             + [Linear(0.9)],
+    @pytest.mark.parametrize("resp", [NPhotonAbsorption(3)]
+                             + [r for r, _ in RESPONSES] + [Linear(0.9)],
                              ids=["nabs3", "power3", "poly-affine",
                                   "poly-quadratic", "linear"])
     def test_E_matches_a_1200_bit_evaluation(self, resp):
@@ -154,12 +174,18 @@ class TestSuperpositions:
 
     def test_large_amplitude_raises_the_precision(self):
         # |alpha|^2 = 100 on two linear diodes: the s = 2 sum cancels from
-        # e^100 down to zero, which 240 bits cannot resolve to 1e-40
+        # e^100 down to zero, which 240 bits cannot resolve to 1e-40; a
+        # forced 240 is only a floor, so the bound still raises it
         state = odd_coherent(10.0)
         det = DetectorConfig(2, Linear(1.0))
         ref = _superposition_E(state, det, 2, REFERENCE_BITS)
-        assert _gap([_superposition_E(state, det, 2, 240)], [ref]) > 1e-35
-        assert _gap([_superposition_E(state, det, 2, None)], [ref]) <= _ABS_TARGET
+        with mp.workprec(240):
+            at_240, _ = _superposition_expectation(
+                state.terms, _exp_series(det, 2, 512, 240))
+        assert _gap([at_240], [ref]) > 1e-35
+        for forced in (240, None):
+            got = _superposition_E(state, det, 2, forced)
+            assert _gap([got], [ref]) <= _ABS_TARGET
 
 
 class TestFockSums:

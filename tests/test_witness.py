@@ -9,6 +9,7 @@ mpmath matrix pipeline for minor values.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -53,6 +54,7 @@ from clickstats.witness import (
     qb_parameter,
     witness_report,
 )
+from exact_kernels import linear_kernel, nabs_kernel
 
 
 def binomial_stats(N, p):
@@ -468,25 +470,36 @@ class TestQbParameter:
 
     @pytest.mark.parametrize("N", [5, 6])
     def test_mean_below_resolution_is_degenerate(self, N):
-        # thermal light on 24-photon absorbers: c_1..c_N are kernel noise,
-        # below the kernels' certified 1e-40 error and far below the
-        # state's 8.5e-15 tail, so the mean click number is zero within
-        # what the statistics resolve
-        stats = click_statistics(thermal_distribution(0.35),
+        # thermal light on 24-photon absorbers: the truncated state stops at
+        # 23 photons, too few to fire any diode, so c_1..c_N are exactly 0
+        # (the alternating series left kernel noise of up to 2.7e-124
+        # there) and the mean click number is zero
+        state = thermal_distribution(0.35)
+        assert state.cutoff < 24
+        stats = click_statistics(state,
                                  DetectorConfig(N, NPhotonAbsorption(24)))
-        assert abs(sum(k * c for k, c in enumerate(stats.probs))) < 1e-40
+        assert stats.probs[1:] == (0.0,) * N
         with pytest.raises(DegenerateMean):
             qb_parameter(stats)
         assert witness_report(stats).qb is None
 
     def test_mean_below_the_tail_is_kept(self):
         # the truncated tail only adds clicks, so a resolved mean below
-        # N * norm_slack (5.6e-15 against 6.8e-14) cannot be zero
-        stats = click_statistics(thermal_distribution(0.35),
+        # N * norm_slack (5.6e-15 against 6.8e-14) cannot be zero; every
+        # c_k is within its relative error of the exact contraction, and
+        # Q_B within 1e-12 of the exact one
+        state = thermal_distribution(0.35)
+        stats = click_statistics(state,
                                  DetectorConfig(8, NPhotonAbsorption(11)))
+        exact = [sum(Fraction(p) * nabs_kernel(8, 11, k, n)
+                     for n, p in enumerate(state.probs)) for k in range(9)]
+        for got, want in zip(stats.probs, exact):
+            error = abs(Fraction(got) - want)
+            assert error <= Fraction(stats.relative_error) * want
         mean = sum(k * c for k, c in enumerate(stats.probs))
         assert 1e-15 < mean < stats.N * stats.norm_slack
-        assert witness_report(stats).qb is not None
+        want = _exact_qb(exact)
+        assert abs(witness_report(stats).qb - want) <= 1e-12 * abs(want)
 
     def test_superposition_mean_within_the_assembly_error_is_degenerate(self):
         # c_k of a superposition are assembled from no-click values held to
@@ -503,11 +516,51 @@ class TestQbParameter:
             qb_parameter(stats)
 
     def test_large_bank_keeps_its_margin_small(self):
-        # kernel tables hold every c_k to 1e-40, however large the bank
+        # positive kernels hold every c_k to (order + N) 2^-52 of itself,
+        # with no absolute error, however large the bank
         stats = click_statistics(fock_distribution(3),
                                  DetectorConfig(100, Linear(0.9)))
-        assert stats.exact_error == 1e-40
-        assert qb_parameter(stats) < 0.0
+        assert stats.exact_error == 0.0
+        assert stats.relative_error == (32 + 100) * 2.0 ** -52
+        want = _exact_qb([linear_kernel(100, 0.9, 0.0, k, 3)
+                          for k in range(101)])
+        assert want < 0.0
+        assert abs(qb_parameter(stats) - want) <= 1e-12 * abs(want)
+
+    def test_saturated_mean_within_the_relative_error_is_degenerate(self):
+        # coherent mu = 125 on four ideal diodes: N - <c> is 1.3e-13, above
+        # the tail's 2.4e-14 but below the kernels' relative error of the
+        # mean, 2.3e-13, so the spread is not resolved (the 1e-40 series
+        # kernels gave Q_B = 0.55 here; the untruncated state has Q_B = 0)
+        stats = click_statistics(coherent_distribution(125.0),
+                                 DetectorConfig(4, Linear(1.0)))
+        with mp.workprec(220):
+            gap = 4 - mp.fsum(k * c for k, c in enumerate(stats.exact))
+        assert 4 * stats.norm_slack < gap < 4 * stats.relative_error
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+
+    def test_unresolved_variance_is_withheld(self):
+        # odd coherent |alpha|^2 = 1.5 on 26-photon absorbers: the mean,
+        # 5.5e-38, is above its 3.2e-38 margin, but c_2..c_4 are assembly
+        # noise of 1e-72, so N Var - <c>(N - <c>) is known to no better than
+        # the denominator; Q_B used to come out as -4.5e-34
+        stats = click_statistics(odd_coherent(math.sqrt(1.5)),
+                                 DetectorConfig(4, NPhotonAbsorption(26)))
+        with mp.workprec(220):
+            mean = mp.fsum(k * c for k, c in enumerate(stats.exact))
+        assert 10 * stats.exact_error < mean
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+        assert witness_report(stats).qb is None
+
+
+def _exact_qb(c):
+    """Q_B of rational click numbers, as a float."""
+    N = len(c) - 1
+    mean = sum(k * ck for k, ck in enumerate(c))
+    second = sum(k * k * ck for k, ck in enumerate(c))
+    return float(N * (second - mean ** 2) / (mean * (N - mean)) - 1)
 
 
 class TestMinEigenvalue:
