@@ -155,8 +155,8 @@ def _emit_table(header: list, rows: list, args) -> None:
 def cmd_stats(args) -> int:
     stats = _build_statistics(args)
     if stats.formal:
-        print("note: formal statistics of a superlinear response; entries "
-              "may be negative", file=sys.stderr)
+        print("note: formal statistics of a response with signed kernels; "
+              "entries may be negative", file=sys.stderr)
     if hasattr(stats, "N1"):
         header = ["k1", "k2", "probability"]
         rows = [[k1, k2, float(stats.probs[k1, k2])]

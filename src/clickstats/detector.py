@@ -15,10 +15,11 @@ state's probabilities, c = T p, or T1 P T2^T for two banks.  Physical
 responses (linear, affine, a degree-1 polynomial of slope at most one,
 n-photon absorption) build t_k(n) in float64 from non-negative terms only,
 accurate to (order + N) 2^-52 relative to each entry's size.  Formal
-(superlinear) responses have signed kernels and keep the alternating sum
-above, which cancels catastrophically (see the series module), in mpmath
-with a certified absolute error below 1e-40, at bits chosen once from the
-response's positive majorant at the deepest Fock level.
+responses (superlinear, or a degree-1 polynomial of slope above one) have
+signed kernels and keep the alternating sum above, which cancels
+catastrophically (see the series module), in mpmath with a certified
+absolute error below 1e-40, at bits chosen once from the response's
+positive majorant at the deepest Fock level.
 """
 
 from __future__ import annotations
@@ -184,19 +185,17 @@ class NPhotonAbsorption:
 RESPONSE_TYPES = (Linear, Affine, Power, PolynomialSeries, NPhotonAbsorption)
 
 
-def _superlinear(resp) -> bool:
-    """True when f grows faster than linearly.
-
-    Then :exp[-s f(nhat/N)]: is an unbounded operator; its Fock-level
-    kernels outgrow any geometric tail, so truncated photon-number tables
-    cannot be contracted against them and analytic representations take over.
-    The n-photon absorber is linear-growth: f(x) = x - log(poly) there.
+def _formal(resp) -> bool:
+    """True when the response has signed kernels t_k(n), so that its
+    statistics are formal: every response but n-photon absorption and
+    f(x) = eta x + nu with eta <= 1 (`_chain_parameters`).  A superlinear f
+    gives kernels that outgrow any geometric tail, and a slope above one
+    kernels that alternate as (1 - s eta/N)^n; truncated photon-number
+    tables cannot be contracted against them, so analytic representations
+    take over.
     """
-    if isinstance(resp, Power):
-        return resp.n0 >= 2
-    if isinstance(resp, PolynomialSeries):
-        return any(c != 0.0 for c in resp.coefficients[2:])
-    return False
+    return (_chain_parameters(resp) is None
+            and not isinstance(resp, NPhotonAbsorption))
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
                     exact=None):
     """Clamp tiny negatives to zero; reject material ones; check the total.
 
-    `formal` statistics (superlinear response models) are signed by nature,
+    `formal` statistics (responses with signed kernels) are signed by nature,
     so only their total is checked.  The total is taken over the `exact`
     values when the statistics carry them: formal click numbers can reach
     1e16 and cancel to a sum of one, which a float sum cannot resolve.
@@ -300,7 +299,7 @@ class ClickStatistics:
     `stderr` carries per-entry standard errors when estimated from counts.
     `norm_slack` is the extra normalization deficit allowed for truncated
     input states (their tail bound).  `formal` marks statistics of a
-    superlinear response model, which are signed in general; only their
+    response with signed kernels, which are signed in general; only their
     total is constrained.  Each `exact` entry c_k is within exact_error +
     relative_error * |c_k| of the forward model's value; both are 0 where
     it gives no bound (empirical data, quadrature of analytic families).
@@ -370,7 +369,7 @@ def _chain_parameters(resp):
         return resp.eta, getattr(resp, "nu", 0.0)
     if isinstance(resp, Power) and resp.n0 == 1:
         return 1.0, 0.0
-    if isinstance(resp, PolynomialSeries) and not _superlinear(resp):
+    if isinstance(resp, PolynomialSeries) and not any(resp.coefficients[2:]):
         nu, eta = (resp.coefficients + (0.0,))[:2]
         return (eta, nu) if eta <= 1.0 else None
     return None
@@ -378,8 +377,7 @@ def _chain_parameters(resp):
 
 def _kernels(det: DetectorConfig, order: int, prec: int | None):
     """(bits, T): float64 kernels at 53 bits, or mpf for formal responses."""
-    if (_chain_parameters(det.response) is None
-            and not isinstance(det.response, NPhotonAbsorption)):
+    if _formal(det.response):
         return _click_kernels(det, order, prec)
     return 53, _positive_kernels(det, order)
 
@@ -497,7 +495,7 @@ def click_statistics(state, det: DetectorConfig,
 
 
 def _click_from_distribution(state, det, prec):
-    formal = _superlinear(det.response)
+    formal = _formal(det.response)
     if formal and state.tail_bound > 0.0:
         # truncated table of an infinite-tail state: the kernel sum does not
         # converge, so fall back to the family's exact representation
@@ -534,7 +532,7 @@ def _click_from_E(N, E, prec, norm_slack, formal, e_error=0):
 def _click_from_superposition(state, det, prec):
     E = [_superposition_E(state, det, s, prec) for s in range(det.N + 1)]
     return _click_from_E(det.N, E, prec, norm_slack=0.0,
-                         formal=_superlinear(det.response), e_error=_ABS_TARGET)
+                         formal=_formal(det.response), e_error=_ABS_TARGET)
 
 
 @lru_cache(maxsize=4096)
@@ -633,10 +631,10 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
     """Joint click statistics of two banks on a two-mode state."""
     if not isinstance(state, JointPhotonDistribution):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    formal = _superlinear(det1.response) or _superlinear(det2.response)
+    formal = _formal(det1.response) or _formal(det2.response)
     if formal and state.tail_bound > 0.0:
         raise UnboundedKernel(
-            "superlinear response on a truncated two-mode distribution")
+            "formal response on a truncated two-mode distribution")
     c1, c2 = state.cutoffs
     bits1, T1 = _kernels(det1, _bucket(c1), prec)
     bits2, T2 = _kernels(det2, _bucket(c2), prec)

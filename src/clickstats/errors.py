@@ -66,9 +66,10 @@ class NegativeResponse(ClickstatsError):
 
 
 class UnboundedKernel(ClickstatsError):
-    """A superlinear response was paired with a truncated photon-number
-    distribution of unknown family.  The per-level click kernels grow faster
-    than any geometric tail decays, so the truncated sum does not approximate
+    """A formal response (superlinear, or linear of slope above one) was
+    paired with a truncated photon-number distribution of unknown family.
+    Its per-level click kernels are signed and may grow faster than any
+    geometric tail decays, so the truncated sum does not approximate
     anything; only states carrying an analytic family tag (or an exact,
     finite photon-number cutoff) support such responses."""
 

@@ -10,9 +10,10 @@ The random number generator is numpy's PCG64 (a permuted congruential
 generator) with a 64-bit seed, fixed for the lifetime of this package:
 identical seeds and request sequences reproduce histograms bit for bit.
 
-Point estimates of minors are computed through the standard witness
-path (extended precision); the bootstrap resamples run the same witness
-formulas over a leading resample axis and take batched float
+Point estimates come from the standard witness path, exact for the
+empirical frequencies (minors, Q_B and the cross minor are rounded once
+from exact rationals); the bootstrap resamples run the same witness
+formulas on floats over a leading resample axis and take batched float
 determinants, which is adequate because sampling noise dominates float
 rounding by many orders of magnitude at any realistic sample size.
 """

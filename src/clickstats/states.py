@@ -15,7 +15,8 @@ therefore cover every supported state exactly:
 
 Truncation is never silent: constructors take a tail tolerance (default
 1e-14), stop once the analytic tail estimate is below it, and store the
-actual missing mass so downstream normalization checks can account for it.
+missing mass (or, for coherent states, a bound on it) so downstream
+normalization checks can account for it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class PhotonNumberDistribution:
     """Fock-diagonal state: probs[n] = p_n for n = 0..cutoff.
 
     tail_bound is an upper bound on the probability mass beyond the cutoff;
-    constructors record the actual missing mass so that
+    constructors record the missing mass, or a bound on it, so that
     sum(probs) + tail_bound stays within 1e-12 of one.
 
     `analytic` optionally names the untruncated family behind the numbers,
@@ -190,11 +191,10 @@ def coherent_distribution(mean_photons: float,
         return PhotonNumberDistribution((1.0,), 0.0)
     # successive term ratios p_{m+1}/p_m = mu/(m+1) only decrease, so the
     # tail beyond n is majorized by the geometric sum p_n * r/(1-r) with
-    # r = mu/(n+1); the exact missing mass is tracked in extended precision
+    # r = mu/(n+1); that majorant, rounded up, is the recorded tail bound
     with mp.workprec(MIN_PRECISION):
         p = mp.exp(-mp.mpf(mu))
         probs = [p]
-        acc = p
         n = 0
         while True:
             r = mu / (n + 1)
@@ -203,11 +203,11 @@ def coherent_distribution(mean_photons: float,
             n += 1
             p = p * mu / n
             probs.append(p)
-            acc += p
             if n > _MAX_CUTOFF:
                 raise ValueError(f"coherent cutoff above {_MAX_CUTOFF}")
-        tail = float(1 - acc)
-    return PhotonNumberDistribution(tuple(float(q) for q in probs), max(tail, 0.0),
+        r = mp.mpf(mu) / (n + 1)
+        tail = math.nextafter(float(p * r / (1 - r)), math.inf)
+    return PhotonNumberDistribution(tuple(float(q) for q in probs), tail,
                                    analytic=("coherent", mu))
 
 

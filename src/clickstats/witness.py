@@ -11,23 +11,23 @@ classical state; any negative leading principal minor, negative eigenvalue,
 negative cross-correlation minor, or negative binomial Q parameter
 certifies nonclassicality.
 
-Each formula is written once, over any leading axes (the bootstrap runs
-them over a stack of resamples), on the statistics' own numbers: mpf at
-_WITNESS_PREC bits when the forward model supplied extended-precision values
-(`exact`), floats for empirical data.  The extended values matter for the
-signed formal statistics of superlinear responses, whose click numbers reach
-1e4 and cancel to a sum of one.  Minors are always eliminated in extended
-precision because they sit many orders below the matrix entries.
+Each formula is written once, over any leading axes.  Point estimates run
+it on exact rationals: every float and every mpf is a dyadic rational and
+every weight is an integer, so moments, matrix entries, Q_B and the cross
+minor are the exact values for the numbers given (the statistics' `exact`
+values when the forward model supplied them, their floats otherwise), each
+rounded once to float.  The minors, which sit many orders below the matrix
+entries, come exactly from fraction-free elimination on integers.  The
+bootstrap runs the same formulas on floats over a stack of resamples.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .detector import _NORM_TOL, ClickStatistics, JointClickStatistics
@@ -55,7 +55,6 @@ __all__ = [
     "witness_report",
 ]
 
-_WITNESS_PREC = 220
 DEFAULT_THRESHOLD = 1e-9
 
 
@@ -168,24 +167,31 @@ class WitnessReport:
         return out
 
 
-# --- number type ------------------------------------------------------------------
+# --- exact numbers ----------------------------------------------------------------
 
-@contextmanager
-def _numbers(exact, floats):
-    """An object's numbers as one array: its `exact` values as mpf under
-    the witness precision when it carries them, its floats otherwise."""
-    if exact is None:
-        yield np.asarray(floats, dtype=float)
-        return
-    with mp.workprec(_WITNESS_PREC):
-        yield np.array(exact, dtype=object)
+def _rational(x) -> Fraction:
+    """The exact value of a float, an integer, a Fraction or an mpf (read
+    from its sign, mantissa and exponent)."""
+    if isinstance(x, Fraction):
+        return x
+    mpf = getattr(x, "_mpf_", None)
+    if mpf is None:
+        return Fraction(x)
+    sign, man, exp, _ = mpf
+    if not man and exp:
+        raise ValueError(f"cannot convert {x} to a rational")
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _exact(a):
-    """mpf values of a 1-D or 2-D result as nested tuples; None for floats."""
-    if a.dtype != object:
-        return None
-    return tuple(tuple(r) if isinstance(r, list) else r for r in a.tolist())
+_to_rationals = np.frompyfunc(_rational, 1, 1)
+
+
+def _rationals(exact, floats):
+    """An object's numbers as an array of Fractions: its `exact` values when
+    it carries them, its floats otherwise, each converted exactly."""
+    return _to_rationals(np.asarray(floats if exact is None else exact,
+                                    dtype=object))
 
 
 # --- the inverse formulas, over any leading axes ----------------------------------
@@ -193,7 +199,7 @@ def _exact(a):
 @lru_cache(maxsize=64)
 def _weights(N: int, dtype) -> tuple:
     """Integer weights over k = 0..N in the data's number type (Python
-    integers for mpf data): the falling factorials P[m, k] = k!/(k-m)! and
+    integers for Fractions): the falling factorials P[m, k] = k!/(k-m)! and
     the click powers (k, k^2)."""
     ks = range(N + 1)
     falling = np.array([[math.perm(k, m) for k in ks] for m in ks],
@@ -204,20 +210,10 @@ def _weights(N: int, dtype) -> tuple:
     return falling, powers
 
 
-def _dot(x, W):
-    """x @ W.T over the last axis; mpf rows by mp.fsum, skipping zeros."""
-    if x.dtype != object:
-        return x @ W.T
-    w = W.tolist()
-    rows = [[mp.fsum(a * b for a, b in zip(wm, r) if a) for wm in w]
-            for r in x.reshape(-1, x.shape[-1]).tolist()]
-    return np.array(rows, dtype=object).reshape(x.shape[:-1] + (len(w),))
-
-
 def _pi_map(c, N: int):
     """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k for m = 0..N."""
     falling = _weights(N, c.dtype)[0]
-    return _dot(c, falling) / falling[:, N]
+    return c @ falling.T / falling[:, N]
 
 
 def _joint_pi_map(c, N1: int, N2: int):
@@ -248,7 +244,7 @@ def _graded(v, N1: int, N2: int):
 
 def _qb_terms(c, N: int):
     """<c>, and Q_B + 1 as numerator N Var(c) and denominator <c>(N - <c>)."""
-    mean, second = _dot(c, _weights(N, c.dtype)[1]).T
+    mean, second = (c @ _weights(N, c.dtype)[1].T).T
     return mean, N * (second - mean ** 2), mean * (N - mean)
 
 
@@ -269,25 +265,24 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
     if m > stats.N:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
-    with _numbers(stats.exact, stats.probs) as c:
-        return float(_dot(c, _weights(stats.N, c.dtype)[0])[m])
+    c = _rationals(stats.exact, stats.probs)
+    return float(c @ _weights(stats.N, c.dtype)[0][m])
 
 
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    with _numbers(stats.exact, stats.probs) as c:
-        mom = _pi_map(c, stats.N)
-    return PiMoments(mom.astype(float), stats.N, exact=_exact(mom),
+    mom = _pi_map(_rationals(stats.exact, stats.probs), stats.N)
+    return PiMoments(mom.astype(float), stats.N, exact=tuple(mom.tolist()),
                      formal=stats.formal, norm_slack=stats.norm_slack)
 
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    with _numbers(stats.exact, stats.probs) as c:
-        mom = _joint_pi_map(c, stats.N1, stats.N2)
+    mom = _joint_pi_map(_rationals(stats.exact, stats.probs),
+                        stats.N1, stats.N2)
     return JointPiMoments(mom.astype(float), (stats.N1, stats.N2),
-                          exact=_exact(mom), formal=stats.formal,
-                          norm_slack=stats.norm_slack)
+                          exact=tuple(map(tuple, mom.tolist())),
+                          formal=stats.formal, norm_slack=stats.norm_slack)
 
 
 def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
@@ -296,10 +291,10 @@ def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
     if mom.max_order < 2 * half:
         raise InsufficientOrder(
             f"need moments through order {2 * half}, have {mom.max_order}")
-    with _numbers(mom.exact, mom.values) as v:
-        exact = _exact(_hankel(v, N))
+    exact = _hankel(_rationals(mom.exact, mom.values), N)
     return MomentMatrix(_hankel(np.asarray(mom.values), N),
-                        tuple(range(half + 1)), exact=exact,
+                        tuple(range(half + 1)),
+                        exact=tuple(map(tuple, exact.tolist())),
                         norm_slack=mom.norm_slack)
 
 
@@ -310,49 +305,49 @@ def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
         raise InsufficientOrder(
             f"need moments through orders ({2 * b1}, {2 * b2}), "
             f"have {mom.max_orders}")
-    with _numbers(mom.exact, mom.values) as v:
-        exact = _exact(_graded(v, N1, N2))
+    exact = _graded(_rationals(mom.exact, mom.values), N1, N2)
     return MomentMatrix(_graded(mom.values, N1, N2), _joint_basis(N1, N2),
-                        exact=exact, norm_slack=mom.norm_slack)
+                        exact=tuple(map(tuple, exact.tolist())),
+                        norm_slack=mom.norm_slack)
 
 
 # --- minors, eigenvalues, verdicts ------------------------------------------------
 
-def _det_pivoted(a) -> "mp.mpf":
-    """Determinant by partial-pivoted elimination; mutates its argument."""
-    n = len(a)
-    det = mp.mpf(1)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return mp.mpf(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                row_r, row_c = a[r], a[col]
-                for c in range(col + 1, n):
-                    row_r[c] -= f * row_c[c]
-    return det
+def _det(a) -> int:
+    """Determinant of a square integer matrix (a list of rows, changed in
+    place) by fraction-free Bareiss elimination, whose every division is
+    exact; rows are exchanged past a zero pivot."""
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * row_k[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def leading_principal_minors(M: MomentMatrix) -> tuple:
     """Determinants of the k x k top-left blocks, k = 1..dim.
 
-    The minors cancel many orders below the entries, so each block is
-    eliminated in extended precision (exact entries are used when the
-    matrix carries them).
+    The minors cancel many orders below the entries, so they are taken
+    exactly: the exact entries (the floats when the matrix carries none),
+    scaled by the least common multiple L of their denominators, are
+    integers whose k x k minor, divided by L^k, rounds once to float.
     """
-    with _numbers(M.exact, M.entries) as a, mp.workprec(_WITNESS_PREC):
-        rows = a.tolist()
-        if a.dtype != object:  # converted once, exactly
-            rows = [[mp.mpf(x) for x in r] for r in rows]
-        return tuple(float(_det_pivoted([row[:k] for row in rows[:k]]))
-                     for k in range(1, M.dim + 1))
+    a = _rationals(M.exact, M.entries)
+    scale = math.lcm(*(x.denominator for x in a.flat))
+    rows = [[x.numerator * (scale // x.denominator) for x in r]
+            for r in a.tolist()]
+    return tuple(_det([row[:k] for row in rows[:k]]) / scale ** k
+                 for k in range(1, M.dim + 1))
 
 
 def min_eigenvalue(M: MomentMatrix) -> float:
@@ -372,14 +367,21 @@ def qb_parameter(stats: ClickStatistics) -> float:
     denominator, so that Q_B is not known to within one.
     """
     N = stats.N
-    with _numbers(stats.exact, stats.probs) as c:
-        mean, num, den = _qb_terms(c, N)
-        err = N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
-        if not (err < mean < N - err - N * stats.norm_slack
-                and (N - 1) * err * (N + 2 * mean + err) < den):
-            raise DegenerateMean(
-                f"mean click number {float(mean)!r} leaves no resolved spread")
-        return float(num / den - 1)
+    mean, num, den = _qb_terms(_rationals(stats.exact, stats.probs), N)
+    err = N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
+    if not (err < mean < N - err - N * stats.norm_slack
+            and (N - 1) * err * (N + 2 * mean + err) < den):
+        raise DegenerateMean(
+            f"mean click number {float(mean)!r} leaves no resolved spread")
+    return float(num / den - 1)
+
+
+def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:
+    """The cross minor of two banks from their moments."""
+    if stats.N1 < 2 or stats.N2 < 2:
+        raise OrderExceedsDiodes(
+            "cross-correlation minor needs at least two diodes per bank")
+    return float(_cross_minor(_rationals(mom.exact, mom.values)))
 
 
 def cross_correlation_minor(stats: JointClickStatistics) -> float:
@@ -389,35 +391,28 @@ def cross_correlation_minor(stats: JointClickStatistics) -> float:
 
     non-negative for every classically correlated pair of fields.
     """
-    if stats.N1 < 2 or stats.N2 < 2:
-        raise OrderExceedsDiodes(
-            "cross-correlation minor needs at least two diodes per bank")
-    mom = joint_pi_moments(stats)
-    with _numbers(mom.exact, mom.values) as v:
-        return float(_cross_minor(v))
+    return _cross(stats, joint_pi_moments(stats))
 
 
 def witness_report(stats, threshold: float = DEFAULT_THRESHOLD) -> WitnessReport:
     """Assemble all nonclassicality criteria for one statistics object."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
+    qb = cross = None
     if isinstance(stats, ClickStatistics):
         M = moment_matrix(pi_moments(stats), stats.N)
-        minors = leading_principal_minors(M)
-        mineig = min_eigenvalue(M)
         try:
             qb = qb_parameter(stats)
         except DegenerateMean:
-            qb = None
-        cross = None
+            pass
     elif isinstance(stats, JointClickStatistics):
-        M = joint_moment_matrix(joint_pi_moments(stats), stats.N1, stats.N2)
-        minors = leading_principal_minors(M)
-        mineig = min_eigenvalue(M)
-        cross = cross_correlation_minor(stats)
-        qb = None
+        mom = joint_pi_moments(stats)
+        M = joint_moment_matrix(mom, stats.N1, stats.N2)
+        cross = _cross(stats, mom)
     else:
         raise TypeError(f"unsupported statistics type {type(stats).__name__}")
+    minors = leading_principal_minors(M)
+    mineig = min_eigenvalue(M)
     criteria = list(minors[1:]) + [mineig]
     if qb is not None:
         criteria.append(qb)

@@ -20,12 +20,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import to_rational
 
 
 def fraction(x) -> Fraction:
-    """The exact value of a float or an mpf."""
-    man, exp = mp.mpf(x).man_exp
-    return Fraction(man) * Fraction(2) ** exp if man else Fraction(0)
+    """The exact value of a float or an mpf, sign included (`man_exp` drops
+    it), at any precision."""
+    if isinstance(x, mp.mpf):
+        return Fraction(*to_rational(x._mpf_))
+    return Fraction(x)
 
 
 @lru_cache(maxsize=None)

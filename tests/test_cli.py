@@ -407,3 +407,17 @@ class TestEntryPoints:
         assert "formal" in formal.err
         assert main(["stats", "--state", FOCK1, "--detector", DET_N4]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_linear_poly_of_slope_above_one_is_formal(self, capsys):
+        # f(x) = 1.5 x has signed kernels: on Fock 5 and two diodes the
+        # no-click expectations are (1 - 3s/4)^5 = 1, 1/1024, -1/32, so
+        # c = (-1/32, 33/512, 495/512)
+        poly = ('{"N": 2, "response": {"kind": "poly", '
+                '"coefficients": [0, 1.5]}}')
+        assert main(["stats", "--state", '{"kind": "fock", "n": 5}',
+                     "--detector", poly]) == 0
+        formal = capsys.readouterr()
+        assert "formal" in formal.err
+        rows = read_csv(formal.out)
+        assert [float(r[1]) for r in rows[1:]] == [-1 / 32, 33 / 512,
+                                                   495 / 512]

@@ -54,12 +54,19 @@ class TestCoherent:
         assert d.probs[3] == pytest.approx(math.exp(-4.0) * 64.0 / 6.0, rel=1e-13)
 
     def test_tail_bound_against_direct_sum(self):
+        # the bound is the geometric majorant p_n r/(1-r), r = mu/(n+1), of
+        # the Poisson mass beyond the cutoff n: never below that mass, and
+        # above it by at most the factor 1/(1-r)
         d = coherent_distribution(1.0, tol=1e-15)
         assert d.tail_bound <= 1e-15
+        n = d.cutoff
         with mp.workprec(200):
-            true_tail = 1 - sum(mp.exp(-1) / mp.factorial(n)
-                                for n in range(d.cutoff + 1))
-        assert d.tail_bound == pytest.approx(float(true_tail), rel=1e-6, abs=1e-30)
+            true_tail = 1 - sum(mp.exp(-1) / mp.factorial(k)
+                                for k in range(n + 1))
+            r = mp.mpf(1) / (n + 1)
+            majorant = mp.exp(-1) / mp.factorial(n) * r / (1 - r)
+        assert true_tail <= d.tail_bound <= true_tail / (1 - r)
+        assert d.tail_bound == pytest.approx(float(majorant), rel=1e-15, abs=0)
 
     def test_normalization_accounting(self):
         for mu in (0.3, 2.0, 16.0):

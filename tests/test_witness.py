@@ -54,7 +54,7 @@ from clickstats.witness import (
     qb_parameter,
     witness_report,
 )
-from exact_kernels import linear_kernel, nabs_kernel
+from exact_kernels import fraction, linear_kernel, nabs_kernel
 
 
 def binomial_stats(N, p):
@@ -145,17 +145,21 @@ class TestPiMoments:
             PiMoments((0.9, 0.1), 1)
 
     def test_matches_summation_loop(self):
-        # the per-order loop as reference: extended values must agree to
-        # the last bit, floats (summed in matrix order) to a few ulp
+        # the per-order loop over exact rationals as reference: the moments
+        # are the exact values of the statistics' numbers, extended or
+        # float, and their floats are those values rounded once; floats
+        # summed in matrix order stay within a few ulp of them
         N = 8
         stats = click_statistics(spats_distribution(0.7),
                                  DetectorConfig(N, Linear(0.9)))
-        with mp.workprec(220):
-            ref = tuple(mp.fsum(math.perm(k, m) * stats.exact[k]
-                                for k in range(m, N + 1)) / math.perm(N, m)
-                        for m in range(N + 1))
-        assert pi_moments(stats).exact == ref
         floats = ClickStatistics(N, stats.probs)
+        for numbers, given in ((stats.exact, stats), (floats.probs, floats)):
+            c = [fraction(x) for x in numbers]
+            ref = tuple(sum(math.perm(k, m) * c[k] for k in range(m, N + 1))
+                        / math.perm(N, m) for m in range(N + 1))
+            mom = pi_moments(given)
+            assert mom.exact == ref
+            assert mom.values == tuple(map(float, ref))
         ref = [math.fsum(math.perm(k, m) * c for k, c in
                          enumerate(floats.probs) if k >= m) / math.perm(N, m)
                for m in range(N + 1)]

@@ -1,0 +1,271 @@
+"""The witness is exact for the numbers it is given.
+
+Every float and every mpf is a dyadic rational and every inverse formula has
+integer weights, so moments, leading minors, Q_B and the cross minor must be
+the correctly rounded values of an exact rational computation.  The
+reference here is written from the formulas alone, on `fractions.Fraction`,
+with ordinary Gaussian elimination for the determinants; it shares no code
+with the program's inverse path.  Inputs cover empirical floats and the
+forward model's mpf values (formal statistics among them, which are signed),
+single and joint banks, and matrices whose leading minors vanish.
+"""
+
+import math
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clickstats import (
+    ClickStatistics,
+    DetectorConfig,
+    JointClickStatistics,
+    Linear,
+    NPhotonAbsorption,
+    Power,
+    click_statistics,
+    coherent_distribution,
+    fock_distribution,
+    joint_click_statistics,
+    product_joint,
+    spats_distribution,
+    thermal_distribution,
+    tmsv_joint,
+)
+from clickstats.errors import DegenerateMean, OrderExceedsDiodes
+from clickstats.witness import (
+    cross_correlation_minor,
+    joint_moment_matrix,
+    joint_pi_moments,
+    leading_principal_minors,
+    moment_matrix,
+    pi_moments,
+    qb_parameter,
+    witness_report,
+)
+from exact_kernels import fraction
+
+# --- the reference, on Fractions --------------------------------------------------
+
+
+def numbers(stats):
+    """The statistics' numbers as Fractions: extended values when present."""
+    given = stats.exact if stats.exact is not None else stats.probs
+    if isinstance(stats, JointClickStatistics):
+        return [[fraction(x) for x in row] for row in given]
+    return [fraction(x) for x in given]
+
+
+def pi_ref(c, N):
+    return [sum(math.perm(k, m) * c[k] for k in range(N + 1)) / math.perm(N, m)
+            for m in range(N + 1)]
+
+
+def joint_pi_ref(c, N1, N2):
+    return [[sum(math.perm(k1, m1) * math.perm(k2, m2) * c[k1][k2]
+                 for k1 in range(N1 + 1) for k2 in range(N2 + 1))
+             / (math.perm(N1, m1) * math.perm(N2, m2))
+             for m2 in range(N2 + 1)] for m1 in range(N1 + 1)]
+
+
+def det(a):
+    """Determinant by Gaussian elimination on Fractions."""
+    a = [row[:] for row in a]
+    n, d = len(a), Fraction(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            d = -d
+        d *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for j in range(k, n):
+                a[r][j] -= f * a[k][j]
+    return d
+
+
+def minors_ref(M):
+    return tuple(float(det([row[:k] for row in M[:k]]))
+                 for k in range(1, len(M) + 1))
+
+
+def hankel_ref(mom, N):
+    d = N // 2 + 1
+    return [[mom[i + j] for j in range(d)] for i in range(d)]
+
+
+def graded_ref(mom, N1, N2):
+    # exponent pairs by total degree, the first mode's exponent descending
+    basis = sorted(product(range(N1 // 2 + 1), range(N2 // 2 + 1)),
+                   key=lambda e: (e[0] + e[1], -e[0]))
+    return [[mom[a1 + b1][a2 + b2] for b1, b2 in basis] for a1, a2 in basis]
+
+
+def qb_ref(c, N):
+    mean = sum(k * ck for k, ck in enumerate(c))
+    second = sum(k * k * ck for k, ck in enumerate(c))
+    return float(N * (second - mean ** 2) / (mean * (N - mean)) - 1)
+
+
+def cross_ref(mom):
+    v1 = mom[2][0] - mom[1][0] ** 2
+    v2 = mom[0][2] - mom[0][1] ** 2
+    cov = mom[1][1] - mom[1][0] * mom[0][1]
+    return float(v1 * v2 - cov ** 2)
+
+
+def check_single(stats):
+    N = stats.N
+    c = numbers(stats)
+    mom = pi_moments(stats)
+    ref = pi_ref(c, N)
+    assert mom.exact == tuple(ref)
+    assert mom.values == tuple(map(float, ref))
+    assert (leading_principal_minors(moment_matrix(mom, N))
+            == minors_ref(hankel_ref(ref, N)))
+    try:
+        qb = qb_parameter(stats)
+    except DegenerateMean:
+        return
+    assert qb == qb_ref(c, N)
+
+
+def check_joint(stats):
+    N1, N2 = stats.N1, stats.N2
+    mom = joint_pi_moments(stats)
+    ref = joint_pi_ref(numbers(stats), N1, N2)
+    assert mom.exact == tuple(map(tuple, ref))
+    assert (leading_principal_minors(joint_moment_matrix(mom, N1, N2))
+            == minors_ref(graded_ref(ref, N1, N2)))
+    if N1 < 2 or N2 < 2:
+        with pytest.raises(OrderExceedsDiodes):
+            cross_correlation_minor(stats)
+        return
+    assert cross_correlation_minor(stats) == cross_ref(ref)
+    assert witness_report(stats).cross_minor == cross_ref(ref)
+
+
+# --- inputs ---------------------------------------------------------------------
+
+WEIGHTS = st.floats(0.0, 1.0).filter(lambda w: w == 0.0 or w > 1e-300)
+
+
+@st.composite
+def float_statistics(draw):
+    N = draw(st.integers(1, 8))
+    w = draw(st.lists(WEIGHTS, min_size=N + 1, max_size=N + 1)
+             .filter(lambda w: sum(w) > 0.0))
+    total = math.fsum(w)
+    return ClickStatistics(N, tuple(x / total for x in w))
+
+
+STATES = st.one_of(
+    st.builds(thermal_distribution, st.floats(0.0, 3.0)),
+    st.builds(spats_distribution, st.floats(0.01, 3.0)),
+    st.builds(coherent_distribution, st.floats(0.0, 5.0)),
+    st.builds(fock_distribution, st.integers(0, 12)),
+)
+PHYSICAL = st.one_of(st.builds(Linear, st.floats(0.05, 1.0)),
+                     st.builds(NPhotonAbsorption, st.integers(2, 3)))
+
+
+@st.composite
+def model_statistics(draw):
+    N = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        # formal statistics: signed mpf values at extended precision
+        return click_statistics(fock_distribution(draw(st.integers(0, 20))),
+                                DetectorConfig(N, Power(2)))
+    return click_statistics(draw(STATES), DetectorConfig(N, draw(PHYSICAL)))
+
+
+@st.composite
+def joint_float_statistics(draw):
+    N1, N2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w = draw(st.lists(WEIGHTS, min_size=(N1 + 1) * (N2 + 1),
+                      max_size=(N1 + 1) * (N2 + 1))
+             .filter(lambda w: sum(w) > 0.0))
+    total = math.fsum(w)
+    table = [[w[i * (N2 + 1) + j] / total for j in range(N2 + 1)]
+             for i in range(N1 + 1)]
+    return JointClickStatistics(N1, N2, table)
+
+
+@st.composite
+def joint_model_statistics(draw):
+    dets = [DetectorConfig(draw(st.integers(1, 4)), Linear(draw(
+        st.floats(0.05, 1.0)))) for _ in range(2)]
+    if draw(st.booleans()):
+        state = tmsv_joint(draw(st.floats(0.0, 0.9)))
+    else:
+        state = product_joint(fock_distribution(draw(st.integers(0, 3))),
+                              fock_distribution(draw(st.integers(0, 3))))
+    return joint_click_statistics(state, *dets)
+
+
+# --- the tests --------------------------------------------------------------------
+
+
+class TestAgainstRationalReference:
+    @settings(max_examples=60, deadline=None)
+    @given(stats=st.one_of(float_statistics(), model_statistics()))
+    def test_single_bank(self, stats):
+        check_single(stats)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stats=st.one_of(joint_float_statistics(), joint_model_statistics()))
+    def test_two_banks(self, stats):
+        check_joint(stats)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("resp", [Linear(0.9), Power(2)],
+                             ids=["linear", "power2"])
+    def test_zero_pivots(self, n, resp):
+        # vacuum gives minors (1, 0, 0, 0, 0); Fock n has zero moments
+        # beyond order n, so the matrices have zero rows
+        stats = click_statistics(fock_distribution(n), DetectorConfig(8, resp))
+        check_single(stats)
+        minors = leading_principal_minors(moment_matrix(pi_moments(stats), 8))
+        assert minors[n + 1:] == (0.0,) * (4 - n)
+        if n == 0:
+            assert minors == (1.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_signed_mpf_inputs(self):
+        # Fock 20 on a two-photon absorber bank: formal statistics with
+        # negative extended values, which must keep their sign
+        stats = click_statistics(fock_distribution(20),
+                                 DetectorConfig(8, Power(2)))
+        assert stats.formal and min(stats.exact) < 0
+        check_single(stats)
+
+    def test_vacuum_two_banks(self):
+        det = DetectorConfig(4, Linear(0.8))
+        check_joint(joint_click_statistics(
+            product_joint(fock_distribution(0), fock_distribution(0)),
+            det, det))
+
+
+@st.composite
+def binomial_mixtures(draw):
+    N = draw(st.integers(1, 8))
+    parts = draw(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=4))
+    total = math.fsum(w for w, _ in parts)
+    probs = tuple(math.fsum(w / total * math.comb(N, k) * p ** k
+                            * (1 - p) ** (N - k) for w, p in parts)
+                  for k in range(N + 1))
+    return ClickStatistics(N, probs)
+
+
+class TestClassicalNeverFlagged:
+    @settings(max_examples=100, deadline=None)
+    @given(stats=binomial_mixtures())
+    def test_binomial_mixtures(self, stats):
+        # a mixture of binomial click statistics is what any classical
+        # (Poisson-mixture) light gives a linear bank; no criterion may flag it
+        assert witness_report(stats).verdict == "consistent-with-classical"
