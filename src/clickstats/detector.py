@@ -19,12 +19,12 @@ responses (superlinear, or a degree-1 polynomial of slope above one) have
 signed kernels and keep the alternating sum above, which cancels
 catastrophically (see the series module), in mpmath with a certified
 absolute error below 1e-40, at bits chosen once from the response's
-positive majorant at the deepest Fock level.
+positive majorant at the deepest Fock level.  Coherent superpositions need
+no kernels: each expectation is a finite sum over pairs of amplitudes.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ from .errors import (
     LengthMismatch,
     NegativeResponse,
     NormalizationViolation,
-    OrderTooLow,
     PrecisionLoss,
     UnboundedKernel,
 )
@@ -57,7 +56,8 @@ from .states import (
     JointPhotonDistribution,
     PhotonNumberDistribution,
     _finite,
-    _superposition_expectation,
+    _pair_weights,
+    _real_part,
 )
 
 __all__ = [
@@ -176,10 +176,7 @@ class NPhotonAbsorption:
             raise ValueError("absorption order must be a positive integer")
 
     def evaluate(self, x):
-        partial = sum(x**j / math.factorial(j) for j in range(self.n0))
-        if isinstance(x, complex):
-            return x - cmath.log(partial)
-        return x - (mp.log if isinstance(x, mp.mpf) else math.log)(partial)
+        return x - math.log(sum(x**j / math.factorial(j) for j in range(self.n0)))
 
 
 RESPONSE_TYPES = (Linear, Affine, Power, PolynomialSeries, NPhotonAbsorption)
@@ -275,12 +272,12 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
     """
     cleaned = []
     for c in flat:
-        if not formal:
-            if c < -_CLAMP:
-                raise PrecisionLoss(f"{what} probability {c!r} below -{_CLAMP}")
-            if c < 0.0:
-                logger.debug("%s: clamping %r to 0", what, c)
-                c = 0.0
+        if not math.isfinite(c) or (not formal and c < -_CLAMP):
+            raise PrecisionLoss(f"{what} probability {float(c)!r} below "
+                                f"-{_CLAMP} or beyond float range")
+        if not formal and c < 0.0:
+            logger.debug("%s: clamping %r to 0", what, c)
+            c = 0.0
         cleaned.append(float(c))
     total = math.fsum(cleaned) if exact is None else float(mp.fsum(exact))
     if not abs(total - 1.0) <= _NORM_TOL + total_slack:
@@ -490,7 +487,8 @@ def click_statistics(state, det: DetectorConfig,
     if isinstance(state, PhotonNumberDistribution):
         return _click_from_distribution(state, det, prec)
     if isinstance(state, CoherentSuperposition):
-        return _click_from_superposition(state, det, prec)
+        return _click_from_E(det.N, _superposition_E(state, det, prec), prec,
+                             _formal(det.response), _ABS_TARGET)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
@@ -505,7 +503,7 @@ def _click_from_distribution(state, det, prec):
                 "photon-number distribution with no analytic family tag")
         E = [_analytic_E(state.analytic, det, s, prec)
              for s in range(det.N + 1)]
-        return _click_from_E(det.N, E, prec, norm_slack=0.0, formal=True)
+        return _click_from_E(det.N, E, prec, formal=True)
     order = _bucket(state.cutoff)
     bits, T = _kernels(det, order, prec)
     p = np.array(state.probs)
@@ -518,21 +516,63 @@ def _click_from_distribution(state, det, prec):
                            relative_error=rel)
 
 
-def _click_from_E(N, E, prec, norm_slack, formal, e_error=0):
-    """Assemble c_k from the no-click expectations E[s], s = 0..N.  With each
-    E[s] within `e_error`, c_k is within C(N,k) 2^k e_error."""
-    with mp.workprec(max(240, prec or 0)):
+def _click_from_E(N, E, prec, formal, e_error=0):
+    """c_k from the no-click expectations E[s], s = 0..N, at bits from the
+    rounding bound sum_k C(N,k) sum_j C(k,j) |E[N-k+j]| (`prec` a floor);
+    with each E[s] within `e_error`, c_k is within C(N,k) 2^k e_error."""
+    with mp.workprec(53):
+        magnitude = mp.fsum(math.comb(N, k) * math.comb(k, j) * abs(E[N - k + j])
+                            for k in range(N + 1) for j in range(k + 1))
+    with mp.workprec(max(prec or 0, _precision_for(magnitude, 4, 240))):
         exact = [c for (c,) in _binomial_assembly(N, [(e,) for e in E])]
         error = max(math.comb(N, k) * 2 ** k for k in range(N + 1)) * e_error
-    return ClickStatistics(N, tuple(float(c) for c in exact),
-                           exact=tuple(exact), norm_slack=norm_slack,
+    return ClickStatistics(N, tuple(map(float, exact)), exact=tuple(exact),
                            formal=formal, exact_error=float(error))
 
 
-def _click_from_superposition(state, det, prec):
-    E = [_superposition_E(state, det, s, prec) for s in range(det.N + 1)]
-    return _click_from_E(det.N, E, prec, norm_slack=0.0,
-                         formal=_formal(det.response), e_error=_ABS_TARGET)
+def _no_click_factor(resp, x):
+    """(w, W, F) at complex x: w = exp[-f(x)], W >= |w| and F the sum of the
+    absolute terms of the exponent, so that w at p bits errs by a few W (F +
+    n0) 2^-p.  n-photon absorption gives w = e^-x B(x), B = sum_{j<n0}
+    x^j/j!, through no log, and W = |e^-x| B(|x|), as B(x) may cancel."""
+    r = abs(x)
+    if isinstance(resp, NPhotonAbsorption):
+        e = mp.exp(-x)
+        B = [mp.fsum(y ** j / mp.factorial(j) for j in range(resp.n0))
+             for y in (x, r)]
+        return e * B[0], abs(e) * B[1], r + resp.n0
+    w = mp.exp(-resp.evaluate(x))
+    # the responses other than polynomials have non-negative coefficients
+    coeffs = getattr(resp, "coefficients", None)
+    return w, abs(w), (resp.evaluate(r) if coeffs is None else
+                       mp.fsum(abs(c) * r ** j for j, c in enumerate(coeffs)))
+
+
+def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
+                     prec: int | None):
+    """<:exp[-s f(nhat/N)]:>, s = 0..N, on a coherent superposition, as the
+    finite sums E_s = sum_ij g_ij w_ij^s, g_ij = conj(c_i) c_j <a_i|a_j>, w_ij
+    = exp[-f(conj(a_i) a_j/N)], at bits from max_s sum_ij |g_ij| W_ij^s with
+    guard bits for the exponents' sizes N F (`_no_click_factor`) and 2 max
+    |a_i|^2; `prec` is a floor.  A bound beyond float range is rejected."""
+    N, resp = det.N, det.response
+    if isinstance(resp, PolynomialSeries):
+        _check_poly_positive(resp, 10.0 * max(1.0, state.max_intensity) / N)
+    with mp.workprec(53):
+        terms = [(g, *_no_click_factor(resp, z / N))
+                 for g, z in _pair_weights(state.terms)]
+        magnitude = max(mp.fsum(abs(g) * W ** s for g, _, W, _ in terms)
+                        for s in range(N + 1))
+        size = N * max(t[3] for t in terms) + 2 * state.max_intensity
+    if float(magnitude) == math.inf:
+        raise PrecisionLoss(f"superposition terms reach "
+                            f"{mp.nstr(magnitude, 3)}, beyond float range")
+    guard = 12 + int(mp.log(size + 1, 2))
+    with mp.workprec(max(prec or 0, _precision_for(magnitude, guard, 240))):
+        terms = [(g, _no_click_factor(resp, z / N)[0])
+                 for g, z in _pair_weights(state.terms)]
+        return [_real_part(mp.fsum(g * w ** s for g, w in terms))
+                for s in range(N + 1)]
 
 
 @lru_cache(maxsize=4096)
@@ -581,48 +621,6 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
             raise UnboundedKernel(f"no analytic representation for "
                                   f"family {kind!r}")
     return val
-
-
-@lru_cache(maxsize=512)
-def _exp_series(det: DetectorConfig, s: int, order: int, prec: int) -> PowerSeries:
-    return response_series(det.response, det.N, s, order, prec)
-
-
-@lru_cache(maxsize=64)
-def _majorant_exponent(det: DetectorConfig, order: int, r: float):
-    """g(r) = sum_{j>=1} |f_j| r^j - f_0 at 53 bits.  The positive majorant
-    of exp[-s f] (`_majorant_lists`) holds the coefficients of exp[s g], all
-    non-negative, so its truncation at any argument up to r is below
-    exp[s g(r)]."""
-    with mp.workprec(53):
-        fc = _scaled_response_coeffs(det.response, det.N, order)
-        return mp.fsum(abs(c) * mp.mpf(r) ** j
-                       for j, c in enumerate(fc) if j) - fc[0]
-
-
-def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
-                     s: int, prec: int | None):
-    """<:exp[-s f(nhat/N)]:> for a coherent superposition, as mpf.
-
-    The truncation order doubles from 64 until the evaluation's own tail
-    terms fall below 1e-40 relative.  At each order the precision is chosen
-    before the sum from (sum_i |c_i|)^2 exp[s g(max |a_i|^2)], which bounds
-    sum_ij |c_i c_j| times the majorant at |z_ij|; `prec` is a floor.
-    """
-    weight = math.fsum(abs(c) for c, _ in state.terms) ** 2
-    order = 64
-    while True:
-        g = _majorant_exponent(det, order, state.max_intensity)
-        p = max(prec or 0, _precision_for(weight * mp.exp(s * g), 12, 240))
-        with mp.workprec(p):
-            value, tail = _superposition_expectation(
-                state.terms, _exp_series(det, s, order, p))
-        if tail <= _ABS_TARGET:
-            return value
-        order *= 2
-        if order > 8192:
-            raise OrderTooLow(
-                f"response series did not converge by order {order // 2}")
 
 
 def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,

@@ -14,8 +14,8 @@ with mpmath floats, at a working precision chosen once, before the sum, from
 a magnitude that bounds its rounding error: the sum of the absolute terms, or
 of a positive majorant series (`_majorant_lists`) when the coefficients were
 themselves computed by a cancelling recurrence.  `_precision_for` turns that
-magnitude into bits against the one absolute error target, 1e-40.  (The
-click kernels of physical responses avoid these sums: see the detector.)
+magnitude into bits against the one absolute error target, 1e-40.  (Click
+statistics need these sums only for formal responses: see the detector.)
 
 mpmath keeps its working precision in one process-global context, which
 `mp.workprec` changes for the duration of a block; concurrent threads would

@@ -116,21 +116,16 @@ class CoherentSuperposition:
                 f"superposition norm is {norm!r}, not 1")
 
     def overlap_norm(self) -> float:
-        acc = 0.0 + 0.0j
-        for ci, ai in self.terms:
-            for cj, aj in self.terms:
-                acc += ci.conjugate() * cj * coherent_overlap(ai, aj)
-        return acc.real
+        """sum_ij conj(c_i) c_j <a_i|a_j>, at bits that hold it to 2^-60
+        although it cancels from (sum_i |c_i|)^2 at small amplitudes."""
+        size = (sum(abs(c) for c, _ in self.terms) ** 2
+                * (2 * self.max_intensity + 4))
+        with mp.workprec(64 + math.ceil(math.log2(max(size, 1)))):
+            return float(mp.re(mp.fsum(g for g, _ in _pair_weights(self.terms))))
 
     @property
     def max_intensity(self) -> float:
         return max(abs(a) ** 2 for _, a in self.terms)
-
-
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b) for coherent states."""
-    return complex(
-        np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b))
 
 
 @dataclass(frozen=True)
@@ -272,7 +267,7 @@ def odd_coherent(alpha: complex) -> CoherentSuperposition:
     if abs(a) ** 2 < 1e-150:
         raise ZeroAmplitude("odd superposition is undefined at zero amplitude")
     mu = abs(a) ** 2
-    norm = 1.0 / math.sqrt(2.0 * (1.0 - math.exp(-2.0 * mu)))
+    norm = 1.0 / math.sqrt(-2.0 * math.expm1(-2.0 * mu))
     return CoherentSuperposition(((norm, a), (-norm, -a)))
 
 
@@ -326,31 +321,27 @@ def mixture_joint(weights, components) -> JointPhotonDistribution:
     return JointPhotonDistribution(table, tail)
 
 
+def _pair_weights(terms):
+    """(conj(c_i) c_j <a_i|a_j>, conj(a_i) a_j) for all pairs, at current precision."""
+    amps = [(mp.mpc(c), mp.mpc(a), abs(mp.mpc(a)) ** 2 / 2) for c, a in terms]
+    return [(mp.conj(ci) * cj * mp.exp(mp.conj(ai) * aj - hi - hj),
+             mp.conj(ai) * aj) for ci, ai, hi in amps for cj, aj, hj in amps]
+
+
+def _real_part(value, hermitian_tol: float = 1e-10):
+    """The real part of an expectation, rejecting an imaginary residue."""
+    if abs(mp.im(value)) > hermitian_tol * max(1, abs(value)):
+        raise NonHermitianResult(
+            f"imaginary residue {float(mp.im(value))!r} exceeds {hermitian_tol}")
+    return mp.re(value)
+
+
 def _superposition_expectation(terms, h: PowerSeries, hermitian_tol: float = 1e-10):
     """sum_ij conj(c_i) c_j h(z_ij) <a_i|a_j> with z_ij = conj(a_i) a_j, at the
-    current precision.
-
-    Returns the real value and, as a measure of what truncating h leaves
-    out, the largest of the last eight |h_k z_ij^k| / (1 + |h(z_ij)|).  A
-    large imaginary residue means lost accuracy and is rejected.
-    """
-    acc = mp.mpc(0)
-    tail = mp.mpf(0)
-    last = max(h.order - 7, 0)
-    sizes = [abs(c) for c in h.coefficients[last:]]
-    for ci, ai in terms:
-        for cj, aj in terms:
-            z = mp.conj(mp.mpc(ai)) * mp.mpc(aj)
-            r = abs(z)
-            val = h.evaluate(z)
-            ov = mp.exp(-abs(mp.mpc(ai)) ** 2 / 2 - abs(mp.mpc(aj)) ** 2 / 2 + z)
-            acc += mp.conj(mp.mpc(ci)) * mp.mpc(cj) * val * ov
-            top = max(a * r ** k for k, a in enumerate(sizes, last))
-            tail = max(tail, top / (1 + abs(val)))
-    if abs(mp.im(acc)) > hermitian_tol * max(1, abs(acc)):
-        raise NonHermitianResult(
-            f"imaginary residue {float(mp.im(acc))!r} exceeds {hermitian_tol}")
-    return mp.re(acc), tail
+    current precision, for the caller's series h as truncated.  (Click
+    statistics need no series: see `detector._superposition_E`.)"""
+    return _real_part(mp.fsum(g * h.evaluate(z) for g, z in _pair_weights(terms)),
+                      hermitian_tol)
 
 
 def nom_expectation(state, h: PowerSeries, prec: int | None = None) -> float:
@@ -374,7 +365,7 @@ def nom_expectation(state, h: PowerSeries, prec: int | None = None) -> float:
     if isinstance(state, CoherentSuperposition):
         p = prec if prec is not None else auto_precision(h.order)
         with mp.workprec(p):
-            return float(_superposition_expectation(state.terms, h)[0])
+            return float(_superposition_expectation(state.terms, h))
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 

@@ -194,6 +194,13 @@ def _rationals(exact, floats):
                                     dtype=object))
 
 
+def _integers(a) -> tuple:
+    """(n, L): Fractions a as Python integers n = a L, L their denominators' lcm."""
+    scale = math.lcm(*(x.denominator for x in a.flat))
+    return np.array([x.numerator * (scale // x.denominator) for x in a.flat],
+                    dtype=object).reshape(a.shape), scale
+
+
 # --- the inverse formulas, over any leading axes ----------------------------------
 
 @lru_cache(maxsize=64)
@@ -210,16 +217,21 @@ def _weights(N: int, dtype) -> tuple:
     return falling, powers
 
 
-def _pi_map(c, N: int):
-    """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k for m = 0..N."""
+def _quotient(a, b):
+    """a / b, as Fractions each reduced once when a holds Python integers."""
+    return np.frompyfunc(Fraction, 2, 1)(a, b) if a.dtype == object else a / b
+
+
+def _pi_map(c, N: int, scale: int = 1):
+    """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k / scale for m = 0..N."""
     falling = _weights(N, c.dtype)[0]
-    return c @ falling.T / falling[:, N]
+    return _quotient(c @ falling.T, falling[:, N] * scale)
 
 
-def _joint_pi_map(c, N1: int, N2: int):
-    """Two-bank moments [m1, m2]: the single-bank map along each axis."""
-    per_k1 = _pi_map(c, N2)
-    return np.swapaxes(_pi_map(np.swapaxes(per_k1, -1, -2), N1), -1, -2)
+def _joint_pi_map(c, N1: int, N2: int, scale: int = 1):
+    """Two-bank moments [m1, m2]: the single-bank sums along each axis."""
+    f1, f2 = _weights(N1, c.dtype)[0], _weights(N2, c.dtype)[0]
+    return _quotient(f1 @ c @ f2.T, np.outer(f1[:, N1], f2[:, N2]) * scale)
 
 
 def _hankel(v, N: int):
@@ -271,15 +283,16 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
 
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    mom = _pi_map(_rationals(stats.exact, stats.probs), stats.N)
+    n, scale = _integers(_rationals(stats.exact, stats.probs))
+    mom = _pi_map(n, stats.N, scale)
     return PiMoments(mom.astype(float), stats.N, exact=tuple(mom.tolist()),
                      formal=stats.formal, norm_slack=stats.norm_slack)
 
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    mom = _joint_pi_map(_rationals(stats.exact, stats.probs),
-                        stats.N1, stats.N2)
+    n, scale = _integers(_rationals(stats.exact, stats.probs))
+    mom = _joint_pi_map(n, stats.N1, stats.N2, scale)
     return JointPiMoments(mom.astype(float), (stats.N1, stats.N2),
                           exact=tuple(map(tuple, mom.tolist())),
                           formal=stats.formal, norm_slack=stats.norm_slack)
@@ -342,10 +355,8 @@ def leading_principal_minors(M: MomentMatrix) -> tuple:
     scaled by the least common multiple L of their denominators, are
     integers whose k x k minor, divided by L^k, rounds once to float.
     """
-    a = _rationals(M.exact, M.entries)
-    scale = math.lcm(*(x.denominator for x in a.flat))
-    rows = [[x.numerator * (scale // x.denominator) for x in r]
-            for r in a.tolist()]
+    n, scale = _integers(_rationals(M.exact, M.entries))
+    rows = n.tolist()
     return tuple(_det([row[:k] for row in rows[:k]]) / scale ** k
                  for k in range(1, M.dim + 1))
 

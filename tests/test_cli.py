@@ -7,9 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats.cli import main
 
@@ -375,6 +379,77 @@ class TestBadNumbers:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "consistent-with-classical"
+
+
+POWER3_N4 = {"N": 4, "response": {"kind": "power", "n0": 3}}
+
+
+def _odd(alpha) -> str:
+    return json.dumps({"kind": "odd_coherent", "alpha": alpha})
+
+
+class TestSuperpositionCommands:
+    """Coherent superpositions end in exit 0 with finite numbers, or in
+    exit 2 or 3 with a message, quickly, whatever the amplitude."""
+
+    def test_formal_statistics_near_1e97(self, capsys):
+        # the assembly used to run at a fixed 240 bits and report a total
+        # of 3.9e25 (exit 3); 1200 bits give c_4 = -1.914097e97
+        code = main(["stats", "--state", _odd(4),
+                     "--detector", json.dumps(POWER3_N4)])
+        rows = read_csv(capsys.readouterr().out)
+        assert code == 0
+        assert float(rows[5][1]) == pytest.approx(-1.914097e97, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [6, 30])
+    def test_beyond_float_range_is_rejected_quickly(self, alpha, capsys):
+        # c_0 is near -1.4e1235 at alpha = 6; the series path gave up after
+        # 1.5 s at alpha = 6 and ran past 30 s at alpha = 30
+        start = time.perf_counter()
+        code = main(["stats", "--state", _odd(alpha),
+                     "--detector", json.dumps(POWER3_N4)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and elapsed < 2.0
+        assert "inf" not in captured.out
+        assert "float range" in captured.err
+
+    def test_nabs_at_large_amplitude(self, capsys):
+        # the series path raised OverflowError here (exit 1)
+        code = main(["stats", "--state", _odd(6), "--detector",
+                     '{"N": 8, "response": {"kind": "nabs", "n0": 3}}'])
+        rows = read_csv(capsys.readouterr().out)
+        assert code == 0
+        assert float(rows[1][1]) == pytest.approx(8.232e-7, rel=1e-4)
+        assert math.fsum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.0, 316.0), phase=st.floats(-math.pi, math.pi),
+           N=st.integers(1, 8), response=st.one_of(
+               st.fixed_dictionaries({"kind": st.just("linear"),
+                                      "eta": st.floats(1e-3, 1.0)}),
+               st.fixed_dictionaries({"kind": st.just("affine"),
+                                      "eta": st.floats(1e-3, 1.0),
+                                      "nu": st.floats(0.0, 5.0)}),
+               st.fixed_dictionaries({"kind": st.just("power"),
+                                      "n0": st.integers(1, 5)}),
+               st.fixed_dictionaries({"kind": st.just("poly"),
+                                      "coefficients": st.lists(
+                                          st.floats(0.0, 2.0), min_size=1,
+                                          max_size=4)}),
+               st.fixed_dictionaries({"kind": st.just("nabs"),
+                                      "n0": st.integers(1, 8)})))
+    def test_exit_codes(self, r, phase, N, response):
+        alpha = [r * math.cos(phase), r * math.sin(phase)]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["stats", "--state", _odd(alpha), "--detector",
+                         json.dumps({"N": N, "response": response})])
+        assert code in (0, 2, 3)
+        if code == 0:
+            values = [float(row[1]) for row in read_csv(out.getvalue())[1:]]
+            assert len(values) == N + 1
+            assert all(math.isfinite(v) for v in values)
 
 
 def _child_env() -> dict:

@@ -272,7 +272,7 @@ class TestSuperlinearResponses:
                       coherent_distribution(2.2)):
             via_kernels = click_statistics(state, det)
             E = [_analytic_E(state.analytic, det, s, None) for s in range(7)]
-            via_analytic = _click_from_E(6, E, None, 0.0, False)
+            via_analytic = _click_from_E(6, E, None, False)
             for a, b in zip(via_kernels.probs, via_analytic.probs):
                 assert abs(a - b) < 1e-12
 

@@ -14,7 +14,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickstats import click_statistics, coherent_distribution
+from clickstats import (
+    PhotonNumberDistribution,
+    click_statistics,
+    coherent_distribution,
+    odd_coherent,
+)
 from clickstats.detector import (
     Affine,
     DetectorConfig,
@@ -141,3 +146,43 @@ class TestCoherentInput:
                 assert abs(got - want) <= (state.tail_bound
                                            + 2 * stats.relative_error * want
                                            + 1e-300), (k, got, float(want))
+
+
+def _odd_distribution(alpha):
+    """Photon numbers of the odd coherent state, p_n = mu^n/n!/sinh(mu) on
+    odd n with mu = alpha^2, up to a cutoff past mu with the missing mass
+    (at 200 bits) below 1e-15, recorded, rounded up, as the tail."""
+    with mp.workprec(200):
+        mu = mp.mpf(alpha) ** 2
+        probs, n, total = [], 0, mp.mpf(0)
+        while n <= mu or 1 - total > 1e-15:
+            p = mu ** n / mp.factorial(n) / mp.sinh(mu) if n % 2 else 0
+            probs.append(float(p))
+            total += p
+            n += 1
+        tail = math.nextafter(float(1 - total), math.inf)
+    return PhotonNumberDistribution(tuple(probs), tail)
+
+
+PHYSICAL = st.one_of(
+    st.builds(Linear, st.floats(1e-3, 1.0)),
+    st.builds(Affine, st.floats(1e-3, 1.0), st.floats(0.0, 3.0)),
+    st.builds(NPhotonAbsorption, st.integers(1, 6)),
+)
+
+
+class TestOddCoherentInput:
+    @settings(max_examples=40, deadline=None)
+    @given(det=st.builds(DetectorConfig, st.integers(1, 8), PHYSICAL),
+           mu=st.floats(1e-6, 25.0))
+    def test_superposition_matches_its_photon_numbers(self, det, mu):
+        # the closed-form superposition sum and the float kernels contracted
+        # against the state's photon-number distribution are two paths to
+        # the same statistics
+        alpha = math.sqrt(mu)
+        sup = click_statistics(odd_coherent(alpha), det)
+        table = click_statistics(_odd_distribution(alpha), det)
+        for k, (got, want) in enumerate(zip(table.probs, sup.exact)):
+            allowed = (table.relative_error * abs(want) + table.norm_slack
+                       + sup.exact_error)
+            assert abs(got - want) <= allowed, (k, got, float(want))

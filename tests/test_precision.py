@@ -22,8 +22,7 @@ from clickstats.detector import (
     PolynomialSeries,
     Power,
     _click_kernels,
-    _exp_series,
-    _majorant_exponent,
+    _no_click_factor,
     _scaled_response_coeffs,
     _superposition_E,
 )
@@ -31,14 +30,14 @@ from clickstats.series import (
     _ABS_TARGET,
     PowerSeries,
     _exp_neg_lists,
-    _majorant_lists,
     _precision_for,
     auto_precision,
     diag_matrix_element,
     series_exp_neg,
 )
 from clickstats.states import (
-    _superposition_expectation,
+    CoherentSuperposition,
+    _pair_weights,
     fock_distribution,
     nom_expectation,
     odd_coherent,
@@ -133,6 +132,30 @@ class TestKernelTables:
             assert _gap(got.exact, ref.exact) <= _ABS_TARGET
 
 
+def _superposition(*amplitudes):
+    """Equal-weight superposition of the given coherent amplitudes."""
+    with mp.workprec(120):
+        norm = mp.re(mp.fsum(g for g, _ in _pair_weights(
+            tuple((1, a) for a in amplitudes))))
+    return CoherentSuperposition(tuple((float(norm) ** -0.5, a)
+                                       for a in amplitudes))
+
+
+def _bits_chosen(monkeypatch, state, det):
+    """The bits `_superposition_E` picks for the state, by a spy."""
+    picked = []
+    original = detector._precision_for
+
+    def spy(*args):
+        picked.append(original(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(detector, "_precision_for", spy)
+    _superposition_E(state, det, None)
+    monkeypatch.undo()
+    return picked[0]
+
+
 class TestSuperpositions:
     @pytest.mark.parametrize("resp", [NPhotonAbsorption(3)]
                              + [r for r, _ in RESPONSES] + [Linear(0.9)],
@@ -142,50 +165,74 @@ class TestSuperpositions:
         det = DetectorConfig(4, resp)
         for alpha2 in (0.5, 4.0):
             state = odd_coherent(math.sqrt(alpha2))
-            for s in range(det.N + 1):
-                got = _superposition_E(state, det, s, None)
-                ref = _superposition_E(state, det, s, REFERENCE_BITS)
-                assert _gap([got], [ref]) <= _ABS_TARGET
+            got = _superposition_E(state, det, None)
+            ref = _superposition_E(state, det, REFERENCE_BITS)
+            assert len(got) == det.N + 1
+            assert _gap(got, ref) <= _ABS_TARGET
 
     @pytest.mark.parametrize("resp", [NPhotonAbsorption(3), Power(3),
                                       PolynomialSeries((0.35, 0.8))],
                              ids=["nabs3", "power3", "poly-affine"])
-    def test_bound_covers_the_majorant_sum(self, resp):
-        # the bound that picks the bits dominates, pair by pair, the positive
-        # majorant's sum at |z_ij|, which dominates the |h_k z_ij^k| sums
+    def test_bounds_cover_every_pair(self, resp):
+        # complex cross amplitudes, where B(x) of n-photon absorption can
+        # cancel: W bounds |exp[-f(x)]| and |e^-x| sum_j |x^j/j!|, and F
+        # bounds |f(x)|, pair by pair; the sum then meets the target
+        state = _superposition(1.5, 1.5j, -0.9 + 0.4j)
         det = DetectorConfig(4, resp)
-        state = odd_coherent(1.5)
-        weight = sum(abs(c) for c, _ in state.terms) ** 2
-        with mp.workprec(240):
-            fc = _scaled_response_coeffs(resp, det.N, 64)
-            for s in range(det.N + 1):
-                h = _exp_series(det, s, 64, 240).coefficients
-                hmaj = PowerSeries(tuple(_majorant_lists(fc, s, 64)))
-                assert all(abs(a) <= m for a, m in zip(h, hmaj.coefficients))
-                majorant = mp.mpf(0)
-                for ci, ai in state.terms:
-                    for cj, aj in state.terms:
-                        r = abs(mp.conj(mp.mpc(ai)) * mp.mpc(aj))
-                        majorant += abs(ci * cj) * hmaj.evaluate(r)
-                # the bound is taken at 53 bits; at s = 0 both are the weight
-                g = _majorant_exponent(det, 64, state.max_intensity)
-                bound = weight * mp.exp(s * g)
-                assert 0 < majorant <= bound * (1 + 1e-15)
+        with mp.workprec(53):
+            pairs = _pair_weights(state.terms)
+            bounds = [_no_click_factor(resp, z / det.N)[1:] for _, z in pairs]
+        with mp.workprec(REFERENCE_BITS):
+            for (_, z), (W, F) in zip(pairs, bounds):
+                x = mp.mpc(z) / det.N
+                w = abs(_no_click_factor(resp, x)[0])
+                assert w <= W * (1 + 1e-15)
+                if isinstance(resp, NPhotonAbsorption):
+                    parts = abs(mp.exp(-x)) * mp.fsum(
+                        abs(x) ** j / mp.factorial(j) for j in range(resp.n0))
+                    assert parts <= W * (1 + 1e-15) and abs(x) <= F
+                else:
+                    assert abs(resp.evaluate(x)) <= F * (1 + 1e-15)
+        got = _superposition_E(state, det, None)
+        assert _gap(got, _superposition_E(state, det, REFERENCE_BITS)) \
+            <= _ABS_TARGET
 
-    def test_large_amplitude_raises_the_precision(self):
-        # |alpha|^2 = 100 on two linear diodes: the s = 2 sum cancels from
-        # e^100 down to zero, which 240 bits cannot resolve to 1e-40; a
-        # forced 240 is only a floor, so the bound still raises it
+    def test_large_amplitude_on_linear_diodes(self):
+        # |alpha|^2 = 100 on two linear diodes: the truncated series needed
+        # more than 240 bits here, as its terms grew to e^100 and cancelled;
+        # the closed form has no such terms, so the floor meets the target
         state = odd_coherent(10.0)
         det = DetectorConfig(2, Linear(1.0))
-        ref = _superposition_E(state, det, 2, REFERENCE_BITS)
-        with mp.workprec(240):
-            at_240, _ = _superposition_expectation(
-                state.terms, _exp_series(det, 2, 512, 240))
-        assert _gap([at_240], [ref]) > 1e-35
+        ref = _superposition_E(state, det, REFERENCE_BITS)
         for forced in (240, None):
-            got = _superposition_E(state, det, 2, forced)
-            assert _gap([got], [ref]) <= _ABS_TARGET
+            assert _gap(_superposition_E(state, det, forced), ref) \
+                <= _ABS_TARGET
+
+    def test_large_terms_raise_the_precision(self, monkeypatch):
+        # |alpha|^2 = 16 on four cubic absorbers: E_4 is -1.9e97, which 240
+        # bits hold only to 1e25; the bound raises the bits (to 477), and a
+        # forced 240 is only a floor
+        state = odd_coherent(4.0)
+        det = DetectorConfig(4, Power(3))
+        ref = _superposition_E(state, det, REFERENCE_BITS)
+        bits = _bits_chosen(monkeypatch, state, det)
+        assert 240 < bits < REFERENCE_BITS
+        monkeypatch.setattr(detector, "_precision_for", lambda *args: 240)
+        assert _gap(_superposition_E(state, det, None), ref) > 1e-35
+        monkeypatch.undo()
+        for forced in (240, None):
+            assert _gap(_superposition_E(state, det, forced), ref) \
+                <= _ABS_TARGET
+
+    def test_formal_statistics_at_large_amplitude(self):
+        # c_k near 1e97 used to be assembled at a fixed 240 bits, which left
+        # a total of 3.9e25; the assembly now takes its bits from a bound
+        state = odd_coherent(4.0)
+        det = DetectorConfig(4, Power(3))
+        got = detector.click_statistics(state, det)
+        ref = detector.click_statistics(state, det, prec=REFERENCE_BITS)
+        assert float(got.exact[4]) == pytest.approx(-1.914097e97, rel=1e-6)
+        assert _gap(got.exact, ref.exact) <= _ABS_TARGET
 
 
 class TestFockSums:
