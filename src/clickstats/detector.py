@@ -16,11 +16,13 @@ responses (linear, affine, a degree-1 polynomial of slope at most one,
 n-photon absorption) build t_k(n) in float64 from non-negative terms only,
 accurate to (order + N) 2^-52 relative to each entry's size.  Formal
 responses (superlinear, or a degree-1 polynomial of slope above one) have
-signed kernels and keep the alternating sum above, which cancels
-catastrophically (see the series module), in mpmath with a certified
-absolute error below 1e-40, at bits chosen once from the response's
-positive majorant at the deepest Fock level.  Coherent superpositions need
-no kernels: each expectation is a finite sum over pairs of amplitudes.
+signed kernels, on which the alternating sum above cancels catastrophically
+(see the series module); their coefficients are rational, so their kernels
+are exact, integers over one common denominator, and their contractions run
+on Fractions.  Only a constant term f(0) > 0 rounds a number there, the
+dark-count factor e^-f(0), which leaves each kernel within 1e-40.  Coherent
+superpositions need no kernels: each expectation is a finite sum over pairs
+of amplitudes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -45,9 +48,7 @@ from .series import (
     _ABS_TARGET,
     PowerSeries,
     _exp_neg_lists,
-    _fock_terms,
     _log_series,
-    _majorant_lists,
     _precision_for,
     auto_precision,
 )
@@ -213,11 +214,8 @@ def _scaled_response_coeffs(resp, N: int, order: int):
     """Coefficients of f(x/N) as mpf values, at the current precision."""
     invN = mp.mpf(1) / N
     out = [mp.mpf(0)] * (order + 1)
-    if isinstance(resp, Linear):
-        if order >= 1:
-            out[1] = mp.mpf(resp.eta) * invN
-    elif isinstance(resp, Affine):
-        out[0] = mp.mpf(resp.nu)
+    if isinstance(resp, (Linear, Affine)):
+        out[0] = mp.mpf(getattr(resp, "nu", 0))
         if order >= 1:
             out[1] = mp.mpf(resp.eta) * invN
     elif isinstance(resp, Power):
@@ -261,6 +259,17 @@ def response_series(resp, N: int, s, order: int, prec: int | None = None) -> Pow
 
 # --- click statistics containers ----------------------------------------------
 
+_fractions = np.frompyfunc(Fraction, 1, 1)
+
+
+def _float(x) -> float:
+    """float(x), or a signed infinity beyond float range, which is rejected."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
                     exact=None):
     """Clamp tiny negatives to zero; reject material ones; check the total.
@@ -279,7 +288,8 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
             logger.debug("%s: clamping %r to 0", what, c)
             c = 0.0
         cleaned.append(float(c))
-    total = math.fsum(cleaned) if exact is None else float(mp.fsum(exact))
+    total = math.fsum(cleaned) if exact is None else _float(
+        sum(exact) if isinstance(exact[0], Fraction) else mp.fsum(exact))
     if not abs(total - 1.0) <= _NORM_TOL + total_slack:
         raise NormalizationViolation(
             f"{what} probabilities sum to {total!r} "
@@ -291,8 +301,10 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
 class ClickStatistics:
     """Click-number distribution c_0..c_N of a single bank.
 
-    `exact` optionally carries the extended-precision values behind `probs`
-    (present when produced by the forward model; absent for empirical data).
+    `exact` optionally carries the values behind `probs` (present when
+    produced by the forward model; absent for empirical data): Fractions
+    from the exact kernels of a formal response on a finite photon-number
+    table, mpf elsewhere.
     `stderr` carries per-entry standard errors when estimated from counts.
     `norm_slack` is the extra normalization deficit allowed for truncated
     input states (their tail bound).  `formal` marks statistics of a
@@ -373,10 +385,12 @@ def _chain_parameters(resp):
 
 
 def _kernels(det: DetectorConfig, order: int, prec: int | None):
-    """(bits, T): float64 kernels at 53 bits, or mpf for formal responses."""
+    """(T, exact_error, relative_error): read-only float64 kernels of a
+    physical response, within (order + N) 2^-52 of each entry, or exact
+    Fraction kernels of a formal one (`_formal_kernels`)."""
     if _formal(det.response):
-        return _click_kernels(det, order, prec)
-    return 53, _positive_kernels(det, order)
+        return _formal_kernels(det, order, prec)
+    return _positive_kernels(det, order), 0.0, (order + det.N) * 2.0 ** -52
 
 
 @lru_cache(maxsize=64)
@@ -428,55 +442,63 @@ def _threshold_occupancy(N: int, n0: int, L: int) -> np.ndarray:
     return F
 
 
+def _assembly(N: int) -> list:
+    """B[k][s] = C(N,k) C(k,j) (-1)^j for s = N-k+j, else 0: c_k = sum_s
+    B[k][s] E[s] from the no-click expectations E[s] = <:exp[-s f(nhat/N)]:>
+    of a state, and t_k(n) from their values on Fock level n."""
+    return [[math.comb(N, k) * math.comb(k, s - N + k) * (-1) ** (s - N + k)
+             if s >= N - k else 0 for s in range(N + 1)] for k in range(N + 1)]
+
+
 @lru_cache(maxsize=64)
-def _click_kernels(det: DetectorConfig, order: int, prec: int | None = None):
-    """Kernels of formal responses by the alternating series: (bits, T), T
-    of mpf with absolute error below 1e-40; a forced `prec` is a floor.
-    The majorant's sum at the deepest Fock level, where cancellation
-    peaks, bounds the rounding error; it has none itself, so 53 bits do."""
-    N = det.N
-    resp = det.response
-    with mp.workprec(53):
-        fc = _scaled_response_coeffs(resp, N, order)
-        worst = max(mp.fsum(_fock_terms(_majorant_lists(fc, s, order), order))
-                    for s in range(N + 1))
-    bits = max(prec or 0, _precision_for(
-        worst, 50 + 2 * N + order.bit_length(), auto_precision(order)))
-    with mp.workprec(bits):
-        fc = _scaled_response_coeffs(resp, N, order)
-        K = _diag_table([_exp_neg_lists(fc, s, order) for s in range(N + 1)],
-                        order)
-        T = np.array(_binomial_assembly(N, K), dtype=object)
+def _formal_kernels(det: DetectorConfig, order: int, prec: int | None):
+    """Exact kernels of a formal response f: (T, error, 0.0), T a read-only
+    array of Fractions, columns summing to one.  With d the least power of
+    two making each a_j d^j (j >= 1) an integer, the coefficients h_k of
+    exp[-s (f(x/N) - f(0))] give integers U_k = k! h_k (d N)^k = -s sum_j
+    C(k-1, j-1) j! a_j d^j U_(k-j), and so do the kernels over (d N)^order.
+    Only f(0) > 0 rounds a number (`_dark_offset`)."""
+    N, resp = det.N, det.response
+    if isinstance(resp, Power):
+        coeffs = (0,) * resp.n0 + (1,)
+    else:
+        _check_poly_positive(resp, 10.0 * max(order, 1) / N)
+        coeffs = resp.coefficients
+    a = [Fraction(c) for c in coeffs]
+    d = 1 << max(math.ceil((c.denominator.bit_length() - 1) / j)
+                 for j, c in enumerate(a) if j and c)
+    steps = [(j, math.factorial(j) * int(c * d ** j))
+             for j, c in enumerate(a) if j and c]
+    scale = [(d * N) ** (order - k) for k in range(order + 1)]
+    V = []
+    for s in range(N + 1):
+        U = [1]
+        for k in range(1, order + 1):
+            U.append(-s * sum(math.comb(k - 1, j - 1) * w * U[k - j]
+                              for j, w in steps if j <= k))
+        V.append([u * w for u, w in zip(U, scale)])
+    binom = [[math.comb(n, k) for n in range(order + 1)] for k in range(order + 1)]
+    T = np.array(_assembly(N), dtype=object) @ np.array(V, dtype=object) @ binom
+    T, D = _dark_offset(T, scale[0], coeffs[0], prec) if a[0] else (T, scale[0])
+    T = T * Fraction(1, D)
     T.setflags(write=False)
-    return bits, T
+    return T, float(_ABS_TARGET) if a[0] else 0.0, 0.0
 
 
-def _diag_table(h_lists, order: int):
-    """K[s][n] = sum_k h_s[k] * n^(k), at the current precision."""
-    S = len(h_lists)
-    K = [[None] * (order + 1) for _ in range(S)]
-    for n in range(order + 1):
-        ffs = [1]
-        for k in range(1, n + 1):
-            ffs.append(ffs[-1] * (n - k + 1))
-        for s in range(S):
-            h = h_lists[s]
-            K[s][n] = mp.fsum(h[k] * ffs[k] for k in range(n + 1))
-    return K
-
-
-def _binomial_assembly(N: int, X):
-    """C(N,k) sum_j C(k,j)(-1)^j X[N-k+j] for k = 0..N, at the current
-    precision.  X[s] lists no-click expectations <:exp[-s f(nhat/N)]:>, per
-    Fock level (giving kernels t_k(n)) or one for a whole state (giving c_k).
-    """
-    out = []
-    for k in range(N + 1):
-        weights = [math.comb(N, k) * math.comb(k, j) * (-1) ** j
-                   for j in range(k + 1)]
-        out.append(tuple(mp.fsum(w * x for w, x in zip(weights, column))
-                         for column in zip(*X[N - k:])))
-    return tuple(out)
+def _dark_offset(T, D, f0, prec: int | None):
+    """(T', D'), T'/D' the kernels of f0 + g from those of g, T/D: dark counts
+    fire each diode with 1 - q, q = e^-f0, so t_k(n) = sum_i t^g_i(n)
+    C(N-i, k-i) (1-q)^(k-i) q^(N-k).  Those weights move by at most 2N |dq|
+    in sum, so q on a grid of 2^-p, p from max_n sum_i |t^g_i(n)| and
+    `prec` a floor, leaves each t_k(n) within 1e-40."""
+    N = len(T) - 1
+    magnitude = mp.mpf(max(sum(abs(t) for t in col) for col in T.T)) / D
+    p = max(prec or 0, _precision_for(magnitude, 2 + N.bit_length(), 53))
+    with mp.workprec(p + 8):
+        Q = int(mp.nint(mp.ldexp(mp.exp(-mp.mpf(f0)), p)))
+    W = [[math.comb(N - i, k - i) * ((1 << p) - Q) ** (k - i) * Q ** (N - k)
+          << p * i if k >= i else 0 for i in range(N + 1)] for k in range(N + 1)]
+    return np.array(W, dtype=object) @ T, D << p * N
 
 
 # --- forward model ---------------------------------------------------------------
@@ -505,28 +527,26 @@ def _click_from_distribution(state, det, prec):
              for s in range(det.N + 1)]
         return _click_from_E(det.N, E, prec, formal=True)
     order = _bucket(state.cutoff)
-    bits, T = _kernels(det, order, prec)
+    T, error, rel = _kernels(det, order, prec)
     p = np.array(state.probs)
-    with mp.workprec(bits):
-        exact = tuple(map(mp.mpf, (T[:, :len(p)] @ p).tolist()))
-    rel = 0.0 if T.dtype == object else (order + det.N) * 2.0 ** -52
-    return ClickStatistics(det.N, tuple(map(float, exact)), exact=exact,
+    c = T[:, :len(p)] @ (_fractions(p) if formal else p)
+    exact = tuple(map(Fraction if formal else mp.mpf, c.tolist()))
+    return ClickStatistics(det.N, tuple(map(_float, exact)), exact=exact,
                            norm_slack=state.tail_bound, formal=formal,
-                           exact_error=0.0 if rel else float(_ABS_TARGET),
-                           relative_error=rel)
+                           exact_error=error, relative_error=rel)
 
 
 def _click_from_E(N, E, prec, formal, e_error=0):
-    """c_k from the no-click expectations E[s], s = 0..N, at bits from the
-    rounding bound sum_k C(N,k) sum_j C(k,j) |E[N-k+j]| (`prec` a floor);
-    with each E[s] within `e_error`, c_k is within C(N,k) 2^k e_error."""
+    """c_k = sum_s B[k][s] E[s] (`_assembly`) from the no-click expectations
+    E[s], at bits from the rounding bound sum_ks |B[k][s] E[s]| (`prec` a
+    floor); with each E[s] within `e_error`, c_k is within C(N,k) 2^k e_error."""
+    B = _assembly(N)
     with mp.workprec(53):
-        magnitude = mp.fsum(math.comb(N, k) * math.comb(k, j) * abs(E[N - k + j])
-                            for k in range(N + 1) for j in range(k + 1))
+        magnitude = mp.fsum(abs(b * e) for row in B for b, e in zip(row, E) if b)
     with mp.workprec(max(prec or 0, _precision_for(magnitude, 4, 240))):
-        exact = [c for (c,) in _binomial_assembly(N, [(e,) for e in E])]
+        exact = tuple(mp.fsum(b * e for b, e in zip(row, E) if b) for row in B)
         error = max(math.comb(N, k) * 2 ** k for k in range(N + 1)) * e_error
-    return ClickStatistics(N, tuple(map(float, exact)), exact=tuple(exact),
+    return ClickStatistics(N, tuple(map(float, exact)), exact=exact,
                            formal=formal, exact_error=float(error))
 
 
@@ -589,38 +609,25 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
     both of which decay fast enough for any response.
     """
     kind, param = tag
-    p = prec if prec is not None else 220
-    N = det.N
-    resp = det.response
+    N, resp = det.N, det.response
     if isinstance(resp, PolynomialSeries):
         _check_poly_positive(resp, 10.0 * max(1.0, float(param)) / N)
-    with mp.workprec(p):
+    if kind not in ("coherent", "thermal", "spats"):
+        raise UnboundedKernel(f"no analytic representation for family {kind!r}")
+    with mp.workprec(max(prec or 0, 220)):
         if kind == "coherent":
-            val = mp.exp(-s * resp.evaluate(mp.mpf(param) / N))
-        elif kind in ("thermal", "spats"):
-            nb = mp.mpf(param)
-
-            def g(x):
-                return mp.exp(-x / nb - s * resp.evaluate(x / N))
-
-            if kind == "thermal":
-                f = g
-                scale = nb
-            else:
-                f = lambda x: ((1 + nb) * x - nb) * g(x)
-                scale = nb ** 3
-            val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf], error=True)
-            if err > mp.mpf("1e-25") * max(1, abs(val)):
-                val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf],
-                                   maxdegree=10, error=True)
-                if err > mp.mpf("1e-20") * max(1, abs(val)):
-                    raise PrecisionLoss(
-                        f"quadrature for E({s}) stalled at error {float(err)!r}")
-            val = val / scale
-        else:
-            raise UnboundedKernel(f"no analytic representation for "
-                                  f"family {kind!r}")
-    return val
+            return mp.exp(-s * resp.evaluate(mp.mpf(param) / N))
+        nb = mp.mpf(param)
+        w = (lambda x: 1) if kind == "thermal" else (lambda x: (1 + nb) * x - nb)
+        f = lambda x: w(x) * mp.exp(-x / nb - s * resp.evaluate(x / N))
+        val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf], error=True)
+        if err > mp.mpf("1e-25") * max(1, abs(val)):
+            val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf],
+                               maxdegree=10, error=True)
+            if err > mp.mpf("1e-20") * max(1, abs(val)):
+                raise PrecisionLoss(
+                    f"quadrature for E({s}) stalled at error {float(err)!r}")
+        return val / (nb if kind == "thermal" else nb ** 3)
 
 
 def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
@@ -634,14 +641,18 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
         raise UnboundedKernel(
             "formal response on a truncated two-mode distribution")
     c1, c2 = state.cutoffs
-    bits1, T1 = _kernels(det1, _bucket(c1), prec)
-    bits2, T2 = _kernels(det2, _bucket(c2), prec)
-    with mp.workprec(max(bits1, bits2)):
-        table = T1[:, :c1 + 1] @ state.probs @ T2[:, :c2 + 1].T
-        exact = tuple(tuple(map(mp.mpf, row)) for row in table.tolist())
-    return JointClickStatistics(det1.N, det2.N, np.array(exact, dtype=float),
-                                exact=exact, norm_slack=state.tail_bound,
-                                formal=formal)
+    T1 = _kernels(det1, _bucket(c1), prec)[0][:, :c1 + 1]
+    T2 = _kernels(det2, _bucket(c2), prec)[0][:, :c2 + 1]
+    P = state.probs
+    if formal:
+        # Fraction * float is a float: make every factor exact first
+        T1, P, T2 = _fractions(T1), _fractions(P), _fractions(T2)
+    table = (T1 @ P @ T2.T).tolist()
+    exact = tuple(tuple(map(Fraction if formal else mp.mpf, row))
+                  for row in table)
+    return JointClickStatistics(
+        det1.N, det2.N, [[_float(c) for c in row] for row in exact],
+        exact=exact, norm_slack=state.tail_bound, formal=formal)
 
 
 def generating_function(stats: ClickStatistics, z) -> float:

@@ -11,11 +11,10 @@ sign, so the terms cancel almost completely: for a linear response the sum
 collapses from magnitude ~(1+g)^n down to (1-g)^n.  Double precision loses
 every digit of that well before n = 60.  All such sums are therefore taken
 with mpmath floats, at a working precision chosen once, before the sum, from
-a magnitude that bounds its rounding error: the sum of the absolute terms, or
-of a positive majorant series (`_majorant_lists`) when the coefficients were
-themselves computed by a cancelling recurrence.  `_precision_for` turns that
-magnitude into bits against the one absolute error target, 1e-40.  (Click
-statistics need these sums only for formal responses: see the detector.)
+a magnitude that bounds its rounding error: the sum of the absolute terms.
+`_precision_for` turns that magnitude into bits against the one absolute
+error target, 1e-40.  (Click kernels need no such sums: they are float64 for
+physical responses and exact rationals for formal ones; see the detector.)
 
 mpmath keeps its working precision in one process-global context, which
 `mp.workprec` changes for the duration of a block; concurrent threads would
@@ -142,17 +141,6 @@ def _exp_neg_lists(f_coeffs, s, order: int):
             acc += j * fj * h[k - j]
         h.append(-(s / k) * acc)
     return h
-
-
-def _majorant_lists(f_coeffs, s, order: int):
-    """Positive majorant of `_exp_neg_lists(f_coeffs, s, order)`.
-
-    The same recurrence on (-f_0, |f_1|, |f_2|, ...) with -s has no
-    cancellation; its k-th coefficient bounds |h_k| and, times k 2^-p, the
-    rounding error that computing h_k at p bits leaves.
-    """
-    g = [-mp.mpf(f_coeffs[0])] + [abs(mp.mpf(c)) for c in f_coeffs[1:]]
-    return _exp_neg_lists(g, -s, order)
 
 
 def series_exp_neg(f: PowerSeries, s=1.0, order: int | None = None,

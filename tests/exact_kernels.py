@@ -1,7 +1,7 @@
 """Exact click kernels t_k(n) as fractions.Fraction, for checking the
-float64 kernels of physical responses.
+float64 kernels of physical responses and the exact kernels of formal ones.
 
-Neither reference shares code or method with the program's kernels:
+No reference shares code or method with the program's kernels:
 
 * n-photon absorption: t_k(n) N^n counts the ways to place n labelled
   photons on N diodes so that exactly k diodes get n0 or more.  That is
@@ -13,6 +13,14 @@ Neither reference shares code or method with the program's kernels:
   inclusion-exclusion over the diodes left dark.  eta is the exact binary
   value of the float; e^-nu and 1 - e^-nu are taken at 300 bits, which
   only scales the non-negative dark-count weights.
+* formal responses: the no-click values K_s(n) = <n|:exp[-s f(nhat/N)]:|n>
+  enter the paper's binomial sum t_k(n) = C(N,k) sum_j C(k,j) (-1)^j
+  K_(N-k+j)(n) directly.  For f(x) = x^n0, K_s(n) = sum_j (-s)^j
+  n^(n0 j)/(j! N^(n0 j)) in closed form (n^(m) the falling factorial).  For
+  a polynomial, the coefficients of exp[-s (f(x/N) - f(0))] are sympy's
+  rational power-series exponential (`rs_exp` over QQ, the ring series
+  behind sympy's `series`, which is far slower at order 32), times
+  e^(-s f(0)) taken at 600 bits.
 """
 
 import math
@@ -21,6 +29,8 @@ from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import to_rational
+from sympy import QQ, ring
+from sympy.polys.ring_series import rs_exp
 
 
 def fraction(x) -> Fraction:
@@ -73,3 +83,40 @@ def linear_kernel(N: int, eta: float, nu: float, k: int, n: int) -> Fraction:
                   for i in range(m + 1))
         total += math.comb(N, d) * p ** d * q ** M * math.comb(M, m) * hit
     return Fraction(total, scale ** N * (N * b) ** n)
+
+
+def _formal_table(N: int, K, order: int) -> list:
+    """t_k(n) = C(N,k) sum_j C(k,j) (-1)^j K(N-k+j, n), n = 0..order."""
+    table = [[K(s, n) for n in range(order + 1)] for s in range(N + 1)]
+    return [[math.comb(N, k) * sum(math.comb(k, j) * (-1) ** j
+                                   * table[N - k + j][n] for j in range(k + 1))
+             for n in range(order + 1)] for k in range(N + 1)]
+
+
+def power_kernels(N: int, n0: int, order: int) -> list:
+    """t_k(n) of N diodes with f(x) = x^n0."""
+    def K(s, n):
+        return sum(Fraction((-s) ** j * math.perm(n, n0 * j),
+                            math.factorial(j) * N ** (n0 * j))
+                   for j in range(n // n0 + 1))
+    return _formal_table(N, K, order)
+
+
+def poly_kernels(N: int, coefficients, order: int) -> list:
+    """t_k(n) of N diodes with f(x) = sum_j coefficients[j] x^j."""
+    R, x = ring("x", QQ)
+    g = R(0)
+    for j, c in enumerate(coefficients[1:], 1):
+        c = Fraction(c)
+        g += QQ(c.numerator, c.denominator * N ** j) * x ** j
+    with mp.workprec(600):
+        q = fraction(mp.exp(-mp.mpf(coefficients[0])))
+    h = []
+    for s in range(N + 1):
+        series = rs_exp(-s * g, x, order + 1)
+        h.append([Fraction(int(c.numerator), int(c.denominator))
+                  for c in (series.coeff(x ** k) for k in range(order + 1))])
+
+    def K(s, n):
+        return q ** s * sum(h[s][k] * math.perm(n, k) for k in range(n + 1))
+    return _formal_table(N, K, order)

@@ -113,6 +113,17 @@ class TestStats:
         assert main(args) == 0
         assert capsys.readouterr().out == forced
 
+    def test_forced_precision_floors_the_quadrature(self, capsys):
+        # thermal light on a formal bank goes through quadrature, which ran
+        # at the forced 53 bits and stalled with exit 3; 53 is now a floor
+        # under the default 220 bits
+        args = ["stats", "--state", '{"kind": "thermal", "nbar": 1}',
+                "--detector", '{"N": 4, "response": {"kind": "power", "n0": 2}}']
+        assert main(args + ["--precision", "53"]) == 0
+        forced = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == forced
+
 
 class TestWitness:
     def test_fock_one_nonclassical_exit_zero(self, capsys):

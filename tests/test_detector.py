@@ -10,7 +10,6 @@ series machinery under test.  Fock inputs give polynomial closed forms via
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -317,10 +316,8 @@ class TestSuperlinearResponses:
         stats = click_statistics(fock_distribution(31),
                                  DetectorConfig(4, Power(n0)))
         a = Fraction(math.perm(31, n0), 4 ** n0)
-        want = [1 - 4 * a, 4 * a, 0, 0, 0]
-        with mp.workprec(400):
-            for c, w in zip(stats.exact, want):
-                assert abs(c - mp.mpf(w.numerator) / w.denominator) < 1e-30
+        assert stats.exact == (1 - 4 * a, 4 * a, 0, 0, 0)
+        assert stats.exact_error == 0.0
         assert abs(math.fsum(stats.probs) - 1.0) >= 1.0
 
     def test_joint_superlinear_with_tail_rejected(self):

@@ -1,17 +1,21 @@
-"""Positive float64 click kernels against exact rational kernels.
+"""Click kernels against exact rational kernels.
 
 Physical responses (linear, affine, a degree-1 polynomial of slope at most
 one, n-photon absorption) build t_k(n) from non-negative terms only, so
 every entry is held to (order + N) 2^-52 relative to its exact value, with
 an absolute allowance of (order + 1) 2^-1074 for entries whose exact value
-lies below the float range.  The exact kernels come from `exact_kernels`.
+lies below the float range.  Formal responses (x^n0 and superlinear
+polynomials) build exact rational kernels, held equal to the reference, or
+within 1e-40 where a constant term rounds e^-f(0).  The exact kernels come
+from `exact_kernels`.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clickstats import (
@@ -27,9 +31,10 @@ from clickstats.detector import (
     NPhotonAbsorption,
     PolynomialSeries,
     Power,
+    _kernels,
     _positive_kernels,
 )
-from exact_kernels import linear_kernel, nabs_kernel
+from exact_kernels import linear_kernel, nabs_kernel, poly_kernels, power_kernels
 
 RESPONSES = st.one_of(
     st.builds(Linear, st.floats(1e-3, 1.0)),
@@ -115,6 +120,52 @@ class TestAgainstExactKernels:
                     DetectorConfig(5, Affine(0.85, 0.1))):
             assert_matches_exact(det, 2048, columns)
             assert_stochastic(det, 2048)
+
+
+FORMAL = st.one_of(
+    st.builds(Power, st.integers(2, 5)),
+    # superlinear: a positive coefficient of degree 2 or 3 on top
+    st.builds(lambda f0, a1, middle, top: PolynomialSeries(
+        (f0, a1, *middle, top)),
+        st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), st.floats(0.0, 1.5),
+        st.lists(st.floats(0.0, 1.0), max_size=1), st.floats(1e-3, 1.0)),
+)
+FORMAL_BANKS = st.builds(DetectorConfig, st.integers(1, 6), FORMAL)
+
+
+def exact_formal_kernels(det, order):
+    resp = det.response
+    if isinstance(resp, Power):
+        return power_kernels(det.N, resp.n0, order)
+    return poly_kernels(det.N, resp.coefficients, order)
+
+
+class TestFormalKernels:
+    @settings(max_examples=30, deadline=None)
+    @given(det=FORMAL_BANKS, order=st.integers(0, 32))
+    # the cubic coefficient 0.1 = m/2^56 alone sets the integer scale 2^19
+    @example(det=DetectorConfig(5, PolynomialSeries((0.0, 0.5, 0.5, 0.1))),
+             order=32)
+    def test_equal_the_exact_reference(self, det, order):
+        T, exact_error, relative_error = _kernels(det, order, None)
+        want = exact_formal_kernels(det, order)
+        assert relative_error == 0.0
+        if getattr(det.response, "coefficients", (0.0,))[0]:
+            # a dark offset rounds q = e^-f(0), and only q
+            assert exact_error == 1e-40
+            assert max(abs(t - w) for t, w in zip(T.flat, sum(want, []))) \
+                <= Fraction(1e-40)
+        else:
+            assert exact_error == 0.0
+            assert T.tolist() == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(det=FORMAL_BANKS, order=st.integers(0, 64))
+    def test_columns_sum_to_one_exactly(self, det, order):
+        T = _kernels(det, order, None)[0]
+        assert T.shape == (det.N + 1, order + 1)
+        assert all(isinstance(t, Fraction) for t in T.flat)
+        assert all(sum(col) == 1 for col in T.T)
 
 
 def _fire_probability(resp, x):

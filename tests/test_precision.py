@@ -1,12 +1,14 @@
 """Working precision chosen once, from a bound computed before the sum.
 
-Every cancelling sum (kernel tables of formal responses, Fock sums,
-superposition expectations) picks its bits from a magnitude that bounds its
-rounding error and is then evaluated exactly once; a forced precision is a
-floor under those bits.  These tests hold the chosen precision against a
-forced 1200-bit recomputation, which is far beyond any bound used here.
-The float kernels of physical responses have no precision to choose; they
-are held against exact rational kernels in test_kernels.
+Every cancelling sum (Fock sums, superposition expectations, and the one
+rounded number of the formal kernels, q = e^-f(0)) picks its bits from a
+magnitude that bounds its rounding error and is then evaluated exactly
+once; a forced precision is a floor under those bits.  These tests hold the
+chosen precision against a forced 1200-bit recomputation, which is far
+beyond any bound used here.  Formal kernels without a constant term round
+nothing and are held equal to exact references; the float kernels of
+physical responses have no precision to choose.  Both are checked against
+exact rational kernels in test_kernels too.
 """
 
 import math
@@ -21,15 +23,14 @@ from clickstats.detector import (
     NPhotonAbsorption,
     PolynomialSeries,
     Power,
-    _click_kernels,
+    _formal_kernels,
+    _kernels,
     _no_click_factor,
-    _scaled_response_coeffs,
     _superposition_E,
 )
 from clickstats.series import (
     _ABS_TARGET,
     PowerSeries,
-    _exp_neg_lists,
     _precision_for,
     auto_precision,
     diag_matrix_element,
@@ -42,6 +43,7 @@ from clickstats.states import (
     nom_expectation,
     odd_coherent,
 )
+from exact_kernels import fraction, poly_kernels, power_kernels
 
 REFERENCE_BITS = 1200
 
@@ -51,11 +53,23 @@ RESPONSES = [
     (PolynomialSeries((0.0, 1.0, 0.25)), 32),
 ]
 IDS = ["power3", "poly-affine", "poly-quadratic"]
+# formal responses: slope 1.5 gives signed kernels, and its constant term
+# a dark offset
+FORMAL = [
+    (Power(3), 32),
+    (PolynomialSeries((0.35, 1.5)), 32),
+    (PolynomialSeries((0.0, 1.0, 0.25)), 32),
+]
+DARK = DetectorConfig(6, PolynomialSeries((0.02, 0.82, 0.15)))
+
+
+#: the absolute error target as the exact value of its mpf
+TARGET = fraction(_ABS_TARGET)
 
 
 def _gap(a, b):
-    with mp.workprec(REFERENCE_BITS + 100):
-        return max(abs(x - y) for x, y in zip(a, b))
+    """Largest |a_i - b_i|, exactly, over floats, mpf or Fractions."""
+    return max(abs(fraction(x) - fraction(y)) for x, y in zip(a, b))
 
 
 class TestPrecisionFor:
@@ -71,48 +85,56 @@ class TestPrecisionFor:
 
 
 class TestKernelTables:
-    @pytest.mark.parametrize("resp,order", RESPONSES, ids=IDS)
+    @pytest.mark.parametrize("resp,order", FORMAL, ids=IDS)
     def test_match_a_1200_bit_table(self, resp, order):
+        # the table equals the exact reference, and one with q = e^-f(0)
+        # forced to 1200 bits; with a dark offset, within 1e-40 of both
         det = DetectorConfig(4, resp)
-        p, T = _click_kernels(det, order)
-        _, R = _click_kernels(det, order, REFERENCE_BITS)
-        assert p < REFERENCE_BITS
-        gap = max(_gap(row, ref) for row, ref in zip(T, R))
-        assert gap <= _ABS_TARGET
+        T, error, _ = _formal_kernels(det, order, None)
+        R, _, _ = _formal_kernels(det, order, REFERENCE_BITS)
+        if isinstance(resp, Power):
+            exact = power_kernels(det.N, resp.n0, order)
+        else:
+            exact = poly_kernels(det.N, resp.coefficients, order)
+        if resp.evaluate(0.0):
+            assert error == float(_ABS_TARGET)
+            assert _gap(T.flat, R.flat) <= TARGET
+            assert _gap(T.flat, sum(exact, [])) <= TARGET
+        else:
+            assert error == 0.0
+            assert T.tolist() == R.tolist() == exact
 
-    def test_forced_bits_are_a_floor(self):
-        # at the floor precision this table is wrong in the fourth digit, so
-        # the bound, not the floor, carries the accuracy, and forcing the
-        # floor must not take it away
-        det = DetectorConfig(4, Power(3))
-        order, floor = 96, auto_precision(96)
-        p, T = _click_kernels(det, order)
-        assert p > floor
-        with mp.workprec(floor):
-            fc = _scaled_response_coeffs(det.response, det.N, order)
-            K = detector._diag_table(
-                [_exp_neg_lists(fc, s, order) for s in range(det.N + 1)], order)
-            floor_table = detector._binomial_assembly(det.N, K)
-        _, R = _click_kernels(det, order, REFERENCE_BITS)
-        assert max(_gap(row, ref) for row, ref in zip(floor_table, R)) > 1e-6
-        forced_p, forced = _click_kernels(det, order, floor)
-        assert forced_p == p
-        assert forced.tolist() == T.tolist()
+    def test_forced_bits_are_a_floor(self, monkeypatch):
+        # q = e^-0.02 at the 53-bit floor leaves this table off by 2.7e-16,
+        # so the bound (139 bits here), not the floor, carries the accuracy;
+        # forcing the floor must not take it away, and forcing more bits
+        # raises them and stays within 1e-40
+        T, error, _ = _formal_kernels(DARK, 32, None)
+        R, _, _ = _formal_kernels(DARK, 32, REFERENCE_BITS)
+        assert error == float(_ABS_TARGET)
+        assert R.tolist() != T.tolist()
+        assert _gap(T.flat, R.flat) <= TARGET
+        assert _formal_kernels(DARK, 32, 53)[0].tolist() == T.tolist()
+        monkeypatch.setattr(detector, "_precision_for", lambda *args: 53)
+        floor = _formal_kernels.__wrapped__(DARK, 32, None)[0]
+        assert _gap(floor.flat, R.flat) > 1e-16
 
     def test_table_is_built_once(self, monkeypatch):
         calls = []
-        original = detector._diag_table
+        original = detector._assembly
 
-        def spy(h_lists, order):
-            calls.append(mp.mp.prec)
-            return original(h_lists, order)
+        def spy(N):
+            calls.append(N)
+            return original(N)
 
-        monkeypatch.setattr(detector, "_diag_table", spy)
+        monkeypatch.setattr(detector, "_assembly", spy)
         det = DetectorConfig(4, Power(3))
-        p, _ = _click_kernels.__wrapped__(det, 32)
-        # a table whose bound lies above the floor is still built once
-        assert p > auto_precision(32)
-        assert calls == [p]
+        _formal_kernels.cache_clear()
+        # Fock 20 and 31 share the order-32 table
+        for n in (20, 31, 20):
+            detector.click_statistics(fock_distribution(n), det)
+        assert len(calls) == 1
+        assert _kernels(det, 32, None)[0] is _kernels(det, 32, None)[0]
 
     def test_forced_precision_below_the_bound(self):
         # forcing 280 bits under the 461 that Fock 90 on this bank needs
@@ -129,7 +151,7 @@ class TestKernelTables:
             got = detector.click_statistics(fock_distribution(n), det)
             ref = detector.click_statistics(fock_distribution(n), det,
                                             prec=REFERENCE_BITS)
-            assert _gap(got.exact, ref.exact) <= _ABS_TARGET
+            assert _gap(got.exact, ref.exact) <= TARGET
 
 
 def _superposition(*amplitudes):
@@ -168,7 +190,7 @@ class TestSuperpositions:
             got = _superposition_E(state, det, None)
             ref = _superposition_E(state, det, REFERENCE_BITS)
             assert len(got) == det.N + 1
-            assert _gap(got, ref) <= _ABS_TARGET
+            assert _gap(got, ref) <= TARGET
 
     @pytest.mark.parametrize("resp", [NPhotonAbsorption(3), Power(3),
                                       PolynomialSeries((0.35, 0.8))],
@@ -195,7 +217,7 @@ class TestSuperpositions:
                     assert abs(resp.evaluate(x)) <= F * (1 + 1e-15)
         got = _superposition_E(state, det, None)
         assert _gap(got, _superposition_E(state, det, REFERENCE_BITS)) \
-            <= _ABS_TARGET
+            <= TARGET
 
     def test_large_amplitude_on_linear_diodes(self):
         # |alpha|^2 = 100 on two linear diodes: the truncated series needed
@@ -206,7 +228,7 @@ class TestSuperpositions:
         ref = _superposition_E(state, det, REFERENCE_BITS)
         for forced in (240, None):
             assert _gap(_superposition_E(state, det, forced), ref) \
-                <= _ABS_TARGET
+                <= TARGET
 
     def test_large_terms_raise_the_precision(self, monkeypatch):
         # |alpha|^2 = 16 on four cubic absorbers: E_4 is -1.9e97, which 240
@@ -222,7 +244,7 @@ class TestSuperpositions:
         monkeypatch.undo()
         for forced in (240, None):
             assert _gap(_superposition_E(state, det, forced), ref) \
-                <= _ABS_TARGET
+                <= TARGET
 
     def test_formal_statistics_at_large_amplitude(self):
         # c_k near 1e97 used to be assembled at a fixed 240 bits, which left
@@ -232,7 +254,7 @@ class TestSuperpositions:
         got = detector.click_statistics(state, det)
         ref = detector.click_statistics(state, det, prec=REFERENCE_BITS)
         assert float(got.exact[4]) == pytest.approx(-1.914097e97, rel=1e-6)
-        assert _gap(got.exact, ref.exact) <= _ABS_TARGET
+        assert _gap(got.exact, ref.exact) <= TARGET
 
 
 class TestFockSums:
