@@ -301,10 +301,10 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
 class ClickStatistics:
     """Click-number distribution c_0..c_N of a single bank.
 
-    `exact` optionally carries the values behind `probs` (present when
-    produced by the forward model; absent for empirical data): Fractions
-    from the exact kernels of a formal response on a finite photon-number
-    table, mpf elsewhere.
+    `exact` carries the values behind `probs` where floats would lose them:
+    Fractions from the exact kernels of a formal response on a finite
+    table, mpf from superpositions and quadrature.  It is None on float
+    kernels, whose floats are exact, and for empirical data.
     `stderr` carries per-entry standard errors when estimated from counts.
     `norm_slack` is the extra normalization deficit allowed for truncated
     input states (their tail bound).  `formal` marks statistics of a
@@ -338,7 +338,8 @@ class ClickStatistics:
 
 @dataclass(frozen=True)
 class JointClickStatistics:
-    """Joint click table c_{k1,k2} of two banks measured in coincidence."""
+    """Joint click table c_{k1,k2} of two banks measured in coincidence;
+    `exact` holds rows of Fractions for formal responses, else None."""
 
     N1: int
     N2: int
@@ -529,9 +530,11 @@ def _click_from_distribution(state, det, prec):
     order = _bucket(state.cutoff)
     T, error, rel = _kernels(det, order, prec)
     p = np.array(state.probs)
-    c = T[:, :len(p)] @ (_fractions(p) if formal else p)
-    exact = tuple(map(Fraction if formal else mp.mpf, c.tolist()))
-    return ClickStatistics(det.N, tuple(map(_float, exact)), exact=exact,
+    # an exact sum may skip the zero p_n; a float sum keeps its BLAS order
+    keep = np.flatnonzero(p) if formal else slice(len(p))
+    c = (T[:, keep] @ (_fractions(p[keep]) if formal else p)).tolist()
+    return ClickStatistics(det.N, tuple(map(_float, c)),
+                           exact=tuple(c) if formal else None,
                            norm_slack=state.tail_bound, formal=formal,
                            exact_error=error, relative_error=rel)
 
@@ -648,11 +651,10 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
         # Fraction * float is a float: make every factor exact first
         T1, P, T2 = _fractions(T1), _fractions(P), _fractions(T2)
     table = (T1 @ P @ T2.T).tolist()
-    exact = tuple(tuple(map(Fraction if formal else mp.mpf, row))
-                  for row in table)
     return JointClickStatistics(
-        det1.N, det2.N, [[_float(c) for c in row] for row in exact],
-        exact=exact, norm_slack=state.tail_bound, formal=formal)
+        det1.N, det2.N, [[_float(c) for c in row] for row in table],
+        exact=tuple(map(tuple, table)) if formal else None,
+        norm_slack=state.tail_bound, formal=formal)
 
 
 def generating_function(stats: ClickStatistics, z) -> float:

@@ -130,21 +130,25 @@ class CoherentSuperposition:
 
 @dataclass(frozen=True)
 class JointPhotonDistribution:
-    """Two-mode Fock-diagonal-basis state: probs[n1, n2] = p_{n1,n2}."""
+    """Two-mode Fock-diagonal-basis state: probs[n1, n2] = p_{n1,n2}; a
+    read-only float64 table owning its data is kept uncopied."""
 
     probs: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        arr = self.probs
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 2:
             raise ValueError("joint distribution needs a 2-D probability table")
-        if (arr < 0.0).any():
-            raise ValueError("negative probability in joint distribution")
         total = float(arr.sum()) + self.tail_bound
-        if not abs(total - 1.0) <= _NORM_SLACK:
+        if not abs(total - 1.0) <= _NORM_SLACK:  # also NaN and empty tables
             raise NormalizationViolation(
                 f"joint probabilities plus tail sum to {total!r}, not 1")
+        if arr.min() < 0.0:
+            raise ValueError("negative probability in joint distribution")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
@@ -288,6 +292,7 @@ def tmsv_joint(xi: complex, tol: float = DEFAULT_TAIL_TOL) -> JointPhotonDistrib
     table = np.zeros((cutoff + 1, cutoff + 1))
     table[np.arange(cutoff + 1), np.arange(cutoff + 1)] = \
         (1.0 - r) * r ** np.arange(cutoff + 1)
+    table.setflags(write=False)
     return JointPhotonDistribution(table, r ** (cutoff + 1))
 
 
@@ -296,6 +301,7 @@ def product_joint(d1: PhotonNumberDistribution,
     """Uncorrelated two-mode state from two single-mode distributions."""
     table = np.outer(d1.probs, d2.probs)
     tail = d1.tail_bound + d2.tail_bound - d1.tail_bound * d2.tail_bound
+    table.setflags(write=False)
     return JointPhotonDistribution(table, tail)
 
 
@@ -318,6 +324,7 @@ def mixture_joint(weights, components) -> JointPhotonDistribution:
         s = c.probs.shape
         table[:s[0], :s[1]] += w * c.probs
         tail += w * c.tail_bound
+    table.setflags(write=False)
     return JointPhotonDistribution(table, tail)
 
 

@@ -12,13 +12,13 @@ negative cross-correlation minor, or negative binomial Q parameter
 certifies nonclassicality.
 
 Each formula is written once, over any leading axes.  Point estimates run
-it on exact rationals: every float and every mpf is a dyadic rational and
-every weight is an integer, so moments, matrix entries, Q_B and the cross
-minor are the exact values for the numbers given (the statistics' `exact`
-values when the forward model supplied them, their floats otherwise), each
-rounded once to float.  The minors, which sit many orders below the matrix
-entries, come exactly from fraction-free elimination on integers.  The
-bootstrap runs the same formulas on floats over a stack of resamples.
+it on Python integers read straight from the numbers given (the statistics'
+`exact` values when the forward model supplied them, their floats
+otherwise) over one common denominator: every float and mpf is a dyadic
+rational and every weight an integer, so moments, matrix entries, Q_B and
+the cross minor are exact, each rounded once to float.  The minors, many
+orders below the matrix entries, are the pivots of one fraction-free
+elimination.  The bootstrap runs the formulas on floats over resamples.
 """
 
 from __future__ import annotations
@@ -169,35 +169,29 @@ class WitnessReport:
 
 # --- exact numbers ----------------------------------------------------------------
 
-def _rational(x) -> Fraction:
-    """The exact value of a float, an integer, a Fraction or an mpf (read
-    from its sign, mantissa and exponent)."""
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of a float, an integer, a Fraction or an mpf
+    (read from its sign, mantissa and exponent)."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     mpf = getattr(x, "_mpf_", None)
     if mpf is None:
-        return Fraction(x)
+        return x.as_integer_ratio()
     sign, man, exp, _ = mpf
     if not man and exp:
         raise ValueError(f"cannot convert {x} to a rational")
     man = -int(man) if sign else int(man)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
-_to_rationals = np.frompyfunc(_rational, 1, 1)
-
-
-def _rationals(exact, floats):
-    """An object's numbers as an array of Fractions: its `exact` values when
-    it carries them, its floats otherwise, each converted exactly."""
-    return _to_rationals(np.asarray(floats if exact is None else exact,
-                                    dtype=object))
-
-
-def _integers(a) -> tuple:
-    """(n, L): Fractions a as Python integers n = a L, L their denominators' lcm."""
-    scale = math.lcm(*(x.denominator for x in a.flat))
-    return np.array([x.numerator * (scale // x.denominator) for x in a.flat],
+def _integers(values) -> tuple:
+    """(n, L): numbers given as floats, mpf or Fractions, as Python integers
+    n = value * L over the lcm L of their denominators (a power of two for
+    floats and mpf)."""
+    a = np.asarray(values, dtype=object)
+    pairs = [_ratio(x) for x in a.flat]
+    scale = math.lcm(*{d for _, d in pairs})
+    return np.array([n * (scale // d) for n, d in pairs],
                     dtype=object).reshape(a.shape), scale
 
 
@@ -254,17 +248,18 @@ def _graded(v, N1: int, N2: int):
     return v[..., e[:, 0, None] + e[:, 0], e[:, 1, None] + e[:, 1]]
 
 
-def _qb_terms(c, N: int):
-    """<c>, and Q_B + 1 as numerator N Var(c) and denominator <c>(N - <c>)."""
+def _qb_terms(c, N: int, scale: int = 1):
+    """<c>, and Q_B + 1 as N Var(c) over <c>(N - <c>), from c times scale."""
     mean, second = (c @ _weights(N, c.dtype)[1].T).T
-    return mean, N * (second - mean ** 2), mean * (N - mean)
+    return mean, N * (second * scale - mean ** 2), mean * (N * scale - mean)
 
 
-def _cross_minor(v):
-    """det of the centered second-moment block from two-bank moments."""
-    v1 = v[..., 2, 0] - v[..., 1, 0] ** 2
-    v2 = v[..., 0, 2] - v[..., 0, 1] ** 2
-    cov = v[..., 1, 1] - v[..., 1, 0] * v[..., 0, 1]
+def _cross_minor(v, scale: int = 1):
+    """scale^4 det of the centered second-moment block, from moments times
+    scale."""
+    v1 = v[..., 2, 0] * scale - v[..., 1, 0] ** 2
+    v2 = v[..., 0, 2] * scale - v[..., 0, 1] ** 2
+    cov = v[..., 1, 1] * scale - v[..., 1, 0] * v[..., 0, 1]
     return v1 * v2 - cov ** 2
 
 
@@ -277,13 +272,13 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
     if m > stats.N:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
-    c = _rationals(stats.exact, stats.probs)
-    return float(c @ _weights(stats.N, c.dtype)[0][m])
+    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
+    return (n @ _weights(stats.N, n.dtype)[0][m]) / scale
 
 
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    n, scale = _integers(_rationals(stats.exact, stats.probs))
+    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
     mom = _pi_map(n, stats.N, scale)
     return PiMoments(mom.astype(float), stats.N, exact=tuple(mom.tolist()),
                      formal=stats.formal, norm_slack=stats.norm_slack)
@@ -291,7 +286,7 @@ def pi_moments(stats: ClickStatistics) -> PiMoments:
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    n, scale = _integers(_rationals(stats.exact, stats.probs))
+    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
     mom = _joint_pi_map(n, stats.N1, stats.N2, scale)
     return JointPiMoments(mom.astype(float), (stats.N1, stats.N2),
                           exact=tuple(map(tuple, mom.tolist())),
@@ -304,10 +299,10 @@ def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
     if mom.max_order < 2 * half:
         raise InsufficientOrder(
             f"need moments through order {2 * half}, have {mom.max_order}")
-    exact = _hankel(_rationals(mom.exact, mom.values), N)
+    exact = None if mom.exact is None else tuple(map(tuple, _hankel(
+        np.asarray(mom.exact, dtype=object), N).tolist()))
     return MomentMatrix(_hankel(np.asarray(mom.values), N),
-                        tuple(range(half + 1)),
-                        exact=tuple(map(tuple, exact.tolist())),
+                        tuple(range(half + 1)), exact=exact,
                         norm_slack=mom.norm_slack)
 
 
@@ -318,10 +313,10 @@ def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
         raise InsufficientOrder(
             f"need moments through orders ({2 * b1}, {2 * b2}), "
             f"have {mom.max_orders}")
-    exact = _graded(_rationals(mom.exact, mom.values), N1, N2)
+    exact = None if mom.exact is None else tuple(map(tuple, _graded(
+        np.asarray(mom.exact, dtype=object), N1, N2).tolist()))
     return MomentMatrix(_graded(mom.values, N1, N2), _joint_basis(N1, N2),
-                        exact=tuple(map(tuple, exact.tolist())),
-                        norm_slack=mom.norm_slack)
+                        exact=exact, norm_slack=mom.norm_slack)
 
 
 # --- minors, eigenvalues, verdicts ------------------------------------------------
@@ -347,6 +342,26 @@ def _det(a) -> int:
     return sign * prev
 
 
+def _leading_minors(a) -> list:
+    """All leading principal minors of a square integer matrix (a list of
+    rows) from one Bareiss pass without row exchanges, whose pivot at step
+    k is the (k+1) x (k+1) minor; past a zero pivot the larger blocks go
+    to `_det`."""
+    rows, prev, minors = [row[:] for row in a], 1, []
+    for k, row_k in enumerate(rows):
+        pivot = row_k[k]
+        minors.append(pivot)
+        if not pivot:
+            return minors + [_det([row[:j] for row in a[:j]])
+                             for j in range(k + 2, len(a) + 1)]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], row_k[k + 1:])]
+        prev = pivot
+    return minors
+
+
 def leading_principal_minors(M: MomentMatrix) -> tuple:
     """Determinants of the k x k top-left blocks, k = 1..dim.
 
@@ -354,11 +369,11 @@ def leading_principal_minors(M: MomentMatrix) -> tuple:
     exactly: the exact entries (the floats when the matrix carries none),
     scaled by the least common multiple L of their denominators, are
     integers whose k x k minor, divided by L^k, rounds once to float.
+    One fraction-free elimination gives all of them.
     """
-    n, scale = _integers(_rationals(M.exact, M.entries))
-    rows = n.tolist()
-    return tuple(_det([row[:k] for row in rows[:k]]) / scale ** k
-                 for k in range(1, M.dim + 1))
+    n, scale = _integers(M.entries if M.exact is None else M.exact)
+    return tuple(m / scale ** k for k, m in
+                 enumerate(_leading_minors(n.tolist()), 1))
 
 
 def min_eigenvalue(M: MomentMatrix) -> float:
@@ -378,13 +393,16 @@ def qb_parameter(stats: ClickStatistics) -> float:
     denominator, so that Q_B is not known to within one.
     """
     N = stats.N
-    mean, num, den = _qb_terms(_rationals(stats.exact, stats.probs), N)
+    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
+    mean, num, den = _qb_terms(n, N, scale)
+    mean = Fraction(mean, scale)
     err = N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
     if not (err < mean < N - err - N * stats.norm_slack
-            and (N - 1) * err * (N + 2 * mean + err) < den):
+            and (N - 1) * err * (N + 2 * mean + err)
+            < Fraction(den, scale ** 2)):
         raise DegenerateMean(
             f"mean click number {float(mean)!r} leaves no resolved spread")
-    return float(num / den - 1)
+    return (num - den) / den
 
 
 def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:
@@ -392,7 +410,8 @@ def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:
     if stats.N1 < 2 or stats.N2 < 2:
         raise OrderExceedsDiodes(
             "cross-correlation minor needs at least two diodes per bank")
-    return float(_cross_minor(_rationals(mom.exact, mom.values)))
+    n, scale = _integers(mom.values if mom.exact is None else mom.exact)
+    return _cross_minor(n, scale) / scale ** 4
 
 
 def cross_correlation_minor(stats: JointClickStatistics) -> float:

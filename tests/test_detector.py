@@ -320,6 +320,23 @@ class TestSuperlinearResponses:
         assert stats.exact_error == 0.0
         assert abs(math.fsum(stats.probs) - 1.0) >= 1.0
 
+    @pytest.mark.parametrize("probs", [
+        (0.0,) * 90 + (1.0,),
+        (0.25,) + (0.0,) * 6 + (0.5,) + (0.0,) * 12 + (0.125, 0.0, 0.125),
+    ], ids=["fock90", "fock-mixture"])
+    def test_formal_contraction_skips_zeros_exactly(self, probs):
+        # the formal statistics contract the nonzero p_n only, which on
+        # exact Fractions must equal the contraction over every p_n
+        from clickstats import PhotonNumberDistribution
+        from clickstats.detector import _bucket, _fractions, _kernels
+        state = PhotonNumberDistribution(probs)
+        det = DetectorConfig(4, Power(3))
+        T = _kernels(det, _bucket(state.cutoff), None)[0]
+        full = T[:, :len(probs)] @ _fractions(np.array(probs))
+        stats = click_statistics(state, det)
+        assert stats.exact == tuple(full.tolist())
+        assert stats.probs == tuple(map(float, full))
+
     def test_joint_superlinear_with_tail_rejected(self):
         state = tmsv_joint(0.5)
         det = DetectorConfig(4, Power(2))
@@ -362,7 +379,8 @@ class TestJointStatistics:
         state = tmsv_joint(0.7)
         det = DetectorConfig(3, Linear(0.9))
         joint = joint_click_statistics(state, det, det)
-        assert joint.exact is not None
+        # physical kernels are floats: the table is its own exact value
+        assert joint.exact is None
         # redo the contraction in plain float arithmetic from fock inputs
         probs = state.probs
         ref = np.zeros((4, 4))

@@ -151,7 +151,12 @@ class TestKernelTables:
             got = detector.click_statistics(fock_distribution(n), det)
             ref = detector.click_statistics(fock_distribution(n), det,
                                             prec=REFERENCE_BITS)
-            assert _gap(got.exact, ref.exact) <= TARGET
+            if got.exact is None:
+                # float kernels of a physical response: the floats are exact
+                assert ref.exact is None
+                assert _gap(got.probs, ref.probs) <= TARGET
+            else:
+                assert _gap(got.exact, ref.exact) <= TARGET
 
 
 def _superposition(*amplitudes):

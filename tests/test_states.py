@@ -228,6 +228,38 @@ class TestJointHelpers:
         with pytest.raises(ValueError):
             mixture_joint([0.5, 0.4], [a, a])
 
+    def test_writable_table_is_copied(self):
+        table = np.array([[0.5, 0.25], [0.0, 0.25]])
+        j = JointPhotonDistribution(table)
+        table[0, 0] = 7.0
+        assert j.probs[0, 0] == 0.5 and not j.probs.flags.writeable
+        # a read-only view does not own its data: the base stays writable
+        base = np.array([[0.5, 0.25], [0.0, 0.25]])
+        view = base[:]
+        view.setflags(write=False)
+        j = JointPhotonDistribution(view)
+        base[0, 0] = 7.0
+        assert j.probs[0, 0] == 0.5
+
+    @pytest.mark.parametrize("build", [
+        lambda: tmsv_joint(0.9),
+        lambda: product_joint(coherent_distribution(0.5),
+                              thermal_distribution(0.3)),
+        lambda: mixture_joint([0.25, 0.75], [tmsv_joint(0.5), tmsv_joint(0.7)]),
+    ], ids=["tmsv", "product", "mixture"])
+    def test_fresh_tables_are_not_copied(self, build, monkeypatch):
+        kept = []
+        original = JointPhotonDistribution.__post_init__
+
+        def spy(self):
+            given = self.probs
+            original(self)
+            kept.append(self.probs is given)
+
+        monkeypatch.setattr(JointPhotonDistribution, "__post_init__", spy)
+        j = build()
+        assert kept[-1] and not j.probs.flags.writeable
+
 
 class TestNomExpectation:
     def test_vacuum_picks_constant(self):
@@ -293,6 +325,16 @@ class TestValidation:
     def test_joint_rejects_bad_norm(self):
         with pytest.raises(NormalizationViolation):
             JointPhotonDistribution(np.array([[0.7, 0.0], [0.0, 0.2]]))
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_joint_rejects_negative_and_nan(self, writable):
+        for bad, error in (([[1.2, -0.2], [0.0, 0.0]], ValueError),
+                           ([[math.nan, 0.5], [0.5, 0.0]],
+                            NormalizationViolation)):
+            table = np.array(bad)
+            table.setflags(write=writable)
+            with pytest.raises(error):
+                JointPhotonDistribution(table)
 
     def test_superposition_rejects_bad_norm(self):
         with pytest.raises(NormalizationViolation):

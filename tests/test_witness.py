@@ -146,14 +146,18 @@ class TestPiMoments:
 
     def test_matches_summation_loop(self):
         # the per-order loop over exact rationals as reference: the moments
-        # are the exact values of the statistics' numbers, extended or
-        # float, and their floats are those values rounded once; floats
-        # summed in matrix order stay within a few ulp of them
+        # are the exact values of the statistics' numbers, exact Fractions
+        # of a formal response or floats, and their floats are those values
+        # rounded once; floats summed in matrix order stay within a few ulp
         N = 8
         stats = click_statistics(spats_distribution(0.7),
                                  DetectorConfig(N, Linear(0.9)))
+        assert stats.exact is None
         floats = ClickStatistics(N, stats.probs)
-        for numbers, given in ((stats.exact, stats), (floats.probs, floats)):
+        formal = click_statistics(fock_distribution(20),
+                                  DetectorConfig(N, Power(2)))
+        for numbers, given in ((stats.probs, stats), (floats.probs, floats),
+                               (formal.exact, formal)):
             c = [fraction(x) for x in numbers]
             ref = tuple(sum(math.perm(k, m) * c[k] for k in range(m, N + 1))
                         / math.perm(N, m) for m in range(N + 1))
@@ -537,8 +541,8 @@ class TestQbParameter:
         # kernels gave Q_B = 0.55 here; the untruncated state has Q_B = 0)
         stats = click_statistics(coherent_distribution(125.0),
                                  DetectorConfig(4, Linear(1.0)))
-        with mp.workprec(220):
-            gap = 4 - mp.fsum(k * c for k, c in enumerate(stats.exact))
+        assert stats.exact is None
+        gap = 4 - sum(k * Fraction(c) for k, c in enumerate(stats.probs))
         assert 4 * stats.norm_slack < gap < 4 * stats.relative_error
         with pytest.raises(DegenerateMean):
             qb_parameter(stats)

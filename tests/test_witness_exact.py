@@ -36,6 +36,7 @@ from clickstats import (
 )
 from clickstats.errors import DegenerateMean, OrderExceedsDiodes
 from clickstats.witness import (
+    _leading_minors,
     cross_correlation_minor,
     joint_moment_matrix,
     joint_pi_moments,
@@ -248,6 +249,43 @@ class TestAgainstRationalReference:
         check_joint(joint_click_statistics(
             product_joint(fock_distribution(0), fock_distribution(0)),
             det, det))
+
+
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-10 ** 40, 10 ** 40))
+
+
+@st.composite
+def planted_matrices(draw):
+    """Integer matrices of size 1..9 in which some leading block has a row
+    that is an integer combination of the rows above it (a zero row when
+    it is the first), so that its minor and possibly the first pivot vanish
+    while larger blocks need not."""
+    d = draw(st.integers(1, 9))
+    a = [draw(st.lists(ENTRIES, min_size=d, max_size=d)) for _ in range(d)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, d))
+        r = draw(st.integers(0, k - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        for j in range(k):
+            a[r][j] = sum(c * a[i][j] for i, c in enumerate(coeffs))
+    return a
+
+
+class TestOnePassMinors:
+    @settings(max_examples=300, deadline=None)
+    @given(a=planted_matrices())
+    def test_all_leading_minors_from_one_pass(self, a):
+        # every pivot of the elimination is a leading minor; past a zero
+        # pivot the blocks are eliminated again with row exchanges
+        copy = [row[:] for row in a]
+        got = _leading_minors(a)
+        assert a == copy
+        exact = [[Fraction(x) for x in row] for row in a]
+        assert got == [det([row[:k] for row in exact[:k]])
+                       for k in range(1, len(a) + 1)]
+
+    def test_zero_first_pivot_with_regular_blocks_after(self):
+        assert _leading_minors([[0, 1, 2], [1, 0, 3], [2, 3, 5]]) == [0, -1, 7]
 
 
 @st.composite
