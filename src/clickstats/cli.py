@@ -11,8 +11,13 @@ success (a "nonclassical" verdict is data, not an error), 2 for
 configuration or parse problems, 3 when a numerical invariant is
 violated, with the invariant named on standard error.
 
+Every grid scan, `witness --grid` and the witness figures fig2, fig3 and
+fig6, is one `_Sweep`: a state at each grid value, measured on one or
+more bank sets, with columns read off each witness report.  Click tables
+(`stats`, `sample`, fig5) share one row builder, `sampler._table_rows`.
 Grid defaults used by `figure` bracket the interesting features of
-each example and are choices of this package, tunable with --grid.
+each example and are choices of this package, tunable with --grid; a
+grid holds at most _MAX_GRID_STEPS points.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from .errors import (
 )
 from .sampler import (
     RngSeed,
+    _table_rows,
     bootstrap_witness,
     read_histogram_csv,
     sample_clicks,
@@ -58,14 +65,11 @@ from .states import (
     state_from_descriptor,
     tmsv_joint,
 )
-from .witness import (
-    leading_principal_minors,
-    moment_matrix,
-    pi_moments,
-    witness_report,
-)
+from .witness import witness_report
 
 __all__ = ["main", "entry"]
+
+_MAX_GRID_STEPS = 100_000
 
 
 # --- input plumbing --------------------------------------------------------------
@@ -89,17 +93,10 @@ def _parse_grid(expr: str) -> tuple:
             f"grid {expr!r} is not of the form name=start:stop:steps")
     start, stop = float(parts[0]), float(parts[1])
     steps = int(parts[2])
-    if steps < 1:
-        raise ValueError("grid needs at least one point")
+    if not 1 <= steps <= _MAX_GRID_STEPS:
+        raise ValueError(
+            f"grid needs 1 to {_MAX_GRID_STEPS} points, got {steps}")
     return name, np.linspace(start, stop, steps)
-
-
-def _grid_overrides(args) -> dict:
-    out = {}
-    for expr in getattr(args, "grid", None) or []:
-        name, values = _parse_grid(expr)
-        out[name] = values
-    return out
 
 
 def _build_statistics(args):
@@ -157,31 +154,80 @@ def cmd_stats(args) -> int:
     if stats.formal:
         print("note: formal statistics of a response with signed kernels; "
               "entries may be negative", file=sys.stderr)
-    if hasattr(stats, "N1"):
-        header = ["k1", "k2", "probability"]
-        rows = [[k1, k2, float(stats.probs[k1, k2])]
-                for k1 in range(stats.N1 + 1)
-                for k2 in range(stats.N2 + 1)]
-    else:
-        header = ["k", "probability"]
-        rows = [[k, c] for k, c in enumerate(stats.probs)]
-    _emit_table(header, rows, args)
+    _emit_table(*_table_rows(stats.probs, "probability"), args)
     return 0
 
 
-# --- witness ---------------------------------------------------------------------
+# --- sweeps ----------------------------------------------------------------------
 
 
-def _report_row(value, report) -> list:
-    row = [float(value)]
-    row.extend(report.leading_minors)
-    row.append(report.min_eigenvalue)
+class _Sweep(NamedTuple):
+    """A witness scan: at each value of `param` (default `grid`) the state
+    `state_at(value)` is measured on each (label, detectors) bank set of
+    `banks`, and `columns(report)` gives (name, value) pairs, named with
+    the bank set's label appended.  The first len(scalings) values repeat
+    as `<name>_x1e<p>` columns, times their scaling 10^p, for display."""
+
+    param: str
+    grid: np.ndarray
+    state_at: Callable
+    banks: tuple
+    columns: Callable
+    scalings: tuple = ()
+
+
+def _report_columns(report) -> list:
+    """Every criterion of a report: minors, eigenvalue, Q_B or cross minor."""
+    cols = [(f"minor{k}", m) for k, m in enumerate(report.leading_minors, 1)]
+    cols.append(("min_eigenvalue", report.min_eigenvalue))
     if report.cross_minor is not None:
-        row.append(report.cross_minor)
+        cols.append(("cross_minor", report.cross_minor))
     else:
-        row.append(report.qb if report.qb is not None else "")
-    row.append(report.verdict)
-    return row
+        cols.append(("qb", report.qb if report.qb is not None else ""))
+    return cols + [("verdict", report.verdict)]
+
+
+def _sweep(sweep: _Sweep, values, prec) -> tuple:
+    """(header, rows) of a sweep over the grid `values`, not empty."""
+    rows = []
+    for value in map(float, values):
+        state = sweep.state_at(value)
+        cols = [(name + label, x) for label, dets in sweep.banks
+                for name, x in sweep.columns(
+                    witness_report(_statistics(state, dets, prec)))]
+        raw = [x for _, x in cols]
+        rows.append([value] + raw
+                    + [x * s for x, s in zip(raw, sweep.scalings)])
+    names = [name for name, _ in cols]
+    return [sweep.param] + names + [
+        f"{name}_x1e{int(math.log10(s))}"
+        for name, s in zip(names, sweep.scalings)], rows
+
+
+_SWEEPS = {
+    "fig2": _Sweep(
+        "nbar", np.linspace(0.0, 3.0, 301), spats_distribution,
+        (("", [DetectorConfig(N=8, response=Linear(eta=0.9))]),),
+        lambda r: [(f"minor{k}", r.leading_minors[k - 1])
+                   for k in range(2, 6)],
+        (1e2, 1e5, 1e8, 1e13)),
+    "fig3": _Sweep(
+        "xi2", np.linspace(0.0, 1.0, 201)[1:-1],
+        lambda xi2: tmsv_joint(math.sqrt(xi2)),
+        (("", [DetectorConfig(N=4, response=Linear(eta=0.8))] * 2),),
+        lambda r: [("cross_minor", r.cross_minor)], (1e3,)),
+    "fig6": _Sweep(
+        "alpha2", np.linspace(0.0, 4.0, 202)[1:],
+        lambda alpha2: odd_coherent(math.sqrt(alpha2)),
+        tuple((f"_{name}", [DetectorConfig(N=8, response=resp)])
+              for name, resp in (("linear", Linear(eta=1.0)),
+                                 ("cubic", Power(n0=3)),
+                                 ("nabs3", NPhotonAbsorption(n0=3)))),
+        lambda r: [("minor2", r.leading_minors[1])], (1e4, 1e8, 1e9)),
+}
+
+
+# --- witness ---------------------------------------------------------------------
 
 
 def cmd_witness(args) -> int:
@@ -189,40 +235,26 @@ def cmd_witness(args) -> int:
         if args.state or args.detector:
             raise DescriptorError(
                 "--histogram replaces --state/--detector; give one or the other")
-        hist = read_histogram_csv(args.histogram)
-        report = bootstrap_witness(hist, args.resamples, RngSeed(args.seed),
+        report = bootstrap_witness(read_histogram_csv(args.histogram),
+                                   args.resamples, RngSeed(args.seed),
                                    threshold_sigmas=args.threshold_sigmas)
-        _emit(json.dumps(report.to_dict(), indent=2), args.out)
-        return 0
-    if not args.state or not args.detector:
+    elif not args.state or not args.detector:
         raise DescriptorError(
             "witness needs --state and --detector, or --histogram")
-    if args.grid:
+    elif args.grid:
         if len(args.grid) != 1:
             raise DescriptorError("witness takes a single --grid")
         name, values = _parse_grid(args.grid[0])
         base = _load_descriptor(args.state)
         dets = [detector_from_descriptor(_load_descriptor(d))
                 for d in args.detector]
-        rows = []
-        joint = None
-        for v in values:
-            desc = dict(base)
-            desc[name] = float(v)
-            report = witness_report(_statistics(state_from_descriptor(desc),
-                                                dets, args.precision))
-            if joint is None:
-                joint = report.cross_minor is not None
-                d = len(report.leading_minors)
-                header = ([name] + [f"minor{k}" for k in range(1, d + 1)]
-                          + ["min_eigenvalue"]
-                          + (["cross_minor"] if joint else ["qb"])
-                          + ["verdict"])
-            rows.append(_report_row(v, report))
-        _emit_table(header, rows, args)
+        sweep = _Sweep(name, values,
+                       lambda v: state_from_descriptor({**base, name: v}),
+                       (("", dets),), _report_columns)
+        _emit_table(*_sweep(sweep, values, args.precision), args)
         return 0
-    stats = _build_statistics(args)
-    report = witness_report(stats)
+    else:
+        report = witness_report(_build_statistics(args))
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     return 0
 
@@ -230,68 +262,39 @@ def cmd_witness(args) -> int:
 # --- figures ---------------------------------------------------------------------
 
 
-def _figure_dir(args) -> Path:
-    outdir = Path(args.out) if args.out else Path(".")
+def _figure_grids(args, **defaults) -> list:
+    """Values of each grid parameter of a figure: --grid, else the default."""
+    grids = dict(_parse_grid(expr) for expr in args.grid or [])
+    unknown = sorted(set(grids) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"{args.name} does not take grid parameter(s) {unknown}")
+    return [grids.get(name, grid) for name, grid in defaults.items()]
+
+
+def _write_figure(args, stem: str, header: list, rows: list) -> None:
+    outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    (outdir / f"{stem}.{args.format}").write_text(
+        _table_text(header, rows, args.format), encoding="utf-8")
 
 
-def _write_figure_file(outdir: Path, stem: str, header: list, rows: list,
-                       fmt: str) -> None:
-    ext = "json" if fmt == "json" else "csv"
-    (outdir / f"{stem}.{ext}").write_text(
-        _table_text(header, rows, fmt), encoding="utf-8")
-
-
-def _figure_fig2(args) -> int:
-    grids = _grid_overrides(args)
-    nbars = grids.pop("nbar", np.linspace(0.0, 3.0, 301))
-    _reject_unknown_grids("fig2", grids)
-    det = DetectorConfig(N=8, response=Linear(eta=0.9))
-    scalings = (1e2, 1e5, 1e8, 1e13)
-    header = (["nbar", "minor2", "minor3", "minor4", "minor5"]
-              + [f"minor{k}_x1e{int(math.log10(s))}"
-                 for k, s in zip(range(2, 6), scalings)])
-    rows = []
-    for nbar in nbars:
-        stats = click_statistics(spats_distribution(float(nbar)), det,
-                                 prec=args.precision)
-        minors = leading_principal_minors(
-            moment_matrix(pi_moments(stats), det.N))
-        raw = list(minors[1:5])
-        rows.append([float(nbar)] + raw + [m * s for m, s in zip(raw, scalings)])
-    _write_figure_file(_figure_dir(args), "fig2", header, rows, args.format)
-    return 0
-
-
-def _figure_fig3(args) -> int:
-    grids = _grid_overrides(args)
-    xi2s = grids.pop("xi2", np.linspace(0.0, 1.0, 201)[1:-1])
-    _reject_unknown_grids("fig3", grids)
-    det = DetectorConfig(N=4, response=Linear(eta=0.8))
-    header = ["xi2", "cross_minor", "cross_minor_x1e3"]
-    rows = []
-    for xi2 in xi2s:
-        stats = joint_click_statistics(tmsv_joint(math.sqrt(float(xi2))),
-                                       det, det, prec=args.precision)
-        report = witness_report(stats)
-        rows.append([float(xi2), report.cross_minor,
-                     report.cross_minor * 1e3])
-    _write_figure_file(_figure_dir(args), "fig3", header, rows, args.format)
+def _figure_sweep(args) -> int:
+    sweep = _SWEEPS[args.name]
+    (values,) = _figure_grids(args, **{sweep.param: sweep.grid})
+    _write_figure(args, args.name, *_sweep(sweep, values, args.precision))
     return 0
 
 
 def _figure_fig4(args) -> int:
-    grids = _grid_overrides(args)
-    ts = grids.pop("t", np.linspace(0.0, 3.0, 61))
-    dts = grids.pop("dt", np.linspace(0.0, 3.0, 61))
-    _reject_unknown_grids("fig4", grids)
+    ts, dts = _figure_grids(args, t=np.linspace(0.0, 3.0, 61),
+                            dt=np.linspace(0.0, 3.0, 61))
     model = DecayModel(gamma=1.0, prefactor=1.0, N=2)
     names = (["gamma_t", "gamma_dt", "b"] if args.dimensionless
              else ["t", "dt", "b"])
     rows = [[float(t), float(dt), b_function(model, float(t), float(dt))]
             for t in ts for dt in dts]
-    _write_figure_file(_figure_dir(args), "fig4", names, rows, args.format)
+    _write_figure(args, "fig4", names, rows)
     return 0
 
 
@@ -304,65 +307,18 @@ _FIG5_RESPONSES = (
 
 
 def _figure_fig5(args) -> int:
-    grids = _grid_overrides(args)
-    _reject_unknown_grids("fig5", grids)
-    outdir = _figure_dir(args)
+    _figure_grids(args)
     state = state_from_descriptor({"kind": "coherent", "mean_photons": 4.0})
     for name, resp in _FIG5_RESPONSES:
-        det = DetectorConfig(N=16, response=resp)
-        stats = click_statistics(state, det, prec=args.precision)
-        rows = [[k, c] for k, c in enumerate(stats.probs)]
-        _write_figure_file(outdir, f"fig5_{name}", ["k", "probability"],
-                           rows, args.format)
+        stats = click_statistics(state, DetectorConfig(N=16, response=resp),
+                                 prec=args.precision)
+        _write_figure(args, f"fig5_{name}",
+                      *_table_rows(stats.probs, "probability"))
     return 0
 
 
-_FIG6_RESPONSES = (
-    ("linear", Linear(eta=1.0), 1e4),
-    ("cubic", Power(n0=3), 1e8),
-    ("nabs3", NPhotonAbsorption(n0=3), 1e9),
-)
-
-
-def _figure_fig6(args) -> int:
-    grids = _grid_overrides(args)
-    alpha2s = grids.pop("alpha2", np.linspace(0.0, 4.0, 202)[1:])
-    _reject_unknown_grids("fig6", grids)
-    N = 8
-    header = ["alpha2"]
-    for name, _, s in _FIG6_RESPONSES:
-        header.append(f"minor2_{name}")
-    for name, _, s in _FIG6_RESPONSES:
-        header.append(f"minor2_{name}_x1e{int(math.log10(s))}")
-    rows = []
-    for alpha2 in alpha2s:
-        state = odd_coherent(math.sqrt(float(alpha2)))
-        raw = []
-        for _, resp, _ in _FIG6_RESPONSES:
-            det = DetectorConfig(N=N, response=resp)
-            stats = click_statistics(state, det, prec=args.precision)
-            minors = leading_principal_minors(
-                moment_matrix(pi_moments(stats), N))
-            raw.append(minors[1])
-        rows.append([float(alpha2)] + raw
-                    + [m * s for m, (_, _, s) in zip(raw, _FIG6_RESPONSES)])
-    _write_figure_file(_figure_dir(args), "fig6", header, rows, args.format)
-    return 0
-
-
-def _reject_unknown_grids(fig: str, leftovers: dict) -> None:
-    if leftovers:
-        raise ValueError(
-            f"{fig} does not take grid parameter(s) {sorted(leftovers)}")
-
-
-_FIGURES = {
-    "fig2": _figure_fig2,
-    "fig3": _figure_fig3,
-    "fig4": _figure_fig4,
-    "fig5": _figure_fig5,
-    "fig6": _figure_fig6,
-}
+_FIGURES = {"fig4": _figure_fig4, "fig5": _figure_fig5,
+            **dict.fromkeys(_SWEEPS, _figure_sweep)}
 
 
 def cmd_figure(args) -> int:
@@ -378,15 +334,7 @@ def cmd_sample(args) -> int:
     if args.out:
         write_histogram_csv(hist, args.out)
     else:
-        if hist.is_joint:
-            header = ["k1", "k2", "count"]
-            rows = [[k1, k2, int(hist.counts[k1, k2])]
-                    for k1 in range(hist.N1 + 1)
-                    for k2 in range(hist.N2 + 1)]
-        else:
-            header = ["k", "count"]
-            rows = [[k, int(c)] for k, c in enumerate(hist.counts)]
-        sys.stdout.write(_table_text(header, rows, "csv"))
+        sys.stdout.write(_table_text(*_table_rows(hist.counts, "count"), "csv"))
     if args.witness:
         resample_seed = RngSeed((args.seed + 1) % 2**64)
         report = bootstrap_witness(hist, args.resamples, resample_seed,

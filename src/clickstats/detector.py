@@ -310,8 +310,9 @@ class ClickStatistics:
     input states (their tail bound).  `formal` marks statistics of a
     response with signed kernels, which are signed in general; only their
     total is constrained.  Each `exact` entry c_k is within exact_error +
-    relative_error * |c_k| of the forward model's value; both are 0 where
-    it gives no bound (empirical data, quadrature of analytic families).
+    relative_error * |c_k| of the forward model's value, the first taken
+    from the quadrature's error estimate for analytic families; both are 0
+    for empirical data.
     """
 
     N: int
@@ -423,23 +424,39 @@ def _occupancy_chain(N: int, eta: float, nu: float, L: int) -> np.ndarray:
     return T
 
 
+# most entries (16 MB) in one block of rows of `_threshold_occupancy`'s
+# transition table: tables of up to 1448 levels are a single block
+_BLOCK_ENTRIES = 1 << 21
+
+
 def _threshold_occupancy(N: int, n0: int, L: int) -> np.ndarray:
     """Diodes that fire on n0 or more photons, landing uniformly: t_k(n) =
     C(N,k) n!/N^n [x^n] A^k B^(N-k), B = sum_{j<n0} x^j/j!, A = e^x - B, as
     a binomial convolution over diodes of coefficients scaled to
     probabilities, all at most one: F[k, m] is the chance that k of the
-    first d diodes fire when m photons land on them."""
+    first d diodes fire when m photons land on them.  The L x L transition
+    table G is built and contracted in blocks of rows, each at most
+    _BLOCK_ENTRIES entries and as wide as its last row's nonzero part."""
     F = np.zeros((N + 1, L))
     F[0, 0] = 1.0
+    rows = max(1, _BLOCK_ENTRIES // L)
     for d in range(1, N + 1):
-        # G[m, i] = C(m, i) (d-1)^i/d^m: i of m photons miss diode d
-        G = np.zeros((L, L))
-        G[0, 0] = 1.0
-        for m in range(1, L):
-            G[m] = (G[m - 1] + (d - 1) * np.roll(G[m - 1], 1)) / d
-        fire = np.tril(G, -n0)  # diode d took n0 or more
-        F, prev = F @ (G - fire).T, F
-        F[1:] += prev[:-1] @ fire.T
+        prev, F = F, np.empty((N + 1, L))
+        # g = G[m], G[m, i] = C(m, i) (d-1)^i/d^m: i of m photons miss diode d
+        g = np.zeros(L)
+        g[0] = 1.0
+        for a in range(0, L, rows):
+            b = min(a + rows, L)
+            G = np.zeros((b - a, b))
+            for m in range(a, b):
+                if m:  # only g[:m] is nonzero before this step
+                    g[1:m + 1] += (d - 1) * g[:m]
+                    g[:m + 1] /= d
+                G[m - a, :m + 1] = g[:m + 1]
+            fire = np.tril(G, a - n0)  # diode d took n0 or more
+            G -= fire
+            F[:, a:b] = prev[:, :b] @ G.T
+            F[1:, a:b] += prev[:-1, :b] @ fire.T
     return F
 
 
@@ -524,9 +541,9 @@ def _click_from_distribution(state, det, prec):
             raise UnboundedKernel(
                 f"{type(det.response).__name__} response on a truncated "
                 "photon-number distribution with no analytic family tag")
-        E = [_analytic_E(state.analytic, det, s, prec)
-             for s in range(det.N + 1)]
-        return _click_from_E(det.N, E, prec, formal=True)
+        E, errors = zip(*(_analytic_E(state.analytic, det, s, prec)
+                          for s in range(det.N + 1)))
+        return _click_from_E(det.N, E, prec, formal=True, e_error=max(errors))
     order = _bucket(state.cutoff)
     T, error, rel = _kernels(det, order, prec)
     p = np.array(state.probs)
@@ -600,7 +617,8 @@ def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
 
 @lru_cache(maxsize=4096)
 def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
-    """<:exp[-s f(nhat/N)]:> from the family's exact representation.
+    """(E, error): <:exp[-s f(nhat/N)]:> from the family's exact
+    representation, and the error it is known to.
 
     Coherent states evaluate the response in closed form; thermal and
     single-photon-added thermal states integrate it against their known
@@ -609,7 +627,9 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
         thermal: w(x) = exp(-x/nbar)/nbar,
         spats:   w(x) = exp(-x/nbar) ((1+nbar) x - nbar)/nbar^3,
 
-    both of which decay fast enough for any response.
+    both of which decay fast enough for any response.  The error is the
+    quadrature's accepted estimate, scaled like the value, plus four units
+    of the working precision in the value, which that estimate leaves out.
     """
     kind, param = tag
     N, resp = det.N, det.response
@@ -619,18 +639,22 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
         raise UnboundedKernel(f"no analytic representation for family {kind!r}")
     with mp.workprec(max(prec or 0, 220)):
         if kind == "coherent":
-            return mp.exp(-s * resp.evaluate(mp.mpf(param) / N))
-        nb = mp.mpf(param)
-        w = (lambda x: 1) if kind == "thermal" else (lambda x: (1 + nb) * x - nb)
-        f = lambda x: w(x) * mp.exp(-x / nb - s * resp.evaluate(x / N))
-        val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf], error=True)
-        if err > mp.mpf("1e-25") * max(1, abs(val)):
-            val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf],
-                               maxdegree=10, error=True)
-            if err > mp.mpf("1e-20") * max(1, abs(val)):
-                raise PrecisionLoss(
-                    f"quadrature for E({s}) stalled at error {float(err)!r}")
-        return val / (nb if kind == "thermal" else nb ** 3)
+            val, err, scale = mp.exp(-s * resp.evaluate(mp.mpf(param) / N)), 0, 1
+        else:
+            nb = mp.mpf(param)
+            w = ((lambda x: 1) if kind == "thermal"
+                 else (lambda x: (1 + nb) * x - nb))
+            f = lambda x: w(x) * mp.exp(-x / nb - s * resp.evaluate(x / N))
+            val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf], error=True)
+            if err > mp.mpf("1e-25") * max(1, abs(val)):
+                val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf],
+                                   maxdegree=10, error=True)
+                if err > mp.mpf("1e-20") * max(1, abs(val)):
+                    raise PrecisionLoss(f"quadrature for E({s}) stalled at "
+                                        f"error {float(err)!r}")
+            scale = nb if kind == "thermal" else nb ** 3
+        # the estimate leaves out the rounding of the value itself
+        return val / scale, float((err + 4 * mp.eps * abs(val)) / scale)
 
 
 def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,

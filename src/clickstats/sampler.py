@@ -286,20 +286,24 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
 # --- histogram files -------------------------------------------------------------
 
 
+def _table_rows(table, name: str) -> tuple:
+    """(header, rows) of a click table: k,<name> rows of a 1-D table, or
+    k1,k2,<name> rows of a 2-D one in row-major order."""
+    table = np.asarray(table)
+    if table.ndim == 1:
+        return ["k", name], [[k, x] for k, x in enumerate(table.tolist())]
+    return ["k1", "k2", name], [[k1, k2, x] for k1, row in
+                                enumerate(table.tolist())
+                                for k2, x in enumerate(row)]
+
+
 def write_histogram_csv(hist: ClickHistogram, path) -> None:
     """Write a histogram as CSV: header k,count or k1,k2,count."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    header, rows = _table_rows(hist.counts, "count")
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if hist.is_joint:
-            writer.writerow(["k1", "k2", "count"])
-            for k1 in range(hist.N1 + 1):
-                for k2 in range(hist.N2 + 1):
-                    writer.writerow([k1, k2, int(hist.counts[k1, k2])])
-        else:
-            writer.writerow(["k", "count"])
-            for k in range(hist.N + 1):
-                writer.writerow([k, int(hist.counts[k])])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_histogram_csv(path) -> ClickHistogram:
@@ -316,11 +320,7 @@ def read_histogram_csv(path) -> ClickHistogram:
         except StopIteration:
             raise ValueError(f"{path} is empty") from None
         header = [h.strip().lower() for h in header]
-        if header == ["k", "count"]:
-            joint = False
-        elif header == ["k1", "k2", "count"]:
-            joint = True
-        else:
+        if header not in (["k", "count"], ["k1", "k2", "count"]):
             raise ValueError(
                 f"unrecognized histogram header {header!r}; expected "
                 "k,count or k1,k2,count")
@@ -342,15 +342,8 @@ def read_histogram_csv(path) -> ClickHistogram:
             entries[key] = nums[-1]
     if not entries:
         raise ValueError(f"{path} holds no histogram rows")
-    if joint:
-        n1 = max(k for k, _ in entries) + 1
-        n2 = max(k for _, k in entries) + 1
-        counts = np.zeros((max(n1, 2), max(n2, 2)), dtype=np.int64)
-        for (k1, k2), c in entries.items():
-            counts[k1, k2] = c
-    else:
-        n = max(k for (k,) in entries) + 1
-        counts = np.zeros(max(n, 2), dtype=np.int64)
-        for (k,), c in entries.items():
-            counts[k] = c
+    counts = np.zeros([max(2, 1 + max(key[i] for key in entries))
+                       for i in range(len(header) - 1)], dtype=np.int64)
+    for key, c in entries.items():
+        counts[key] = c
     return ClickHistogram(counts)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clickstats.cli import main
+from clickstats.cli import _MAX_GRID_STEPS, _parse_grid, main
 
 FOCK1 = '{"kind": "fock", "n": 1}'
 COHERENT1 = '{"kind": "coherent", "mean_photons": 1.0}'
@@ -461,6 +462,112 @@ class TestSuperpositionCommands:
             values = [float(row[1]) for row in read_csv(out.getvalue())[1:]]
             assert len(values) == N + 1
             assert all(math.isfinite(v) for v in values)
+
+
+# numbers a descriptor field may hold besides its valid range, or none
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e300, "x",
+                        None, [1.0]])
+_MISSING = object()
+
+
+@st.composite
+def _field(draw, valid):
+    """Mostly a valid value; else a bad one or none at all."""
+    if draw(st.integers(0, 9)) < 8:
+        return draw(valid)
+    return draw(st.one_of(_BAD, st.just(_MISSING)))
+
+
+def _descriptor(fixed, **fields):
+    return st.fixed_dictionaries(
+        {**{k: st.just(v) for k, v in fixed.items()},
+         **{k: _field(v) for k, v in fields.items()}}).map(
+        lambda d: {k: v for k, v in d.items() if v is not _MISSING})
+
+
+# valid values stay where the commands are quick and small: |xi|^2 <= 0.95,
+# nbar and |alpha|^2 <= 20, n0 <= 8, no nonzero poly coefficient below 1e-6
+_STATES = st.one_of(
+    _descriptor({"kind": "coherent"}, mean_photons=st.floats(0.0, 20.0)),
+    _descriptor({"kind": "thermal"}, nbar=st.floats(0.0, 20.0)),
+    _descriptor({"kind": "spats"}, nbar=st.floats(0.0, 20.0)),
+    _descriptor({"kind": "fock"}, n=st.integers(0, 40)),
+    _descriptor({"kind": "odd_coherent"}, alpha=st.one_of(
+        st.floats(0.1, 4.4), st.lists(st.floats(-3.1, 3.1), min_size=2,
+                                      max_size=2))),
+    _descriptor({"kind": "tmsv"}, xi=st.one_of(
+        st.floats(-0.97, 0.97), st.lists(st.floats(-0.68, 0.68), min_size=2,
+                                         max_size=2))),
+)
+_RESPONSES = st.one_of(
+    _descriptor({"kind": "linear"}, eta=st.floats(1e-3, 1.0)),
+    _descriptor({"kind": "affine"}, eta=st.floats(1e-3, 1.0),
+                nu=st.floats(0.0, 3.0)),
+    _descriptor({"kind": "power"}, n0=st.integers(1, 8)),
+    _descriptor({"kind": "poly"}, coefficients=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 2.0)), min_size=1,
+        max_size=4)),
+    _descriptor({"kind": "nabs"}, n0=st.integers(1, 8)),
+)
+
+
+@st.composite
+def _model(draw):
+    """(state, detectors): two banks for tmsv and one otherwise, mostly."""
+    state = draw(_STATES)
+    banks = 2 if state["kind"] == "tmsv" else 1
+    if draw(st.integers(0, 9)) == 0:
+        banks = 3 - banks
+    dets = draw(st.lists(_descriptor({}, N=st.integers(1, 6),
+                                     response=_RESPONSES),
+                         min_size=banks, max_size=banks))
+    return state, dets
+
+
+class TestFuzzedDescriptors:
+    """Every state kind and response, with valid values mixed with NaN,
+    infinities, negatives, strings and missing fields, ends in exit 0
+    with finite numbers, or in exit 2 or 3 with a message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["stats", "witness"]), model=_model())
+    def test_exit_codes(self, command, model):
+        state, dets = model
+        argv = [command, "--state", json.dumps(state)]
+        for det in dets:
+            argv += ["--detector", json.dumps(det)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE)
+        else:
+            assert err.getvalue()
+
+
+class TestGridBound:
+    """A grid past _MAX_GRID_STEPS points is refused before it is built."""
+
+    HUGE = "nbar=0:1:1000000000000000"
+
+    def test_figure(self, tmp_path, capsys):
+        code = main(["figure", "fig2", "--grid", self.HUGE,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "100000" in capsys.readouterr().err
+
+    def test_witness(self, capsys):
+        code = main(["witness", "--state", '{"kind": "thermal", "nbar": 1}',
+                     "--detector", DET_N8, "--grid", self.HUGE])
+        assert code == 2
+        assert "100000" in capsys.readouterr().err
+
+    def test_bound_is_inclusive(self):
+        assert len(_parse_grid(f"t=0:1:{_MAX_GRID_STEPS}")[1]) == _MAX_GRID_STEPS
+        with pytest.raises(ValueError, match="100000"):
+            _parse_grid(f"t=0:1:{_MAX_GRID_STEPS + 1}")
 
 
 def _child_env() -> dict:

@@ -10,6 +10,7 @@ series machinery under test.  Fock inputs give polynomial closed forms via
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -270,7 +271,7 @@ class TestSuperlinearResponses:
         for state in (thermal_distribution(1.3), spats_distribution(0.7),
                       coherent_distribution(2.2)):
             via_kernels = click_statistics(state, det)
-            E = [_analytic_E(state.analytic, det, s, None) for s in range(7)]
+            E = [_analytic_E(state.analytic, det, s, None)[0] for s in range(7)]
             via_analytic = _click_from_E(6, E, None, False)
             for a, b in zip(via_kernels.probs, via_analytic.probs):
                 assert abs(a - b) < 1e-12
@@ -292,6 +293,26 @@ class TestSuperlinearResponses:
         assert stats.formal
         assert all(c >= -1e-12 for c in stats.probs)
         assert abs(math.fsum(stats.probs) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("kind,nbar,make,n0", [
+        ("thermal", 1.0, thermal_distribution, 2),
+        ("spats", 0.9, spats_distribution, 3),
+    ])
+    def test_quadrature_error_holds(self, kind, nbar, make, n0):
+        # x^n0 on thermal or spats light is integrated by quadrature, whose
+        # error estimate and rounding give exact_error; each c_k lies
+        # within it of the closed forms of acceptance criterion 3
+        from test_acceptance import _family_E
+
+        from clickstats.detector import _assembly
+        resp = Power(n0)
+        stats = click_statistics(make(nbar), DetectorConfig(8, resp))
+        assert stats.exact_error > 0.0
+        with mp.workprec(300):
+            E = [_family_E(kind, nbar, j, resp, None) for j in range(9)]
+            for row, c in zip(_assembly(8), stats.exact):
+                want = mp.fsum(b * e for b, e in zip(row, E))
+                assert abs(c - want) <= stats.exact_error
 
     def test_untagged_distribution_rejected(self):
         from clickstats import PhotonNumberDistribution

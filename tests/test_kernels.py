@@ -11,7 +11,9 @@ from `exact_kernels`.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +25,9 @@ from clickstats import (
     click_statistics,
     coherent_distribution,
     odd_coherent,
+    thermal_distribution,
 )
+from clickstats import detector
 from clickstats.detector import (
     Affine,
     DetectorConfig,
@@ -67,10 +71,11 @@ def relative_bound(det, order):
     return (order + det.N) * 2.0 ** -52
 
 
-def assert_matches_exact(det, order, columns):
+def assert_matches_exact(det, order, columns, T=None):
     # the exact values are rounded to 300 bits for the comparison, far
     # below the bound
-    T = _positive_kernels(det, order)
+    if T is None:
+        T = _positive_kernels(det, order)
     assert T.shape == (det.N + 1, order + 1)
     r = relative_bound(det, order)
     with mp.workprec(300):
@@ -120,6 +125,35 @@ class TestAgainstExactKernels:
                     DetectorConfig(5, Affine(0.85, 0.1))):
             assert_matches_exact(det, 2048, columns)
             assert_stochastic(det, 2048)
+
+
+class TestThresholdBlocks:
+    """n-photon absorption kernels contract their transition table in
+    blocks of rows: any blocking keeps every entry within the bound, and a
+    bright state's table never stands in memory whole."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(det=st.builds(DetectorConfig, st.integers(1, 6),
+                         st.builds(NPhotonAbsorption, st.integers(1, 6))),
+           order=st.integers(0, 40), entries=st.integers(1, 400))
+    def test_any_blocking_matches_exact(self, det, order, entries):
+        with mock.patch.object(detector, "_BLOCK_ENTRIES", entries):
+            T = detector._threshold_occupancy(det.N, det.response.n0,
+                                              order + 1)
+        assert_matches_exact(det, order, range(order + 1), T)
+
+    def test_bright_thermal_peak_memory(self):
+        # thermal nbar 100 takes 3329 Fock levels, where one whole
+        # 3329 x 3329 float table would take 85 MB
+        L = detector._bucket(thermal_distribution(100.0).cutoff) + 1
+        assert L > 3000
+        tracemalloc.start()
+        try:
+            detector._threshold_occupancy(4, 2, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 FORMAL = st.one_of(

@@ -1,9 +1,17 @@
 """Tests for Monte Carlo sampling, estimation, and bootstrap witnesses."""
 
+import io
 import math
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clickstats import (
     ClickHistogram,
@@ -23,6 +31,7 @@ from clickstats import (
     tmsv_joint,
     write_histogram_csv,
 )
+from clickstats.cli import main
 from clickstats.errors import EmptyHistogram
 from clickstats.sampler import _replicas
 from clickstats.witness import (
@@ -328,6 +337,29 @@ class TestHistogramCsv:
         back = read_histogram_csv(path)
         assert back.is_joint
         assert np.array_equal(back.counts, h.counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.one_of(
+        hnp.arrays(np.int64, st.integers(2, 17), elements=st.one_of(
+            st.just(0), st.integers(0, 2 ** 62))),
+        hnp.arrays(np.int64, st.tuples(st.integers(2, 9), st.integers(2, 9)),
+                   elements=st.one_of(st.just(0), st.integers(0, 2 ** 62)))))
+    def test_file_and_stdout_round_trip(self, counts):
+        # N 1..16 for one bank, N1 and N2 1..8 for two, with zero rows;
+        # the `sample` command prints its histogram through the same rows
+        h = ClickHistogram(counts)
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            files = Path(tmp, "file.csv"), Path(tmp, "stdout.csv")
+            write_histogram_csv(h, files[0])
+            with mock.patch("clickstats.cli.sample_clicks", return_value=h), \
+                    redirect_stdout(out):
+                assert main(["sample", "--state", '{"kind": "fock", "n": 1}',
+                             "--detector", '{"N": 2, "response": '
+                             '{"kind": "linear", "eta": 0.5}}']) == 0
+            files[1].write_text(out.getvalue(), encoding="utf-8")
+            for path in files:
+                assert np.array_equal(read_histogram_csv(path).counts, counts)
 
     def test_sparse_and_shuffled_rows(self, tmp_path):
         path = tmp_path / "sparse.csv"
