@@ -1,21 +1,26 @@
 """Monte Carlo click sampling, estimation, and bootstrap witnesses.
 
-Simulates finite measurement runs of a diode bank: draws i.i.d. click
-outcomes from exact statistics by inverse CDF, tallies them into
-histograms, converts histograms back into estimated statistics with
-multinomial standard errors, and wraps the witness criteria in a
-multinomial bootstrap so verdicts carry uncertainties.
+Simulates finite measurement runs of a diode bank: draws the histogram
+of n i.i.d. click outcomes from exact statistics as one multinomial draw
+over the outcome list (the tally of n categorical draws has exactly that
+distribution, and the draw costs O(N) rather than O(n log N)), converts
+histograms back into estimated statistics with multinomial standard
+errors, and wraps the witness criteria in a multinomial bootstrap so
+verdicts carry uncertainties.
 
 The random number generator is numpy's PCG64 (a permuted congruential
 generator) with a 64-bit seed, fixed for the lifetime of this package:
 identical seeds and request sequences reproduce histograms bit for bit.
+Histograms drawn by inverse-CDF sampling in earlier releases differ from
+today's for the same seed.
 
 Point estimates come from the standard witness path, exact for the
 empirical frequencies (minors, Q_B and the cross minor are rounded once
 from exact rationals); the bootstrap resamples run the same witness
-formulas on floats over a leading resample axis and take batched float
-determinants, which is adequate because sampling noise dominates float
-rounding by many orders of magnitude at any realistic sample size.
+formulas on floats over a leading resample axis and take all leading
+minors from one batched float elimination, which is adequate because
+sampling noise dominates float rounding by many orders of magnitude at
+any realistic sample size.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 2 ** 64
+# counts, totals and sample sizes are int64 (Generator.multinomial takes n
+# only below this)
+_COUNT_LIMIT = 2 ** 63
 # entries below this are treated as roundoff and clipped before sampling;
 # anything more negative is a genuinely signed quasi-distribution
 _SIGNED_TOL = 1e-9
@@ -82,7 +90,8 @@ class ClickHistogram:
 
     counts is a 1-D array over k = 0..N for a single bank, or a 2-D
     array over (k1, k2) for two banks in coincidence.  Entries are
-    non-negative integers; `total` is their sum.
+    non-negative integers below 2^63; `total` is their exact sum, which
+    must also stay below 2^63 for estimates to be made from it.
     """
 
     counts: np.ndarray
@@ -98,9 +107,11 @@ class ClickHistogram:
             if not np.all(np.isfinite(arr)) or np.any(rounded != arr):
                 raise ValueError("counts must be integers")
             arr = rounded
-        arr = arr.astype(np.int64)
         if np.any(arr < 0):
             raise ValueError("counts must be non-negative")
+        if np.any(arr >= _COUNT_LIMIT):
+            raise ValueError("counts must be below 2^63")
+        arr = arr.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
@@ -110,7 +121,7 @@ class ClickHistogram:
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts.ravel().tolist())
 
     @property
     def N(self) -> int:
@@ -150,23 +161,30 @@ def _sampling_weights(stats) -> tuple:
 
 
 def sample_clicks(stats, n_samples: int, seed) -> ClickHistogram:
-    """Draw i.i.d. click outcomes and tally them into a histogram.
+    """Histogram of n_samples i.i.d. click outcomes.
 
-    Sampling is inverse-CDF over the flattened outcome list in index
-    order (row-major for joint statistics), so a fixed seed fixes the
-    histogram.  `seed` may be an RngSeed or a plain integer.
+    The histogram is one multinomial draw over the flattened outcome
+    list in index order (row-major for joint statistics): the tally of
+    n_samples categorical draws has exactly this distribution, and the
+    draw costs O(N) whatever n_samples is.  A fixed seed fixes the
+    histogram.  `seed` may be an RngSeed or a plain integer;
+    n_samples must lie in [1, 2^63).
     """
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise ValueError("n_samples must be a positive integer")
+    if not isinstance(n_samples, int) or not 1 <= n_samples < _COUNT_LIMIT:
+        raise ValueError("n_samples must be an integer in [1, 2^63)")
     weights, shape = _sampling_weights(stats)
-    rng = _generator(seed)
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    draws = rng.random(n_samples)
-    idx = np.searchsorted(cdf, draws, side="right")
-    np.clip(idx, 0, weights.size - 1, out=idx)
-    counts = np.bincount(idx, minlength=weights.size)
+    counts = _generator(seed).multinomial(n_samples, weights)
     return ClickHistogram(counts.reshape(shape))
+
+
+def _events(hist: ClickHistogram) -> int:
+    """The histogram's total, refused when it is 0 or beyond int64."""
+    total = hist.total
+    if total < 1:
+        raise EmptyHistogram("histogram holds no events")
+    if total >= _COUNT_LIMIT:
+        raise ValueError("histogram holds 2^63 events or more")
+    return total
 
 
 def estimate_statistics(hist: ClickHistogram):
@@ -175,9 +193,7 @@ def estimate_statistics(hist: ClickHistogram):
     Returns ClickStatistics or JointClickStatistics with probs set to
     counts/total and stderr to sqrt(p(1-p)/total) entrywise.
     """
-    total = hist.total
-    if total < 1:
-        raise EmptyHistogram("histogram holds no events")
+    total = _events(hist)
     freq = hist.counts / total
     se = np.sqrt(freq * (1.0 - freq) / total)
     if hist.is_joint:
@@ -193,12 +209,28 @@ def _batched_minors(mats: np.ndarray) -> np.ndarray:
     """Leading principal minors of a stack of symmetric matrices.
 
     mats has shape (R, d, d); the result (R, d) holds det of the k x k
-    top-left block in column k-1.  Float precision only: used for
-    bootstrap spread, not for point estimates.
+    top-left block in column k-1.  One Gaussian elimination without
+    pivoting runs over the resample axis, and minor k is the product of
+    the first k pivots.  A replica with a zero or non-finite pivot (the
+    vanishing higher moments of a Fock source) takes its minors from
+    np.linalg.det instead.  Float precision only: used for bootstrap
+    spread, not for point estimates.
     """
-    d = mats.shape[-1]
-    cols = [np.linalg.det(mats[:, :k, :k]) for k in range(1, d + 1)]
-    return np.stack(cols, axis=1)
+    a = np.array(mats, dtype=float)
+    d = a.shape[-1]
+    pivots = np.empty(a.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(d):
+            pivots[:, k] = a[:, k, k]
+            factors = a[:, k + 1:, k] / a[:, k, k, None]
+            a[:, k + 1:, k + 1:] -= factors[:, :, None] * a[:, None, k, k + 1:]
+        minors = np.cumprod(pivots, axis=1)
+    bad = ~np.all(np.isfinite(pivots) & (pivots != 0), axis=1)
+    if bad.any():
+        sub = mats[bad]
+        minors[bad] = np.stack([np.linalg.det(sub[:, :k, :k])
+                                for k in range(1, d + 1)], axis=1)
+    return minors
 
 
 def _replicas(freqs: np.ndarray, hist: ClickHistogram) -> dict:
@@ -242,10 +274,7 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
         raise ValueError("resamples must be an integer >= 100")
     if not threshold_sigmas > 0:
         raise ValueError("threshold_sigmas must be > 0")
-    total = hist.total
-    if total < 1:
-        raise EmptyHistogram("histogram holds no events")
-
+    total = _events(hist)
     stats = estimate_statistics(hist)
     base = witness_report(stats)
 
@@ -337,6 +366,8 @@ def read_histogram_csv(path) -> ClickHistogram:
             key = tuple(nums[:-1])
             if any(k < 0 for k in key) or nums[-1] < 0:
                 raise ValueError(f"negative value in histogram row {row!r}")
+            if nums[-1] >= _COUNT_LIMIT:
+                raise ValueError(f"count of 2^63 or more in histogram row {row!r}")
             if key in entries:
                 raise ValueError(f"duplicate outcome {key} in {path}")
             entries[key] = nums[-1]

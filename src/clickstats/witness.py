@@ -387,22 +387,31 @@ def qb_parameter(stats: ClickStatistics) -> float:
     Zero for binomial statistics; negative values certify nonclassicality,
     positive values mark super-binomial spread.  With each c_k within
     exact_error + relative_error |c_k|, the mean is within err = sum_k k
-    times that, and N Var - <c>(N - <c>) within (N-1) err (N + 2<c> + err).
-    Q_B is withheld when the mean may be 0 or N (a truncated tail only adds
-    clicks, at most N * norm_slack), or when that error reaches the
-    denominator, so that Q_B is not known to within one.
+    times that.  A truncated tail only adds clicks, at most N * norm_slack
+    to the mean, so Q_B is withheld when the mean may be 0 or N.  Above
+    N/2 the tail moves the statistics toward that saturation, and the
+    mean's error there is e = err + N * norm_slack; below, e = err and Q_B
+    is that of the truncated statistics.  Then N Var - <c>(N - <c>) is
+    within (N-1) e (N + 2<c> + e) and the denominator <c>(N - <c>) within
+    e (|N - 2<c>| + e); Q_B is withheld when these errors leave it not
+    known to within one.
     """
     N = stats.N
     n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
     mean, num, den = _qb_terms(n, N, scale)
     mean = Fraction(mean, scale)
     err = N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
-    if not (err < mean < N - err - N * stats.norm_slack
-            and (N - 1) * err * (N + 2 * mean + err)
-            < Fraction(den, scale ** 2)):
-        raise DegenerateMean(
-            f"mean click number {float(mean)!r} leaves no resolved spread")
-    return (num - den) / den
+    tail = N * stats.norm_slack
+    if err < mean < N - err - tail:
+        qb = (num - den) / den
+        m = float(mean)
+        e = err + tail if 2 * m > N else err
+        bound = ((N - 1) * e * (N + 2 * m + e)
+                 + (1 + abs(qb)) * e * (abs(N - 2 * m) + e))
+        if bound < den / scale ** 2:
+            return qb
+    raise DegenerateMean(
+        f"mean click number {float(mean)!r} leaves no resolved spread")
 
 
 def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:

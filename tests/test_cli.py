@@ -220,6 +220,33 @@ class TestSample:
         assert report["verdict"] == "nonclassical"
         assert report["uncertainties"]["resamples"] == 200
 
+    def test_huge_sample_count(self, capsys):
+        # one multinomial draw: 1e11 events need no per-event memory
+        code = main(["sample", "--state", FOCK1, "--detector", DET_N4,
+                     "--samples", "100000000000", "--seed", "5"])
+        assert code == 0
+        rows = read_csv(capsys.readouterr().out)
+        assert sum(int(r[1]) for r in rows[1:]) == 10 ** 11
+
+    def test_sample_count_beyond_int64(self, capsys):
+        code = main(["sample", "--state", FOCK1, "--detector", DET_N4,
+                     "--samples", str(2 ** 63)])
+        assert code == 2
+        assert "n_samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, reason", [
+        ("0,9223372036854775808\n", "count of 2^63 or more"),
+        ("0,4611686018427387904\n1,4611686018427387904\n",
+         "2^63 events or more"),
+    ])
+    def test_histogram_beyond_int64(self, tmp_path, capsys, rows, reason):
+        # a count of 2^63, or two of 2^62 whose int64 sum wraps to -2^63
+        hist_file = tmp_path / "hist.csv"
+        hist_file.write_text("k,count\n" + rows, encoding="utf-8")
+        code = main(["witness", "--histogram", str(hist_file)])
+        assert code == 2
+        assert reason in capsys.readouterr().err
+
 
 class TestFigures:
     def test_unknown_name(self, capsys):

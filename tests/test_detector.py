@@ -13,6 +13,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats import (
     Affine,
@@ -37,6 +39,7 @@ from clickstats import (
     thermal_distribution,
     tmsv_joint,
 )
+from clickstats.detector import _bucket
 from clickstats.errors import (
     DescriptorError,
     LengthMismatch,
@@ -205,6 +208,28 @@ class TestNormalizationAndShape:
         if not stats.formal:
             assert all(c >= 0.0 for c in stats.probs)
         assert abs(math.fsum(stats.probs) - 1.0) <= 1e-10 + state.tail_bound
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        state=st.one_of(
+            st.integers(0, 60).map(fock_distribution),
+            st.floats(0.0, 8.0).map(thermal_distribution),
+            st.floats(0.0, 40.0).map(coherent_distribution),
+            st.floats(0.0, 8.0).map(spats_distribution)),
+        N=st.integers(1, 16),
+        resp=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True).map(Linear),
+            st.tuples(st.floats(0.0, 1.0, exclude_min=True),
+                      st.floats(0.0, 2.0)).map(
+                lambda a: Affine(*a)),
+            st.integers(1, 6).map(NPhotonAbsorption)))
+    def test_physical_statistics_are_distributions(self, state, N, resp):
+        # positive kernels: every c_k >= 0, and the total misses 1 by at
+        # most the truncated tail plus (order + N) 2^-52 of rounding
+        stats = click_statistics(state, DetectorConfig(N, resp))
+        assert all(c >= 0.0 for c in stats.probs)
+        slack = state.tail_bound + (_bucket(state.cutoff) + N) * 2.0 ** -52
+        assert abs(math.fsum(stats.probs) - 1.0) <= slack
 
     def test_mean_clicks_monotone_in_efficiency(self):
         state = coherent_distribution(3.0)

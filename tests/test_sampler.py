@@ -27,13 +27,15 @@ from clickstats import (
     fock_distribution,
     joint_click_statistics,
     read_histogram_csv,
+    thermal_distribution,
     sample_clicks,
     tmsv_joint,
     write_histogram_csv,
 )
 from clickstats.cli import main
 from clickstats.errors import EmptyHistogram
-from clickstats.sampler import _replicas
+from clickstats.sampler import _batched_minors, _replicas
+from clickstats.witness import _hankel, _pi_map
 from clickstats.witness import (
     cross_correlation_minor,
     joint_pi_moments,
@@ -154,6 +156,98 @@ class TestSampleClicks:
         h = sample_clicks(stats, 1000, RngSeed(3))
         assert h.counts[2] == 0
         assert h.total == 1000
+
+    def test_sample_count_limit(self):
+        # Generator.multinomial takes n only below 2^63
+        stats = binomial_stats(2, 0.5)
+        assert sample_clicks(stats, 2 ** 63 - 1, RngSeed(1)).total == 2 ** 63 - 1
+        with pytest.raises(ValueError, match="2\\^63"):
+            sample_clicks(stats, 2 ** 63, RngSeed(1))
+
+
+def multinomial_chi2(stats, probs, n, seeds):
+    """Chi-square statistic of the histograms of `seeds` draws of n events
+    against the exact multinomial pmf of every composition, and its degrees
+    of freedom."""
+    flat = np.asarray(probs, dtype=float).ravel()
+    tally = {}
+    for seed in seeds:
+        key = tuple(sample_clicks(stats, n, RngSeed(seed)).counts.ravel())
+        tally[key] = tally.get(key, 0) + 1
+    comps = [c for c in np.ndindex(*(n + 1,) * flat.size) if sum(c) == n]
+    assert set(tally) <= set(comps)
+    chi2 = 0.0
+    for c in comps:
+        pmf = math.factorial(n) * math.prod(
+            p ** k / math.factorial(k) for p, k in zip(flat, c))
+        want = pmf * len(seeds)
+        chi2 += (tally.get(c, 0) - want) ** 2 / want
+    return chi2, len(comps) - 1
+
+
+class TestJointDistribution:
+    # the draw must match the multinomial law of n events over whole
+    # histograms, not only each outcome's binomial marginal; 20 000 seeds,
+    # rejected at the 0.001 quantile of chi-square
+
+    def test_single_bank_compositions(self):
+        probs = (0.2, 0.3, 0.5)
+        stats = ClickStatistics(N=2, probs=probs)
+        chi2, dof = multinomial_chi2(stats, probs, 3, range(20000))
+        assert dof == 9
+        assert chi2 < 27.88
+
+    def test_joint_compositions_row_major(self):
+        probs = np.array([[0.1, 0.2], [0.3, 0.4]])
+        stats = JointClickStatistics(N1=1, N2=1, probs=probs)
+        chi2, dof = multinomial_chi2(stats, probs, 3, range(20000))
+        assert dof == 19
+        assert chi2 < 43.82
+
+
+def det_minors(mats):
+    return np.stack([np.linalg.det(mats[:, :k, :k])
+                     for k in range(1, mats.shape[-1] + 1)], axis=1)
+
+
+class TestBatchedMinors:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+    def test_random_symmetric_stacks(self, d):
+        rng = np.random.default_rng(1000 + d)
+        a = rng.standard_normal((500, d, d))
+        mats = a + a.transpose(0, 2, 1)
+        want = det_minors(mats)
+        got = _batched_minors(mats)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+    def test_zero_pivots_take_the_determinant(self):
+        # Fock 1 moments on N = 8 vanish beyond the first, so the third
+        # pivot is exactly 0; a matrix with a zero row has a zero pivot, and
+        # the zero matrix one at the first step
+        det = DetectorConfig(N=8, response=Linear(eta=0.9))
+        fock = np.array(click_statistics(fock_distribution(1), det).probs)
+        th = np.array(click_statistics(thermal_distribution(1.0), det).probs)
+        mats = _hankel(_pi_map(np.stack([th, fock, th / 2 + fock / 2]), 8), 8)
+        zero_row = mats[0].copy()
+        zero_row[2, :] = zero_row[:, 2] = 0.0
+        mats = np.concatenate([mats, zero_row[None], np.zeros((1, 5, 5))])
+        bad = [1, 3, 4]
+        calls = []
+        real_det = np.linalg.det
+
+        def spy(x):
+            calls.append(x.shape[0])
+            return real_det(x)
+
+        with mock.patch("numpy.linalg.det", spy):
+            got = _batched_minors(mats)
+        assert calls == [len(bad)] * 5
+        want = det_minors(mats)
+        assert np.array_equal(got[bad], want[bad])
+        good = [0, 2]
+        scale = np.max(np.abs(want[good]), axis=0)
+        assert np.all(np.abs(got[good] - want[good]) <= 1e-10 * scale)
 
 
 class TestEstimateStatistics:

@@ -561,6 +561,34 @@ class TestQbParameter:
             qb_parameter(stats)
         assert witness_report(stats).qb is None
 
+    def test_saturated_tail_is_counted(self):
+        # coherent mu = 112.5 on four ideal diodes: the untruncated state
+        # has Q_B = 0, and the 6.3e-15 tail alone moves N Var - <c>(N - <c>)
+        # by 3e-13, so Q_B came out as 0.0305; with the tail the error
+        # bounds reach 1.03e-11 against the denominator's 9.9e-12
+        stats = click_statistics(coherent_distribution(112.5),
+                                 DetectorConfig(4, Linear(1.0)))
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+        assert witness_report(stats).qb is None
+        # at mu = 110 the denominator is 6.4 times larger: Q_B stays, and
+        # lies within its bound of the true 0
+        stats = click_statistics(coherent_distribution(110.0),
+                                 DetectorConfig(4, Linear(1.0)))
+        assert 0.0 < qb_parameter(stats) < 0.03
+
+    def test_tail_toward_saturation_is_withheld(self):
+        # binomial p = 1 - 1e-10 on N = 4 (Q_B = 0) with 5e-11 of c_4 cut
+        # off as a truncation tail: the truncated numbers give Q_B = 1.0,
+        # wrong by one, so it must be withheld
+        eps, tail = 1e-10, 5e-11
+        c = [math.comb(4, k) * (1 - eps) ** k * eps ** (4 - k)
+             for k in range(5)]
+        c[4] -= tail
+        stats = ClickStatistics(4, tuple(c), norm_slack=tail)
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+
 
 def _exact_qb(c):
     """Q_B of rational click numbers, as a float."""
