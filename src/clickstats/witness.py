@@ -387,20 +387,29 @@ def qb_parameter(stats: ClickStatistics) -> float:
     Zero for binomial statistics; negative values certify nonclassicality,
     positive values mark super-binomial spread.  With each c_k within
     exact_error + relative_error |c_k|, the mean is within err = sum_k k
-    times that.  A truncated tail only adds clicks, at most N * norm_slack
-    to the mean, so Q_B is withheld when the mean may be 0 or N.  Above
-    N/2 the tail moves the statistics toward that saturation, and the
-    mean's error there is e = err + N * norm_slack; below, e = err and Q_B
-    is that of the truncated statistics.  Then N Var - <c>(N - <c>) is
-    within (N-1) e (N + 2<c> + e) and the denominator <c>(N - <c>) within
-    e (|N - 2<c>| + e); Q_B is withheld when these errors leave it not
-    known to within one.
+    times that.  The same errors move the total by up to (N+1) exact_error
+    + relative_error sum_k |c_k|; numbers whose total lies off
+    [1 - norm_slack, 1] by d more than that (float rounding, which
+    normalization tolerates) carry d of error that no entry accounts for,
+    and err grows by N d.  A truncated tail only adds clicks, at most
+    N * norm_slack to the mean, so Q_B is withheld when the mean may be 0
+    or N.  Above N/2 the tail moves the statistics toward that saturation,
+    and the mean's error there is e = err + N * norm_slack; below, e = err
+    and Q_B is that of the truncated statistics.  Then N Var - <c>(N - <c>)
+    is within (N-1) e (N + 2<c> + e) and the denominator <c>(N - <c>)
+    within e (|N - 2<c>| + e); Q_B is withheld when these errors leave it
+    not known to within one.
     """
     N = stats.N
     n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
     mean, num, den = _qb_terms(n, N, scale)
     mean = Fraction(mean, scale)
-    err = N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
+    total = (int(n.sum()) - scale) / scale
+    slack = ((N + 1) * stats.exact_error
+             + stats.relative_error * (sum(map(abs, n.tolist())) / scale))
+    defect = max(0.0, total - slack, -total - stats.norm_slack - slack)
+    err = (N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
+           + N * defect)
     tail = N * stats.norm_slack
     if err < mean < N - err - tail:
         qb = (num - den) / den

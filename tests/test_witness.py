@@ -589,6 +589,20 @@ class TestQbParameter:
         with pytest.raises(DegenerateMean):
             qb_parameter(stats)
 
+    def test_unplaced_normalization_defect_is_withheld(self):
+        # a binomial p = 1 - 5.6e-17 on N = 5 rounded to floats sums to
+        # 1 + 5.6e-17; that defect, put at k = 5 as the floats are, moves
+        # N - <c> by as much as its value, and Q_B came out as -5.3e15
+        stats = ClickStatistics(5, (8.433758354584419e-81,
+                                    3.798227098303919e-64,
+                                    6.84227765783602e-48,
+                                    6.162975822039153e-32,
+                                    2.7755575615628904e-16,
+                                    0.9999999999999998))
+        with pytest.raises(DegenerateMean):
+            qb_parameter(stats)
+        assert witness_report(stats).verdict == "consistent-with-classical"
+
 
 def _exact_qb(c):
     """Q_B of rational click numbers, as a float."""
