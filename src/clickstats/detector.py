@@ -670,11 +670,9 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
     c1, c2 = state.cutoffs
     T1 = _kernels(det1, _bucket(c1), prec)[0][:, :c1 + 1]
     T2 = _kernels(det2, _bucket(c2), prec)[0][:, :c2 + 1]
-    P = state.probs
-    if formal:
-        # Fraction * float is a float: make every factor exact first
-        T1, P, T2 = _fractions(T1), _fractions(P), _fractions(T2)
-    table = (T1 @ P @ T2.T).tolist()
+    # Fraction * float is a float: make every factor exact first
+    number = _fractions if formal else np.asarray
+    table = state._contract(number(T1), number(T2), number).tolist()
     return JointClickStatistics(
         det1.N, det2.N, [[_float(c) for c in row] for row in table],
         exact=tuple(map(tuple, table)) if formal else None,

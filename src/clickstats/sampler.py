@@ -58,6 +58,9 @@ _SEED_LIMIT = 2 ** 64
 # counts, totals and sample sizes are int64 (Generator.multinomial takes n
 # only below this)
 _COUNT_LIMIT = 2 ** 63
+# the largest click number a histogram file may hold: the bootstrap's float
+# moments divide by N!/(N-m)!, and 171! is beyond float range
+_MAX_OUTCOME = 170
 # entries below this are treated as roundoff and clipped before sampling;
 # anything more negative is a genuinely signed quasi-distribution
 _SIGNED_TOL = 1e-9
@@ -339,7 +342,9 @@ def read_histogram_csv(path) -> ClickHistogram:
     """Read a histogram CSV written by write_histogram_csv.
 
     Rows may arrive in any order; outcomes absent from the file count
-    as zero.  Duplicate outcome rows are rejected.
+    as zero.  Duplicate outcome rows, and click numbers above _MAX_OUTCOME
+    (so a joint table above 171 x 171), are rejected before any table is
+    made.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -366,6 +371,9 @@ def read_histogram_csv(path) -> ClickHistogram:
             key = tuple(nums[:-1])
             if any(k < 0 for k in key) or nums[-1] < 0:
                 raise ValueError(f"negative value in histogram row {row!r}")
+            if any(k > _MAX_OUTCOME for k in key):
+                raise ValueError(f"click number above {_MAX_OUTCOME} in "
+                                 f"histogram row {row!r}")
             if nums[-1] >= _COUNT_LIMIT:
                 raise ValueError(f"count of 2^63 or more in histogram row {row!r}")
             if key in entries:

@@ -130,36 +130,74 @@ class CoherentSuperposition:
 
 @dataclass(frozen=True)
 class JointPhotonDistribution:
-    """Two-mode Fock-diagonal-basis state: probs[n1, n2] = p_{n1,n2}; a
-    read-only float64 table owning its data is kept uncopied."""
+    """Two-mode state, diagonal in each mode's photon number:
+    probs[n1, n2] = p_{n1,n2}, read-only.
+
+    A table passed to the constructor is copied, so its caller cannot
+    change the state afterwards.  The library's own builders hand their
+    fresh arrays over uncopied (`_own`); two-mode squeezed vacuum keeps
+    only its diagonal p_n, on which the cutoffs, marginals, contraction
+    with kernel tables and normalization checks work, and makes `probs`
+    dense on first access.
+    """
 
     probs: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        arr = self.probs
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                and arr.flags.owndata and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float)
+        arr = np.array(self.probs, dtype=float)
         if arr.ndim != 2:
             raise ValueError("joint distribution needs a 2-D probability table")
-        total = float(arr.sum()) + self.tail_bound
+        self._settle(arr, self.tail_bound)
+
+    @classmethod
+    def _own(cls, values: np.ndarray, tail_bound: float):
+        """A state on the library's own float64 array, kept uncopied: a 2-D
+        table, or a 1-D diagonal."""
+        state = object.__new__(cls)
+        state._settle(values, tail_bound)
+        return state
+
+    def _settle(self, values: np.ndarray, tail_bound: float) -> None:
+        total = float(values.sum()) + tail_bound
         if not abs(total - 1.0) <= _NORM_SLACK:  # also NaN and empty tables
             raise NormalizationViolation(
                 f"joint probabilities plus tail sum to {total!r}, not 1")
-        if arr.min() < 0.0:
+        if values.min() < 0.0:
             raise ValueError("negative probability in joint distribution")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "tail_bound", float(self.tail_bound))
+        values.setflags(write=False)
+        diagonal = values.ndim == 1
+        object.__setattr__(self, "_diagonal", values if diagonal else None)
+        if not diagonal:
+            object.__setattr__(self, "probs", values)
+        object.__setattr__(self, "tail_bound", float(tail_bound))
+
+    def __getattr__(self, name):
+        # only a diagonal state lacks its table; it is made once, on demand
+        if name != "probs" or self._diagonal is None:
+            raise AttributeError(name)
+        table = np.diag(self._diagonal)
+        table.setflags(write=False)
+        object.__setattr__(self, "probs", table)
+        return table
 
     @property
     def cutoffs(self) -> tuple[int, int]:
+        if self._diagonal is not None:
+            return (len(self._diagonal) - 1,) * 2
         return self.probs.shape[0] - 1, self.probs.shape[1] - 1
 
     def marginal(self, mode: int) -> PhotonNumberDistribution:
-        p = self.probs.sum(axis=1 - mode)
+        p = (self._diagonal if self._diagonal is not None
+             else self.probs.sum(axis=1 - mode))
         return PhotonNumberDistribution(tuple(p), self.tail_bound)
+
+    def _contract(self, T1, T2, number):
+        """T1 P T2^T for kernel tables T_d[k, n] over n = 0..cutoff_d, with
+        the probabilities passed through `number` first."""
+        if self._diagonal is not None:
+            return (T1 * number(self._diagonal)) @ T2.T
+        return T1 @ number(self.probs) @ T2.T
 
 
 def _check_tol(tol: float):
@@ -284,16 +322,13 @@ def tmsv_joint(xi: complex, tol: float = DEFAULT_TAIL_TOL) -> JointPhotonDistrib
     if r >= 1.0:
         raise SqueezingOutOfRange(f"|xi| = {abs(x)!r} must be < 1")
     if r == 0.0:
-        return JointPhotonDistribution(np.array([[1.0]]), 0.0)
+        return JointPhotonDistribution._own(np.array([1.0]), 0.0)
     _check_cutoff(r, tol)
     cutoff = 0
     while r ** (cutoff + 1) > tol:
         cutoff += 1
-    table = np.zeros((cutoff + 1, cutoff + 1))
-    table[np.arange(cutoff + 1), np.arange(cutoff + 1)] = \
-        (1.0 - r) * r ** np.arange(cutoff + 1)
-    table.setflags(write=False)
-    return JointPhotonDistribution(table, r ** (cutoff + 1))
+    return JointPhotonDistribution._own(
+        (1.0 - r) * r ** np.arange(cutoff + 1), r ** (cutoff + 1))
 
 
 def product_joint(d1: PhotonNumberDistribution,
@@ -301,8 +336,7 @@ def product_joint(d1: PhotonNumberDistribution,
     """Uncorrelated two-mode state from two single-mode distributions."""
     table = np.outer(d1.probs, d2.probs)
     tail = d1.tail_bound + d2.tail_bound - d1.tail_bound * d2.tail_bound
-    table.setflags(write=False)
-    return JointPhotonDistribution(table, tail)
+    return JointPhotonDistribution._own(table, tail)
 
 
 def mixture_joint(weights, components) -> JointPhotonDistribution:
@@ -324,8 +358,7 @@ def mixture_joint(weights, components) -> JointPhotonDistribution:
         s = c.probs.shape
         table[:s[0], :s[1]] += w * c.probs
         tail += w * c.tail_bound
-    table.setflags(write=False)
-    return JointPhotonDistribution(table, tail)
+    return JointPhotonDistribution._own(table, tail)
 
 
 def _pair_weights(terms):

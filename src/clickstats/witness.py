@@ -11,20 +11,26 @@ classical state; any negative leading principal minor, negative eigenvalue,
 negative cross-correlation minor, or negative binomial Q parameter
 certifies nonclassicality.
 
-Each formula is written once, over any leading axes.  Point estimates run
-it on Python integers read straight from the numbers given (the statistics'
-`exact` values when the forward model supplied them, their floats
-otherwise) over one common denominator: every float and mpf is a dyadic
-rational and every weight an integer, so moments, matrix entries, Q_B and
-the cross minor are exact, each rounded once to float.  The minors, many
-orders below the matrix entries, are the pivots of one fraction-free
-elimination.  The bootstrap runs the formulas on floats over resamples.
+Each formula is written once, over any leading axes.  Point estimates read
+the numbers given (the statistics' `exact` values when the forward model
+supplied them, their floats otherwise) once, as Python integers n_k over
+one denominator L: every float and mpf is a dyadic rational.  Every moment
+is then an integer over one scale, S = L N! for one bank and S = L N1! N2!
+for two (all divided by their greatest common divisor), and the moment
+matrices hold those integers, so minor k is an integer determinant over
+S^k.  Q_B and the cross minor come from the same
+read.  Every number reported is exact until one integer division, which
+Python rounds correctly to float.  The minors, many orders below the
+matrix entries, are the pivots of one fraction-free elimination.  The
+`exact` fields of the moment containers the library builds are reduced
+Fractions, made from the integers only when first read.  The bootstrap
+runs the formulas on floats over resamples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,15 +70,37 @@ def _check_unit(value: float, slack: float, what: str) -> None:
         raise NormalizationViolation(f"{what} is {value!r}, not 1")
 
 
+class _Exact:
+    """The `exact` field of the moment containers: the values the caller
+    gave, or, for a container the library built over integers and a scale,
+    reduced Fractions made from those on first access and then kept."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        exact = obj.__dict__["exact"]
+        if exact is None and obj._ints is not None:
+            q = np.frompyfunc(Fraction, 2, 1)(obj._ints, obj._scale)
+            exact = (tuple(q.tolist()) if q.ndim == 1
+                     else tuple(map(tuple, q.tolist())))
+            obj.__dict__["exact"] = exact
+        return exact
+
+    def __set__(self, obj, value):
+        obj.__dict__["exact"] = value
+
+
 @dataclass(frozen=True)
 class PiMoments:
     """Normally ordered click-fraction moments, orders 0..max_order."""
 
     values: tuple
     max_order: int
-    exact: tuple | None = None
+    exact: tuple | None = _Exact()
     formal: bool = False
     norm_slack: float = 0.0
+    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -89,9 +117,11 @@ class JointPiMoments:
 
     values: np.ndarray
     max_orders: tuple
-    exact: tuple | None = None
+    exact: tuple | None = _Exact()
     formal: bool = False
     norm_slack: float = 0.0
+    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -111,8 +141,10 @@ class MomentMatrix:
 
     entries: np.ndarray
     index_basis: tuple
-    exact: tuple | None = None
+    exact: tuple | None = _Exact()
     norm_slack: float = 0.0
+    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -195,6 +227,12 @@ def _integers(values) -> tuple:
                     dtype=object).reshape(a.shape), scale
 
 
+def _read(stats) -> tuple:
+    """(n, L) of a statistics object: its `exact` values when the forward
+    model supplied them, its floats otherwise."""
+    return _integers(stats.probs if stats.exact is None else stats.exact)
+
+
 # --- the inverse formulas, over any leading axes ----------------------------------
 
 @lru_cache(maxsize=64)
@@ -211,21 +249,25 @@ def _weights(N: int, dtype) -> tuple:
     return falling, powers
 
 
-def _quotient(a, b):
-    """a / b, as Fractions each reduced once when a holds Python integers."""
-    return np.frompyfunc(Fraction, 2, 1)(a, b) if a.dtype == object else a / b
+def _quotient(a, b, common: int):
+    """a / b on floats; on Python integers the numerators of a / b over
+    `common`, which every b divides."""
+    return a * (common // b) if a.dtype == object else a / b
 
 
-def _pi_map(c, N: int, scale: int = 1):
-    """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k / scale for m = 0..N."""
+def _pi_map(c, N: int):
+    """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k for m = 0..N (times N! on
+    integers)."""
     falling = _weights(N, c.dtype)[0]
-    return _quotient(c @ falling.T, falling[:, N] * scale)
+    return _quotient(c @ falling.T, falling[:, N], math.factorial(N))
 
 
-def _joint_pi_map(c, N1: int, N2: int, scale: int = 1):
-    """Two-bank moments [m1, m2]: the single-bank sums along each axis."""
+def _joint_pi_map(c, N1: int, N2: int):
+    """Two-bank moments [m1, m2]: the single-bank sums along each axis (times
+    N1! N2! on integers)."""
     f1, f2 = _weights(N1, c.dtype)[0], _weights(N2, c.dtype)[0]
-    return _quotient(f1 @ c @ f2.T, np.outer(f1[:, N1], f2[:, N2]) * scale)
+    return _quotient(f1 @ c @ f2.T, np.outer(f1[:, N1], f2[:, N2]),
+                     math.factorial(N1) * math.factorial(N2))
 
 
 def _hankel(v, N: int):
@@ -272,25 +314,52 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
     if m > stats.N:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
-    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
+    n, scale = _read(stats)
     return (n @ _weights(stats.N, n.dtype)[0][m]) / scale
+
+
+def _lowest(ints, scale: int) -> tuple:
+    """Integers over a scale, both divided by their greatest common divisor:
+    the scale is then the lcm of the reduced denominators, which keeps the
+    minors' integers short."""
+    g = math.gcd(scale, *ints.flat)
+    return ints // g, scale // g
+
+
+def _pi_moments(stats: ClickStatistics, n, scale: int) -> PiMoments:
+    """The moments of click numbers read as n / scale."""
+    mom, scale = _lowest(_pi_map(n, stats.N),
+                         scale * math.factorial(stats.N))
+    return PiMoments(mom / scale, stats.N, formal=stats.formal,
+                     norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
 
 
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
-    mom = _pi_map(n, stats.N, scale)
-    return PiMoments(mom.astype(float), stats.N, exact=tuple(mom.tolist()),
-                     formal=stats.formal, norm_slack=stats.norm_slack)
+    return _pi_moments(stats, *_read(stats))
 
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
-    mom = _joint_pi_map(n, stats.N1, stats.N2, scale)
-    return JointPiMoments(mom.astype(float), (stats.N1, stats.N2),
-                          exact=tuple(map(tuple, mom.tolist())),
-                          formal=stats.formal, norm_slack=stats.norm_slack)
+    n, scale = _read(stats)
+    mom, scale = _lowest(_joint_pi_map(n, stats.N1, stats.N2), scale
+                         * math.factorial(stats.N1) * math.factorial(stats.N2))
+    return JointPiMoments(mom / scale, (stats.N1, stats.N2),
+                          formal=stats.formal, norm_slack=stats.norm_slack,
+                          _ints=mom, _scale=scale)
+
+
+def _matrix(mom, arrange, basis: tuple) -> MomentMatrix:
+    """The moments placed by `arrange` into a matrix over the integers that
+    `mom` carries, or, for moments the caller built, over their `exact`
+    values when given."""
+    entries = arrange(np.asarray(mom.values))
+    if mom._ints is not None:
+        return MomentMatrix(entries, basis, norm_slack=mom.norm_slack,
+                            _ints=arrange(mom._ints), _scale=mom._scale)
+    exact = None if mom.exact is None else tuple(map(tuple, arrange(
+        np.asarray(mom.exact, dtype=object)).tolist()))
+    return MomentMatrix(entries, basis, exact=exact, norm_slack=mom.norm_slack)
 
 
 def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
@@ -299,11 +368,7 @@ def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
     if mom.max_order < 2 * half:
         raise InsufficientOrder(
             f"need moments through order {2 * half}, have {mom.max_order}")
-    exact = None if mom.exact is None else tuple(map(tuple, _hankel(
-        np.asarray(mom.exact, dtype=object), N).tolist()))
-    return MomentMatrix(_hankel(np.asarray(mom.values), N),
-                        tuple(range(half + 1)), exact=exact,
-                        norm_slack=mom.norm_slack)
+    return _matrix(mom, lambda v: _hankel(v, N), tuple(range(half + 1)))
 
 
 def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
@@ -313,10 +378,7 @@ def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
         raise InsufficientOrder(
             f"need moments through orders ({2 * b1}, {2 * b2}), "
             f"have {mom.max_orders}")
-    exact = None if mom.exact is None else tuple(map(tuple, _graded(
-        np.asarray(mom.exact, dtype=object), N1, N2).tolist()))
-    return MomentMatrix(_graded(mom.values, N1, N2), _joint_basis(N1, N2),
-                        exact=exact, norm_slack=mom.norm_slack)
+    return _matrix(mom, lambda v: _graded(v, N1, N2), _joint_basis(N1, N2))
 
 
 # --- minors, eigenvalues, verdicts ------------------------------------------------
@@ -366,12 +428,14 @@ def leading_principal_minors(M: MomentMatrix) -> tuple:
     """Determinants of the k x k top-left blocks, k = 1..dim.
 
     The minors cancel many orders below the entries, so they are taken
-    exactly: the exact entries (the floats when the matrix carries none),
-    scaled by the least common multiple L of their denominators, are
-    integers whose k x k minor, divided by L^k, rounds once to float.
-    One fraction-free elimination gives all of them.
+    exactly: the entries are integers over one scale S (those the library
+    built the matrix on; for a matrix built by the caller, its exact
+    entries, else its floats, over the least common multiple of their
+    denominators), whose k x k minor, divided by S^k, rounds once to
+    float.  One fraction-free elimination gives all of them.
     """
-    n, scale = _integers(M.entries if M.exact is None else M.exact)
+    n, scale = ((M._ints, M._scale) if M._ints is not None else
+                _integers(M.entries if M.exact is None else M.exact))
     return tuple(m / scale ** k for k, m in
                  enumerate(_leading_minors(n.tolist()), 1))
 
@@ -400,8 +464,12 @@ def qb_parameter(stats: ClickStatistics) -> float:
     within e (|N - 2<c>| + e); Q_B is withheld when these errors leave it
     not known to within one.
     """
+    return _qb(stats, *_read(stats))
+
+
+def _qb(stats: ClickStatistics, n, scale: int) -> float:
+    """Q_B of click numbers read as n / scale."""
     N = stats.N
-    n, scale = _integers(stats.probs if stats.exact is None else stats.exact)
     mean, num, den = _qb_terms(n, N, scale)
     mean = Fraction(mean, scale)
     total = (int(n.sum()) - scale) / scale
@@ -424,12 +492,12 @@ def qb_parameter(stats: ClickStatistics) -> float:
 
 
 def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:
-    """The cross minor of two banks from their moments."""
+    """The cross minor of two banks from the moments `joint_pi_moments`
+    made."""
     if stats.N1 < 2 or stats.N2 < 2:
         raise OrderExceedsDiodes(
             "cross-correlation minor needs at least two diodes per bank")
-    n, scale = _integers(mom.values if mom.exact is None else mom.exact)
-    return _cross_minor(n, scale) / scale ** 4
+    return _cross_minor(mom._ints, mom._scale) / mom._scale ** 4
 
 
 def cross_correlation_minor(stats: JointClickStatistics) -> float:
@@ -448,9 +516,10 @@ def witness_report(stats, threshold: float = DEFAULT_THRESHOLD) -> WitnessReport
         raise ValueError("threshold must be >= 0")
     qb = cross = None
     if isinstance(stats, ClickStatistics):
-        M = moment_matrix(pi_moments(stats), stats.N)
+        n, scale = _read(stats)
+        M = moment_matrix(_pi_moments(stats, n, scale), stats.N)
         try:
-            qb = qb_parameter(stats)
+            qb = _qb(stats, n, scale)
         except DegenerateMean:
             pass
     elif isinstance(stats, JointClickStatistics):

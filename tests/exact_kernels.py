@@ -21,13 +21,19 @@ No reference shares code or method with the program's kernels:
   rational power-series exponential (`rs_exp` over QQ, the ring series
   behind sympy's `series`, which is far slower at order 32), times
   e^(-s f(0)) taken at 600 bits.
+
+The witness reference at the end is written from the formulas alone, on
+Fractions, with ordinary Gaussian elimination for the determinants; it
+shares no code with the program's inverse path.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import mpmath as mp
+import numpy as np
 from mpmath.libmp import to_rational
 from sympy import QQ, ring
 from sympy.polys.ring_series import rs_exp
@@ -120,3 +126,97 @@ def poly_kernels(N: int, coefficients, order: int) -> list:
     def K(s, n):
         return q ** s * sum(h[s][k] * math.perm(n, k) for k in range(n + 1))
     return _formal_table(N, K, order)
+
+
+# --- the witness, on Fractions ----------------------------------------------------
+
+
+def numbers(stats):
+    """The statistics' numbers as Fractions: extended values when present."""
+    given = stats.exact if stats.exact is not None else stats.probs
+    if getattr(stats, "N1", None) is not None:
+        return [[fraction(x) for x in row] for row in given]
+    return [fraction(x) for x in given]
+
+
+def pi_ref(c, N):
+    return [sum(math.perm(k, m) * c[k] for k in range(N + 1)) / math.perm(N, m)
+            for m in range(N + 1)]
+
+
+def joint_pi_ref(c, N1, N2):
+    return [[sum(math.perm(k1, m1) * math.perm(k2, m2) * c[k1][k2]
+                 for k1 in range(N1 + 1) for k2 in range(N2 + 1))
+             / (math.perm(N1, m1) * math.perm(N2, m2))
+             for m2 in range(N2 + 1)] for m1 in range(N1 + 1)]
+
+
+def det(a):
+    """Determinant by Gaussian elimination on Fractions."""
+    a = [row[:] for row in a]
+    n, d = len(a), Fraction(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            d = -d
+        d *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for j in range(k, n):
+                a[r][j] -= f * a[k][j]
+    return d
+
+
+def minors_ref(M):
+    return tuple(float(det([row[:k] for row in M[:k]]))
+                 for k in range(1, len(M) + 1))
+
+
+def hankel_ref(mom, N):
+    d = N // 2 + 1
+    return [[mom[i + j] for j in range(d)] for i in range(d)]
+
+
+def graded_ref(mom, N1, N2):
+    # exponent pairs by total degree, the first mode's exponent descending
+    basis = sorted(product(range(N1 // 2 + 1), range(N2 // 2 + 1)),
+                   key=lambda e: (e[0] + e[1], -e[0]))
+    return [[mom[a1 + b1][a2 + b2] for b1, b2 in basis] for a1, a2 in basis]
+
+
+def qb_ref(c, N):
+    mean = sum(k * ck for k, ck in enumerate(c))
+    second = sum(k * k * ck for k, ck in enumerate(c))
+    return float(N * (second - mean ** 2) / (mean * (N - mean)) - 1)
+
+
+def cross_ref(mom):
+    v1 = mom[2][0] - mom[1][0] ** 2
+    v2 = mom[0][2] - mom[0][1] ** 2
+    cov = mom[1][1] - mom[1][0] * mom[0][1]
+    return float(v1 * v2 - cov ** 2)
+
+
+def witness_ref(stats):
+    """Moments, matrix, leading minors, smallest eigenvalue, Q_B (None when
+    the mean is not strictly inside (0, N)) and cross minor (None for one
+    bank)."""
+    c = numbers(stats)
+    qb = cross = None
+    if getattr(stats, "N1", None) is not None:
+        N1, N2 = stats.N1, stats.N2
+        mom = joint_pi_ref(c, N1, N2)
+        M = graded_ref(mom, N1, N2)
+        cross = cross_ref(mom)
+    else:
+        N = stats.N
+        mom = pi_ref(c, N)
+        M = hankel_ref(mom, N)
+        if 0 < sum(k * ck for k, ck in enumerate(c)) < N:
+            qb = qb_ref(c, N)
+    return {"moments": mom, "matrix": M, "minors": minors_ref(M),
+            "mineig": float(np.linalg.eigvalsh(np.array(M, dtype=float))[0]),
+            "qb": qb, "cross": cross}

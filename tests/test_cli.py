@@ -247,6 +247,18 @@ class TestSample:
         assert code == 2
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "k,count\n0,5\n10000000000000,1\n",
+        "k1,k2,count\n0,0,5\n1,10000000000000,1\n",
+    ], ids=["single", "joint"])
+    def test_histogram_index_beyond_limit(self, tmp_path, capsys, text):
+        # a table sized by this index would need terabytes
+        hist_file = tmp_path / "hist.csv"
+        hist_file.write_text(text, encoding="utf-8")
+        code = main(["witness", "--histogram", str(hist_file)])
+        assert code == 2
+        assert "click number above 170" in capsys.readouterr().err
+
 
 class TestFigures:
     def test_unknown_name(self, capsys):

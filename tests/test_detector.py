@@ -8,6 +8,7 @@ series machinery under test.  Fock inputs give polynomial closed forms via
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -39,7 +40,8 @@ from clickstats import (
     thermal_distribution,
     tmsv_joint,
 )
-from clickstats.detector import _bucket
+from clickstats.cli import _SWEEPS
+from clickstats.detector import _bucket, _kernels
 from clickstats.errors import (
     DescriptorError,
     LengthMismatch,
@@ -438,6 +440,34 @@ class TestJointStatistics:
                 row = click_statistics(fock_distribution(m), det).probs
                 ref += probs[n, m] * np.outer(col, row)
         assert np.max(np.abs(joint.probs - ref)) < 1e-11
+
+    def test_diagonal_matches_dense_table_over_fig3_grid(self):
+        # squeezed vacuum contracts its diagonal, (T1 * p) @ T2.T: byte for
+        # byte the dense T1 @ P @ T2.T at every point of `figure fig3`
+        fig3 = _SWEEPS["fig3"]
+        ((_, (d1, d2)),) = fig3.banks
+        for xi2 in fig3.grid:
+            state = fig3.state_at(xi2)
+            c1, c2 = state.cutoffs
+            T1 = _kernels(d1, _bucket(c1), None)[0][:, :c1 + 1]
+            T2 = _kernels(d2, _bucket(c2), None)[0][:, :c2 + 1]
+            got = joint_click_statistics(state, d1, d2).probs
+            dense = T1 @ state.probs @ T2.T
+            assert got.tobytes() == dense.tobytes(), xi2
+
+    def test_squeezed_vacuum_memory(self):
+        # xi^2 = 0.995 keeps 6432 levels (cutoff 6431), a dense table of 331 MB; its
+        # diagonal, kernel tables and click table take well under 8 MB
+        det = DetectorConfig(4, Linear(0.8))
+        tracemalloc.start()
+        try:
+            state = tmsv_joint(math.sqrt(0.995))
+            joint_click_statistics(state, det, det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.cutoffs == (6431, 6431)
+        assert peak < 8e6
 
     def test_joint_normalized(self):
         state = tmsv_joint(0.8)

@@ -461,6 +461,17 @@ class TestHistogramCsv:
         h = read_histogram_csv(path)
         assert np.array_equal(h.counts, np.array([1, 0, 0, 7]))
 
+    def test_click_number_limit(self, tmp_path):
+        # 170 diodes per bank is the largest file that is read; one more is
+        # refused by the row, before any table is made
+        path = tmp_path / "edge.csv"
+        path.write_text("k1,k2,count\n170,170,1\n", encoding="utf-8")
+        assert read_histogram_csv(path).counts.shape == (171, 171)
+        for text in ("k,count\n171,1\n", "k1,k2,count\n0,171,1\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match="above 170"):
+                read_histogram_csv(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("clicks,count\n0,1\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -200,6 +201,23 @@ class TestTmsv:
             for k in range(n):
                 assert got.probs[k] == pytest.approx(want.probs[k], abs=1e-12)
 
+    def test_cutoff_without_a_table(self):
+        # |xi|^2 = 0.999 at tol 1e-14 keeps about 32,000 levels, a dense
+        # table of 8 GB; the state holds the diagonal alone
+        x = math.sqrt(0.999)
+        r = x ** 2
+        tracemalloc.start()
+        try:
+            j = tmsv_joint(x, tol=1e-14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = j.cutoffs[0]
+        assert j.cutoffs == (c, c) and 32000 < c < 33000
+        # the least cutoff whose tail falls below tol
+        assert r ** (c + 1) <= 1e-14 < r ** c and j.tail_bound == r ** (c + 1)
+        assert peak < 4 * 8 * (c + 1)
+
     def test_out_of_range(self):
         with pytest.raises(SqueezingOutOfRange):
             tmsv_joint(1.0)
@@ -241,24 +259,38 @@ class TestJointHelpers:
         base[0, 0] = 7.0
         assert j.probs[0, 0] == 0.5
 
-    @pytest.mark.parametrize("build", [
-        lambda: tmsv_joint(0.9),
-        lambda: product_joint(coherent_distribution(0.5),
-                              thermal_distribution(0.3)),
-        lambda: mixture_joint([0.25, 0.75], [tmsv_joint(0.5), tmsv_joint(0.7)]),
+    def test_read_only_table_is_copied(self):
+        # a caller that handed over a read-only table cannot switch writes
+        # back on and change the state
+        a = np.array([[0.5, 0.25], [0.0, 0.25]])
+        a.setflags(write=False)
+        j = JointPhotonDistribution(a)
+        a.setflags(write=True)
+        a[0, 0] = 7.0
+        assert j.probs[0, 0] == 0.5 and not j.probs.flags.writeable
+
+    @pytest.mark.parametrize("build,ndim", [
+        (lambda: tmsv_joint(0.9), 1),
+        (lambda: product_joint(coherent_distribution(0.5),
+                               thermal_distribution(0.3)), 2),
+        (lambda: mixture_joint([0.25, 0.75], [tmsv_joint(0.5), tmsv_joint(0.7)]),
+         2),
     ], ids=["tmsv", "product", "mixture"])
-    def test_fresh_tables_are_not_copied(self, build, monkeypatch):
-        kept = []
-        original = JointPhotonDistribution.__post_init__
+    def test_fresh_tables_are_not_copied(self, build, ndim, monkeypatch):
+        # the builders hand their own arrays over uncopied: the diagonal of
+        # a squeezed vacuum, the table of the others
+        handed = []
+        original = JointPhotonDistribution._own.__func__
 
-        def spy(self):
-            given = self.probs
-            original(self)
-            kept.append(self.probs is given)
+        def spy(cls, values, tail_bound):
+            handed.append(values)
+            return original(cls, values, tail_bound)
 
-        monkeypatch.setattr(JointPhotonDistribution, "__post_init__", spy)
+        monkeypatch.setattr(JointPhotonDistribution, "_own", classmethod(spy))
         j = build()
-        assert kept[-1] and not j.probs.flags.writeable
+        kept = j._diagonal if ndim == 1 else j.probs
+        assert kept is handed[-1] and kept.ndim == ndim
+        assert not kept.flags.writeable and not j.probs.flags.writeable
 
 
 class TestNomExpectation:

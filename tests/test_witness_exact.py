@@ -3,32 +3,35 @@
 Every float and every mpf is a dyadic rational and every inverse formula has
 integer weights, so moments, leading minors, Q_B and the cross minor must be
 the correctly rounded values of an exact rational computation.  The
-reference here is written from the formulas alone, on `fractions.Fraction`,
-with ordinary Gaussian elimination for the determinants; it shares no code
-with the program's inverse path.  Inputs cover empirical floats and the
-forward model's mpf values (formal statistics among them, which are signed),
+reference, in `exact_kernels`, is written from the formulas alone, on
+`fractions.Fraction`, with ordinary Gaussian elimination for the
+determinants; it shares no code with the program's inverse path.  Inputs
+cover empirical floats, the forward model's Fractions (formal statistics on
+finite tables, which are signed) and mpf values (coherent superpositions),
 single and joint banks, and matrices whose leading minors vanish.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clickstats import (
+    Affine,
     ClickStatistics,
     DetectorConfig,
     JointClickStatistics,
     Linear,
     NPhotonAbsorption,
+    PolynomialSeries,
     Power,
     click_statistics,
     coherent_distribution,
     fock_distribution,
     joint_click_statistics,
+    odd_coherent,
     product_joint,
     spats_distribution,
     thermal_distribution,
@@ -46,78 +49,18 @@ from clickstats.witness import (
     qb_parameter,
     witness_report,
 )
-from exact_kernels import fraction
-
-# --- the reference, on Fractions --------------------------------------------------
-
-
-def numbers(stats):
-    """The statistics' numbers as Fractions: extended values when present."""
-    given = stats.exact if stats.exact is not None else stats.probs
-    if isinstance(stats, JointClickStatistics):
-        return [[fraction(x) for x in row] for row in given]
-    return [fraction(x) for x in given]
-
-
-def pi_ref(c, N):
-    return [sum(math.perm(k, m) * c[k] for k in range(N + 1)) / math.perm(N, m)
-            for m in range(N + 1)]
-
-
-def joint_pi_ref(c, N1, N2):
-    return [[sum(math.perm(k1, m1) * math.perm(k2, m2) * c[k1][k2]
-                 for k1 in range(N1 + 1) for k2 in range(N2 + 1))
-             / (math.perm(N1, m1) * math.perm(N2, m2))
-             for m2 in range(N2 + 1)] for m1 in range(N1 + 1)]
-
-
-def det(a):
-    """Determinant by Gaussian elimination on Fractions."""
-    a = [row[:] for row in a]
-    n, d = len(a), Fraction(1)
-    for k in range(n):
-        p = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            d = -d
-        d *= a[k][k]
-        for r in range(k + 1, n):
-            f = a[r][k] / a[k][k]
-            for j in range(k, n):
-                a[r][j] -= f * a[k][j]
-    return d
-
-
-def minors_ref(M):
-    return tuple(float(det([row[:k] for row in M[:k]]))
-                 for k in range(1, len(M) + 1))
-
-
-def hankel_ref(mom, N):
-    d = N // 2 + 1
-    return [[mom[i + j] for j in range(d)] for i in range(d)]
-
-
-def graded_ref(mom, N1, N2):
-    # exponent pairs by total degree, the first mode's exponent descending
-    basis = sorted(product(range(N1 // 2 + 1), range(N2 // 2 + 1)),
-                   key=lambda e: (e[0] + e[1], -e[0]))
-    return [[mom[a1 + b1][a2 + b2] for b1, b2 in basis] for a1, a2 in basis]
-
-
-def qb_ref(c, N):
-    mean = sum(k * ck for k, ck in enumerate(c))
-    second = sum(k * k * ck for k, ck in enumerate(c))
-    return float(N * (second - mean ** 2) / (mean * (N - mean)) - 1)
-
-
-def cross_ref(mom):
-    v1 = mom[2][0] - mom[1][0] ** 2
-    v2 = mom[0][2] - mom[0][1] ** 2
-    cov = mom[1][1] - mom[1][0] * mom[0][1]
-    return float(v1 * v2 - cov ** 2)
+from exact_kernels import (
+    cross_ref,
+    det,
+    graded_ref,
+    hankel_ref,
+    joint_pi_ref,
+    minors_ref,
+    numbers,
+    pi_ref,
+    qb_ref,
+    witness_ref,
+)
 
 
 def check_single(stats):
@@ -307,3 +250,100 @@ class TestClassicalNeverFlagged:
         # a mixture of binomial click statistics is what any classical
         # (Poisson-mixture) light gives a linear bank; no criterion may flag it
         assert witness_report(stats).verdict == "consistent-with-classical"
+
+
+# --- whole reports against the reference -----------------------------------------
+
+FLOAT_BANKS = st.one_of(
+    st.builds(Linear, st.floats(0.05, 1.0)),
+    st.builds(Affine, st.floats(0.05, 1.0), st.floats(0.0, 0.5)))
+FORMAL = st.one_of(
+    st.builds(Power, st.integers(2, 3)),
+    st.builds(lambda a, b: PolynomialSeries((0.0, a, b)),
+              st.floats(0.1, 1.0), st.floats(0.01, 0.5)))
+
+
+@st.composite
+def report_statistics(draw):
+    """Single-bank statistics of each number type the forward model gives:
+    floats (linear and affine banks), Fractions (formal responses on Fock
+    states), mpf (odd coherent states), and vacuum and Fock 1, whose
+    matrices have zero pivots."""
+    N = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["float", "fraction", "mpf", "zero-pivot"]))
+    if kind == "float":
+        state, resp = draw(STATES), draw(FLOAT_BANKS)
+    elif kind == "fraction":
+        state, resp = fock_distribution(draw(st.integers(0, 12))), draw(FORMAL)
+    elif kind == "mpf":
+        state = odd_coherent(draw(st.floats(0.3, 2.0)))
+        resp = Linear(draw(st.floats(0.05, 1.0)))
+    else:
+        state = fock_distribution(draw(st.integers(0, 1)))
+        resp = Linear(draw(st.floats(0.05, 1.0)))
+    return click_statistics(state, DetectorConfig(N, resp))
+
+
+@st.composite
+def joint_report_statistics(draw):
+    """Two-bank statistics: floats of squeezed vacuum on linear and affine
+    banks, Fractions of Fock products on formal banks, and vacuum and Fock 1
+    products, whose matrices have zero pivots."""
+    # a joint report needs the cross minor, so two diodes per bank or more
+    Ns = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["float", "fraction", "zero-pivot"]))
+    if kind == "float":
+        state = tmsv_joint(draw(st.floats(0.0, 0.95)))
+        resps = draw(FLOAT_BANKS), draw(FLOAT_BANKS)
+    elif kind == "fraction":
+        state = product_joint(fock_distribution(draw(st.integers(0, 4))),
+                              fock_distribution(draw(st.integers(0, 4))))
+        resps = draw(FORMAL), draw(FORMAL)
+    else:
+        state = product_joint(fock_distribution(draw(st.integers(0, 1))),
+                              fock_distribution(draw(st.integers(0, 1))))
+        resps = Linear(draw(st.floats(0.05, 1.0))), Linear(1.0)
+    return joint_click_statistics(
+        state, *(DetectorConfig(N, r) for N, r in zip(Ns, resps)))
+
+
+def check_report(stats, moments, matrix):
+    """Moments, their lazily made exact fields, the matrix, the minors and
+    the whole report equal the reference bit for bit."""
+    ref = witness_ref(stats)
+    mom = moments(stats)
+    if isinstance(stats, JointClickStatistics):
+        assert mom.exact == tuple(map(tuple, ref["moments"]))
+        flat = sum(mom.exact, ())
+    else:
+        assert mom.exact == tuple(ref["moments"])
+        flat = mom.exact
+    assert all(type(x) is Fraction for x in flat)
+    M = matrix(mom)
+    assert M.exact == tuple(map(tuple, ref["matrix"]))
+    assert M.entries.tolist() == [list(map(float, row)) for row in ref["matrix"]]
+    assert leading_principal_minors(M) == ref["minors"]
+    report = witness_report(stats)
+    assert report.leading_minors == ref["minors"]
+    assert report.min_eigenvalue == ref["mineig"]
+    assert report.cross_minor == ref["cross"]
+    # Q_B may be withheld where the stated errors leave it unresolved; it is
+    # always withheld when the mean is 0 or N
+    assert report.qb in (None, ref["qb"])
+    criteria = [*ref["minors"][1:], ref["mineig"]] + [
+        x for x in (report.qb, ref["cross"]) if x is not None]
+    assert report.verdict == ("nonclassical" if min(criteria) < -1e-9
+                              else "consistent-with-classical")
+
+
+class TestReportsAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(stats=report_statistics())
+    def test_single_bank(self, stats):
+        check_report(stats, pi_moments, lambda mom: moment_matrix(mom, stats.N))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stats=joint_report_statistics())
+    def test_two_banks(self, stats):
+        check_report(stats, joint_pi_moments, lambda mom: joint_moment_matrix(
+            mom, stats.N1, stats.N2))
