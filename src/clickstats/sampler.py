@@ -58,8 +58,9 @@ _SEED_LIMIT = 2 ** 64
 # counts, totals and sample sizes are int64 (Generator.multinomial takes n
 # only below this)
 _COUNT_LIMIT = 2 ** 63
-# the largest click number a histogram file may hold: the bootstrap's float
-# moments divide by N!/(N-m)!, and 171! is beyond float range
+# the largest click number a histogram file may hold and the largest bank
+# the bootstrap takes: its float moments divide by N!/(N-m)!, and 171! is
+# beyond float range
 _MAX_OUTCOME = 170
 # entries below this are treated as roundoff and clipped before sampling;
 # anything more negative is a genuinely signed quasi-distribution
@@ -214,21 +215,32 @@ def _batched_minors(mats: np.ndarray) -> np.ndarray:
     mats has shape (R, d, d); the result (R, d) holds det of the k x k
     top-left block in column k-1.  One Gaussian elimination without
     pivoting runs over the resample axis, and minor k is the product of
-    the first k pivots.  A replica with a zero or non-finite pivot (the
-    vanishing higher moments of a Fock source) takes its minors from
-    np.linalg.det instead.  Float precision only: used for bootstrap
-    spread, not for point estimates.
+    the first k pivots.  A replica whose first zero pivot, at step k, sits
+    over an exactly zero column (the vanishing higher moments of a Fock
+    source) has minors k+1..d exactly 0: each is the first k pivots times
+    a determinant of the Schur complement, whose first column is zero.  A
+    replica with any other zero or non-finite pivot takes its minors from
+    np.linalg.det.  Float precision only: used for bootstrap spread, not
+    for point estimates.
     """
     a = np.array(mats, dtype=float)
     d = a.shape[-1]
     pivots = np.empty(a.shape[:-1])
+    zero_column = np.empty(a.shape[:-1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(d):
             pivots[:, k] = a[:, k, k]
+            zero_column[:, k] = ~np.any(a[:, k:, k], axis=1)
             factors = a[:, k + 1:, k] / a[:, k, k, None]
             a[:, k + 1:, k + 1:] -= factors[:, :, None] * a[:, None, k, k + 1:]
         minors = np.cumprod(pivots, axis=1)
-    bad = ~np.all(np.isfinite(pivots) & (pivots != 0), axis=1)
+    regular = np.isfinite(pivots) & (pivots != 0)
+    replicas = np.arange(len(a))
+    first = np.argmin(regular, axis=1)  # the first zero or non-finite pivot
+    bad = ~regular[replicas, first]
+    flat = bad & zero_column[replicas, first]
+    minors[flat] = np.where(np.arange(d) < first[flat, None], minors[flat], 0.0)
+    bad &= ~flat
     if bad.any():
         sub = mats[bad]
         minors[bad] = np.stack([np.linalg.det(sub[:, :k, :k])
@@ -277,6 +289,9 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
         raise ValueError("resamples must be an integer >= 100")
     if not threshold_sigmas > 0:
         raise ValueError("threshold_sigmas must be > 0")
+    if max(hist.counts.shape) - 1 > _MAX_OUTCOME:
+        raise ValueError(f"the bootstrap takes banks of at most {_MAX_OUTCOME} "
+                         f"diodes, not {max(hist.counts.shape) - 1}")
     total = _events(hist)
     stats = estimate_statistics(hist)
     base = witness_report(stats)

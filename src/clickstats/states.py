@@ -210,11 +210,27 @@ def _check_mean(mean: float, limit: float = math.inf):
         raise ValueError(f"mean photon number {mean!r} outside [0, {limit})")
 
 
-def _check_cutoff(q: float, tol: float):
-    """Reject a tail q^M that falls below tol only beyond _MAX_CUTOFF."""
-    if not (q < 1.0 and math.log(tol) / math.log(q) <= _MAX_CUTOFF):
+def _check_cutoff(q: float, tol: float) -> float:
+    """log(tol)/log(q), the M from which q^M <= tol; a tail that falls below
+    tol only beyond _MAX_CUTOFF is rejected."""
+    steps = math.log(tol) / math.log(q) if q < 1.0 else math.inf
+    if not steps <= _MAX_CUTOFF:
         raise ValueError(
             f"tail below {tol!r} needs more than {_MAX_CUTOFF} photon numbers")
+    return steps
+
+
+def _cutoff(tail, tol: float, estimate: float, lo: int) -> int:
+    """The least M >= lo with tail(M) <= tol, for a tail that decreases in
+    M: the same M as a scan up from lo, found from a closed-form estimate
+    of it by stepping down while the tail one below stays within tol, then
+    up while it does not."""
+    m = max(lo, int(estimate) - 2)
+    while m > lo and tail(m - 1) <= tol:
+        m -= 1
+    while tail(m) > tol:
+        m += 1
+    return m
 
 
 def coherent_distribution(mean_photons: float,
@@ -257,11 +273,8 @@ def thermal_distribution(nbar: float,
     if nb == 0.0:
         return PhotonNumberDistribution((1.0,), 0.0)
     q = nb / (nb + 1.0)
-    _check_cutoff(q, tol)
     # tail beyond cutoff M is exactly q^{M+1}
-    cutoff = 0
-    while q ** (cutoff + 1) > tol:
-        cutoff += 1
+    cutoff = _cutoff(lambda m: q ** (m + 1), tol, _check_cutoff(q, tol) - 1, 0)
     probs = [(q ** n) / (nb + 1.0) for n in range(cutoff + 1)]
     return PhotonNumberDistribution(tuple(probs), q ** (cutoff + 1),
                                    analytic=("thermal", nb))
@@ -280,12 +293,17 @@ def spats_distribution(nbar: float,
     if nb == 0.0:
         return PhotonNumberDistribution((0.0, 1.0), 0.0)
     q = nb / (nb + 1.0)
-    _check_cutoff(q, tol)  # the tail below is at least q^M
-    cutoff = 1
+    steps = _check_cutoff(q, tol)  # the tail below is at least q^M
+
     def tail(m):
         return q ** m * (m + 1.0 + nb) / (nb + 1.0)
-    while tail(cutoff) > tol:
-        cutoff += 1
+    # tail(M) <= tol from M = steps + log((M + 1 + nbar)/(nbar + 1))/-log(q)
+    # on; two fixed-point steps from `steps` approach that M from below
+    estimate = steps
+    for _ in range(2):
+        estimate = steps - (math.log((estimate + 1.0 + nb) / (nb + 1.0))
+                            / math.log(q))
+    cutoff = _cutoff(tail, tol, estimate, 1)
     pref = 1.0 / (nb + 1.0) ** 2
     probs = [0.0] + [pref * n * q ** (n - 1) for n in range(1, cutoff + 1)]
     return PhotonNumberDistribution(tuple(probs), tail(cutoff),
@@ -323,10 +341,7 @@ def tmsv_joint(xi: complex, tol: float = DEFAULT_TAIL_TOL) -> JointPhotonDistrib
         raise SqueezingOutOfRange(f"|xi| = {abs(x)!r} must be < 1")
     if r == 0.0:
         return JointPhotonDistribution._own(np.array([1.0]), 0.0)
-    _check_cutoff(r, tol)
-    cutoff = 0
-    while r ** (cutoff + 1) > tol:
-        cutoff += 1
+    cutoff = _cutoff(lambda m: r ** (m + 1), tol, _check_cutoff(r, tol) - 1, 0)
     return JointPhotonDistribution._own(
         (1.0 - r) * r ** np.arange(cutoff + 1), r ** (cutoff + 1))
 

@@ -18,13 +18,16 @@ one denominator L: every float and mpf is a dyadic rational.  Every moment
 is then an integer over one scale, S = L N! for one bank and S = L N1! N2!
 for two (all divided by their greatest common divisor), and the moment
 matrices hold those integers, so minor k is an integer determinant over
-S^k.  Q_B and the cross minor come from the same
-read.  Every number reported is exact until one integer division, which
-Python rounds correctly to float.  The minors, many orders below the
-matrix entries, are the pivots of one fraction-free elimination.  The
-`exact` fields of the moment containers the library builds are reduced
-Fractions, made from the integers only when first read.  The bootstrap
-runs the formulas on floats over resamples.
+S^k.  Q_B and the cross minor come from the same read, and Q_B's float
+error bounds are compared with its exact mean on integers, through each
+float's integer ratio.  Every number reported is exact until one integer
+division, which Python rounds correctly to float.  The minors, many
+orders below the matrix entries, are the pivots of one fraction-free
+elimination, which keeps a symmetric matrix symmetric and so updates
+the upper triangle of the moment matrices alone.  The `exact` fields of
+the moment containers the library builds are reduced Fractions, made
+from the integers only when first read.  The bootstrap runs the
+formulas on floats over resamples.
 """
 
 from __future__ import annotations
@@ -202,14 +205,13 @@ class WitnessReport:
 # --- exact numbers ----------------------------------------------------------------
 
 def _ratio(x) -> tuple:
-    """(numerator, denominator) of a float, an integer, a Fraction or an mpf
-    (read from its sign, mantissa and exponent)."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    mpf = getattr(x, "_mpf_", None)
-    if mpf is None:
+    """(numerator, denominator) of a float, an integer or a Fraction
+    (`as_integer_ratio`), or of an mpf, read from its sign, mantissa and
+    exponent."""
+    try:
         return x.as_integer_ratio()
-    sign, man, exp, _ = mpf
+    except AttributeError:
+        sign, man, exp, _ = x._mpf_
     if not man and exp:
         raise ValueError(f"cannot convert {x} to a rational")
     man = -int(man) if sign else int(man)
@@ -235,6 +237,13 @@ def _read(stats) -> tuple:
 
 # --- the inverse formulas, over any leading axes ----------------------------------
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: they are kept in caches."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _weights(N: int, dtype) -> tuple:
     """Integer weights over k = 0..N in the data's number type (Python
@@ -244,9 +253,7 @@ def _weights(N: int, dtype) -> tuple:
     falling = np.array([[math.perm(k, m) for k in ks] for m in ks],
                        dtype=dtype)
     powers = np.array([list(ks), [k * k for k in ks]], dtype=dtype)
-    falling.setflags(write=False)
-    powers.setflags(write=False)
-    return falling, powers
+    return _read_only(falling, powers)
 
 
 def _quotient(a, b, common: int):
@@ -270,10 +277,16 @@ def _joint_pi_map(c, N1: int, N2: int):
                      math.factorial(N1) * math.factorial(N2))
 
 
+@lru_cache(maxsize=64)
+def _hankel_index(N: int) -> tuple:
+    """The order i + j of entry (i, j), i, j = 0..N//2, read-only."""
+    d = N // 2 + 1
+    return _read_only(np.add.outer(np.arange(d), np.arange(d)))
+
+
 def _hankel(v, N: int):
     """M[i, j] = <:pi^(i+j):> for i, j = 0..N//2."""
-    d = N // 2 + 1
-    return v[..., np.add.outer(np.arange(d), np.arange(d))]
+    return v[(..., *_hankel_index(N))]
 
 
 @lru_cache(maxsize=64)
@@ -284,10 +297,17 @@ def _joint_basis(N1: int, N2: int) -> tuple:
                  for m1 in range(min(deg, b1), -1, -1) if deg - m1 <= b2)
 
 
+@lru_cache(maxsize=64)
+def _graded_index(N1: int, N2: int) -> tuple:
+    """The orders (m1a + m1b, m2a + m2b) of entry (a, b) over the graded
+    basis, read-only."""
+    e = np.array(_joint_basis(N1, N2))
+    return _read_only(e[:, 0, None] + e[:, 0], e[:, 1, None] + e[:, 1])
+
+
 def _graded(v, N1: int, N2: int):
     """M[a, b] = <:pi1^(m1a+m1b) pi2^(m2a+m2b):> over the graded basis."""
-    e = np.array(_joint_basis(N1, N2))
-    return v[..., e[:, 0, None] + e[:, 0], e[:, 1, None] + e[:, 1]]
+    return v[(..., *_graded_index(N1, N2))]
 
 
 def _qb_terms(c, N: int, scale: int = 1):
@@ -408,18 +428,26 @@ def _leading_minors(a) -> list:
     """All leading principal minors of a square integer matrix (a list of
     rows) from one Bareiss pass without row exchanges, whose pivot at step
     k is the (k+1) x (k+1) minor; past a zero pivot the larger blocks go
-    to `_det`."""
-    rows, prev, minors = [row[:] for row in a], 1, []
+    to `_det`.
+
+    Entry (i, j) after step k is the minor of the leading k x k block
+    bordered by row i and column j, so an exactly symmetric matrix stays
+    symmetric: then only the upper triangle is updated, and row i takes
+    its multiplier from row k.  Any other matrix gets the full update.
+    """
+    n, rows, prev, minors = len(a), [row[:] for row in a], 1, []
+    symmetric = all(row == list(col) for row, col in zip(rows, zip(*rows)))
     for k, row_k in enumerate(rows):
         pivot = row_k[k]
         minors.append(pivot)
         if not pivot:
             return minors + [_det([row[:j] for row in a[:j]])
-                             for j in range(k + 2, len(a) + 1)]
-        for row in rows[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(pivot * x - f * y) // prev
-                           for x, y in zip(row[k + 1:], row_k[k + 1:])]
+                             for j in range(k + 2, n + 1)]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f, start = (row_k[i], i) if symmetric else (row[k], k + 1)
+            for j in range(start, n):
+                row[j] = (pivot * row[j] - f * row_k[j]) // prev
         prev = pivot
     return minors
 
@@ -467,28 +495,37 @@ def qb_parameter(stats: ClickStatistics) -> float:
     return _qb(stats, *_read(stats))
 
 
+def _above(n: int, d: int, x: float) -> bool:
+    """n / d > x for d > 0, exactly: against the float's own integer ratio;
+    a non-finite x decides as 0 > x, as it would against any finite n / d."""
+    if not math.isfinite(x):
+        return 0.0 > x
+    p, q = x.as_integer_ratio()
+    return n * q > p * d
+
+
 def _qb(stats: ClickStatistics, n, scale: int) -> float:
     """Q_B of click numbers read as n / scale."""
     N = stats.N
     mean, num, den = _qb_terms(n, N, scale)
-    mean = Fraction(mean, scale)
+    m = mean / scale
     total = (int(n.sum()) - scale) / scale
     slack = ((N + 1) * stats.exact_error
              + stats.relative_error * (sum(map(abs, n.tolist())) / scale))
     defect = max(0.0, total - slack, -total - stats.norm_slack - slack)
-    err = (N * (N + 1) / 2 * stats.exact_error + stats.relative_error * mean
+    err = (N * (N + 1) / 2 * stats.exact_error + stats.relative_error * m
            + N * defect)
     tail = N * stats.norm_slack
-    if err < mean < N - err - tail:
+    # err < mean < N - err - tail, the mean taken exactly
+    if _above(mean, scale, err) and _above(-mean, scale, -(N - err - tail)):
         qb = (num - den) / den
-        m = float(mean)
         e = err + tail if 2 * m > N else err
         bound = ((N - 1) * e * (N + 2 * m + e)
                  + (1 + abs(qb)) * e * (abs(N - 2 * m) + e))
         if bound < den / scale ** 2:
             return qb
     raise DegenerateMean(
-        f"mean click number {float(mean)!r} leaves no resolved spread")
+        f"mean click number {m!r} leaves no resolved spread")
 
 
 def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:

@@ -193,6 +193,37 @@ def qb_ref(c, N):
     return float(N * (second - mean ** 2) / (mean * (N - mean)) - 1)
 
 
+def _less(x, y) -> bool:
+    """x < y for Fractions and floats, exactly; with a non-finite float on
+    either side, as floats."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (x, y)):
+        return float(x) < float(y)
+    return Fraction(x) < Fraction(y)
+
+
+def qb_decision_ref(stats):
+    """Q_B, or None where `qb_parameter` must withhold it: the rule of its
+    docstring, with the error bounds formed in floats as it states them and
+    every comparison with the mean taken on Fractions."""
+    N, c = stats.N, numbers(stats)
+    mean = sum(k * ck for k, ck in enumerate(c))
+    m = float(mean)
+    total = float(sum(c) - 1)
+    slack = ((N + 1) * stats.exact_error
+             + stats.relative_error * float(sum(abs(x) for x in c)))
+    defect = max(0.0, total - slack, -total - stats.norm_slack - slack)
+    err = (N * (N + 1) / 2 * stats.exact_error + stats.relative_error * m
+           + N * defect)
+    tail = N * stats.norm_slack
+    if not (_less(err, mean) and _less(mean, N - err - tail)):
+        return None
+    qb = qb_ref(c, N)
+    e = err + tail if 2 * m > N else err
+    bound = ((N - 1) * e * (N + 2 * m + e)
+             + (1 + abs(qb)) * e * (abs(N - 2 * m) + e))
+    return qb if bound < float(mean * (N - mean)) else None
+
+
 def cross_ref(mom):
     v1 = mom[2][0] - mom[1][0] ** 2
     v2 = mom[0][2] - mom[0][1] ** 2

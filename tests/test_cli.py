@@ -220,6 +220,20 @@ class TestSample:
         assert report["verdict"] == "nonclassical"
         assert report["uncertainties"]["resamples"] == 200
 
+    def test_bootstrap_refuses_171_diodes(self, capsys):
+        # the bootstrap's float moments divide by N!/(N-m)!, and 171! is
+        # beyond float range: the histogram is drawn, the witness refused
+        argv = ["sample", "--state", '{"kind": "thermal", "nbar": 1.0}',
+                "--detector", '{"N": 171, "response": '
+                '{"kind": "linear", "eta": 0.9}}', "--samples", "1000",
+                "--seed", "3"]
+        assert main(argv) == 0
+        rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 1 + 172
+        assert sum(int(r[1]) for r in rows[1:]) == 1000
+        assert main(argv + ["--witness"]) == 2
+        assert "at most 170 diodes" in capsys.readouterr().err
+
     def test_huge_sample_count(self, capsys):
         # one multinomial draw: 1e11 events need no per-event memory
         code = main(["sample", "--state", FOCK1, "--detector", DET_N4,

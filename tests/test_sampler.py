@@ -221,18 +221,26 @@ class TestBatchedMinors:
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-10 * scale)
 
-    def test_zero_pivots_take_the_determinant(self):
-        # Fock 1 moments on N = 8 vanish beyond the first, so the third
-        # pivot is exactly 0; a matrix with a zero row has a zero pivot, and
-        # the zero matrix one at the first step
+    @staticmethod
+    def zero_pivot_stack():
+        """Thermal, Fock 1 and their mixture on N = 8, then the thermal
+        matrix with a zero row and column 2, the zero matrix, and a matrix
+        whose second pivot is 0 over a nonzero column."""
         det = DetectorConfig(N=8, response=Linear(eta=0.9))
         fock = np.array(click_statistics(fock_distribution(1), det).probs)
         th = np.array(click_statistics(thermal_distribution(1.0), det).probs)
         mats = _hankel(_pi_map(np.stack([th, fock, th / 2 + fock / 2]), 8), 8)
         zero_row = mats[0].copy()
         zero_row[2, :] = zero_row[:, 2] = 0.0
-        mats = np.concatenate([mats, zero_row[None], np.zeros((1, 5, 5))])
-        bad = [1, 3, 4]
+        column = np.eye(5)
+        column[:3, :3] = [[1, 1, 0], [1, 1, 1], [0, 1, 0]]
+        return np.concatenate([mats, zero_row[None], np.zeros((1, 5, 5)),
+                               column[None]])
+
+    def test_zero_pivots_take_the_determinant(self):
+        # a zero pivot over a nonzero column: that replica alone takes
+        # every minor from np.linalg.det, bit for bit
+        mats = self.zero_pivot_stack()
         calls = []
         real_det = np.linalg.det
 
@@ -242,13 +250,27 @@ class TestBatchedMinors:
 
         with mock.patch("numpy.linalg.det", spy):
             got = _batched_minors(mats)
-        assert calls == [len(bad)] * 5
+        assert calls == [1] * 5
         want = det_minors(mats)
-        assert np.array_equal(got[bad], want[bad])
+        assert np.array_equal(got[5], want[5])
+        assert got[5].tolist() == [1.0, 0.0, -1.0, -1.0, -1.0]
         good = [0, 2]
         scale = np.max(np.abs(want[good]), axis=0)
         assert np.all(np.abs(got[good] - want[good]) <= 1e-10 * scale)
 
+    def test_zero_columns_give_exact_zeros(self):
+        # Fock 1 moments on N = 8 vanish beyond the first, so the third
+        # pivot is exactly 0 over a zero column; so is the zero row's, and
+        # the zero matrix's first: every minor from there on is exactly 0,
+        # and the earlier ones are products of pivots
+        mats = self.zero_pivot_stack()
+        want = det_minors(mats)
+        got = _batched_minors(mats)
+        scale = np.max(np.abs(want[:5]), axis=0)
+        for r, first in ((1, 2), (3, 2), (4, 0)):
+            assert np.all(got[r, first:] == 0.0)
+            assert np.all(np.abs(got[r, :first] - want[r, :first])
+                          <= 1e-10 * scale[:first])
 
 class TestEstimateStatistics:
     def test_point_mass(self):

@@ -4,6 +4,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats.errors import (
     DescriptorError,
@@ -19,6 +21,9 @@ from clickstats.states import (
     CoherentSuperposition,
     JointPhotonDistribution,
     PhotonNumberDistribution,
+    _MAX_CUTOFF,
+    _check_cutoff,
+    _cutoff,
     _superposition_expectation,
     coherent_distribution,
     fock_distribution,
@@ -371,6 +376,139 @@ class TestValidation:
     def test_superposition_rejects_bad_norm(self):
         with pytest.raises(NormalizationViolation):
             CoherentSuperposition(((1.0, 1.0), (1.0, -1.0)))
+
+
+def scan_cutoff(tail, tol, lo):
+    """The least cutoff M >= lo with tail(M) <= tol, scanned up from lo."""
+    m = lo
+    while tail(m) > tol:
+        m += 1
+    return m
+
+
+TOLS = st.one_of(st.sampled_from([0.5, 1e-300, 1e-14]),
+                 st.floats(1e-300, 0.5))
+
+
+@st.composite
+def ratios(draw, tols=TOLS):
+    """(q, tol): a tail ratio q in (0, 1) and a tolerance, either anywhere
+    or with log(tol)/log(q), the number of photon numbers the tail needs,
+    within 1% of _MAX_CUTOFF."""
+    tol = draw(tols)
+    if draw(st.booleans()):
+        return draw(st.floats(1e-300, 1.0, exclude_max=True)), tol
+    steps = _MAX_CUTOFF * draw(st.floats(0.99, 1.01))
+    return math.exp(math.log(tol) / steps), tol
+
+
+def refused(q, tol):
+    return not math.log(tol) / math.log(q) <= _MAX_CUTOFF
+
+
+def geometric_tail(q):
+    """Thermal light's and squeezed vacuum's tail past M, q^(M+1)."""
+    return lambda m: q ** (m + 1)
+
+
+def spats_tail(q, nbar):
+    """The tail past M of a photon added to thermal light of mean nbar."""
+    return lambda m: q ** m * (m + 1.0 + nbar) / (nbar + 1.0)
+
+
+# the thermal and spats tables lose about (nbar + 1) 2^-53 of their
+# normalization to the rounding of q (see CHANGES.md), which the 1e-12 check
+# holds only up to nbar of a few thousand; their tables are built up to
+# here, and the search itself is checked on its own over the whole range
+_TABLE_NBAR = 4000.0
+# tolerances whose cutoffs reach _MAX_CUTOFF below _TABLE_NBAR
+TABLE_TOLS = st.one_of(st.sampled_from([1e-300, 1e-14]),
+                       st.floats(1e-300, 1e-13))
+
+
+class TestCutoffs:
+    """Cutoffs start from the closed form log(tol)/log(q) and must equal a
+    scan from the first photon number up; past _MAX_CUTOFF photon numbers
+    every family refuses the tolerance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=ratios(), spats=st.booleans(),
+           offset=st.integers(-1000, 1000))
+    def test_search_from_any_estimate(self, ratio, spats, offset):
+        q, tol = ratio
+        nbar = q / (1.0 - q)
+        q = nbar / (nbar + 1.0)
+        if not 0.0 < q < 1.0:
+            return
+        if refused(q, tol):
+            with pytest.raises(ValueError, match=str(_MAX_CUTOFF)):
+                _check_cutoff(q, tol)
+            return
+        assert _check_cutoff(q, tol) == math.log(tol) / math.log(q)
+        tail, lo = (spats_tail(q, nbar), 1) if spats else (geometric_tail(q), 0)
+        want = scan_cutoff(tail, tol, lo)
+        assert _cutoff(tail, tol, want + offset, lo) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratio=ratios(TABLE_TOLS), spats=st.booleans())
+    def test_thermal_and_spats(self, ratio, spats):
+        q, tol = ratio
+        nbar = q / (1.0 - q)
+        if not nbar <= _TABLE_NBAR:
+            return
+        q = nbar / (nbar + 1.0)  # as the families form it
+        build, tail, lo = ((spats_distribution, spats_tail(q, nbar), 1)
+                           if spats else
+                           (thermal_distribution, geometric_tail(q), 0))
+        if refused(q, tol):
+            with pytest.raises(ValueError, match=str(_MAX_CUTOFF)):
+                build(nbar, tol)
+            return
+        d = build(nbar, tol)
+        assert d.cutoff == scan_cutoff(tail, tol, lo)
+        assert d.tail_bound == tail(d.cutoff)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratio=ratios())
+    def test_tmsv(self, ratio):
+        r, tol = ratio
+        xi = math.sqrt(r)
+        r = abs(complex(xi)) ** 2  # as tmsv_joint forms it
+        if r == 0.0:
+            return
+        if refused(r, tol):
+            with pytest.raises(ValueError, match=str(_MAX_CUTOFF)):
+                tmsv_joint(xi, tol)
+            return
+        j = tmsv_joint(xi, tol)
+        assert j.cutoffs[0] == scan_cutoff(geometric_tail(r), tol, 0)
+        assert j.tail_bound == r ** (j.cutoffs[0] + 1)
+
+    @pytest.mark.parametrize("tol", [0.5, 1e-14, 1e-300])
+    def test_edges_of_the_check(self, tol):
+        # the largest |xi|^2 a tolerance lets through, and the next float up
+        r = math.exp(math.log(tol) / _MAX_CUTOFF)
+        while refused(r, tol):
+            r = math.nextafter(r, 0.0)
+        while not refused(math.nextafter(r, 1.0), tol):
+            r = math.nextafter(r, 1.0)
+        for ratio in (r, math.nextafter(r, 1.0)):
+            xi = math.sqrt(ratio)
+            rr = abs(complex(xi)) ** 2
+            if refused(rr, tol):
+                with pytest.raises(ValueError, match=str(_MAX_CUTOFF)):
+                    tmsv_joint(xi, tol)
+            else:
+                assert (tmsv_joint(xi, tol).cutoffs[0]
+                        == scan_cutoff(geometric_tail(rr), tol, 0))
+            steps = math.log(tol) / math.log(ratio)
+            assert steps > 0.99 * _MAX_CUTOFF
+            if refused(ratio, tol):
+                with pytest.raises(ValueError):
+                    _check_cutoff(ratio, tol)
+            else:
+                assert _cutoff(geometric_tail(ratio), tol, steps - 1, 0) == (
+                    scan_cutoff(geometric_tail(ratio), tol, 0))
 
 
 class TestDescriptors:

@@ -58,6 +58,7 @@ from exact_kernels import (
     minors_ref,
     numbers,
     pi_ref,
+    qb_decision_ref,
     qb_ref,
     witness_ref,
 )
@@ -214,12 +215,47 @@ def planted_matrices(draw):
     return a
 
 
+@st.composite
+def symmetric_planted_matrices(draw):
+    """Symmetric integer matrices of size 1..9 in which some leading block
+    has a row (and so a column) that is an integer combination of the rows
+    above it within the block, a zero row and column when it is the first:
+    zero pivots and rank-deficient blocks, with larger blocks that need
+    not be singular."""
+    d = draw(st.integers(1, 9))
+    a = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            a[i][j] = a[j][i] = draw(ENTRIES)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, d))
+        r = draw(st.integers(0, k - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        for j in range(k):
+            if j != r:
+                a[r][j] = a[j][r] = sum(c * a[i][j] for i, c in enumerate(coeffs))
+        a[r][r] = sum(c * a[i][r] for i, c in enumerate(coeffs))
+    return a
+
+
 class TestOnePassMinors:
     @settings(max_examples=300, deadline=None)
     @given(a=planted_matrices())
     def test_all_leading_minors_from_one_pass(self, a):
         # every pivot of the elimination is a leading minor; past a zero
         # pivot the blocks are eliminated again with row exchanges
+        copy = [row[:] for row in a]
+        got = _leading_minors(a)
+        assert a == copy
+        exact = [[Fraction(x) for x in row] for row in a]
+        assert got == [det([row[:k] for row in exact[:k]])
+                       for k in range(1, len(a) + 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=symmetric_planted_matrices())
+    def test_symmetric_matrices_from_the_upper_triangle(self, a):
+        # a symmetric matrix is eliminated on its upper triangle alone
+        assert all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
         copy = [row[:] for row in a]
         got = _leading_minors(a)
         assert a == copy
@@ -250,6 +286,58 @@ class TestClassicalNeverFlagged:
         # a mixture of binomial click statistics is what any classical
         # (Poisson-mixture) light gives a linear bank; no criterion may flag it
         assert witness_report(stats).verdict == "consistent-with-classical"
+
+
+ERROR_BOUNDS = st.sampled_from(
+    [0.0, 1e-300, 1e-17, 1e-13, 1e-9, 1e-3, 0.3, 1e308, math.inf])
+
+
+@st.composite
+def qb_statistics(draw):
+    """Binomial mixtures with stated errors, some of them infinite or
+    overflowing, and truncated tables whose missing mass, up to the whole
+    of a finite norm_slack, sits in the slack."""
+    base = draw(binomial_mixtures())
+    slack = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-6, math.inf]))
+    cut = draw(st.sampled_from([0.0, 0.5, 1.0])) * min(slack, 1e-3)
+    return ClickStatistics(base.N, tuple(p * (1.0 - cut) for p in base.probs),
+                           norm_slack=slack, exact_error=draw(ERROR_BOUNDS),
+                           relative_error=draw(ERROR_BOUNDS))
+
+
+def decided_qb(stats):
+    try:
+        return qb_parameter(stats)
+    except DegenerateMean:
+        return None
+
+
+class TestQbDecisions:
+    @settings(max_examples=300, deadline=None)
+    @given(stats=qb_statistics())
+    def test_against_fractions(self, stats):
+        # the integer comparisons of the mean with the float bounds decide
+        # as exact Fraction comparisons do, and Q_B is the rounded exact value
+        assert decided_qb(stats) == qb_decision_ref(stats)
+
+    @pytest.mark.parametrize("p, fields, withheld", [
+        (0.3, {}, False),
+        (0.0, {}, True),                                  # mean 0
+        (1.0, {}, True),                                  # mean N
+        (0.3, {"relative_error": math.inf}, True),        # err = inf
+        (0.0, {"relative_error": math.inf}, True),        # err = inf * 0 = nan
+        (0.3, {"exact_error": 1e308}, True),              # err overflows
+        (0.3, {"norm_slack": math.inf}, True),            # N - err - tail = -inf
+        (0.3, {"exact_error": 0.05}, True),               # spread not resolved
+    ])
+    def test_withheld_and_non_finite_bounds(self, p, fields, withheld):
+        N = 4
+        probs = tuple(math.comb(N, k) * p ** k * (1 - p) ** (N - k)
+                      for k in range(N + 1))
+        stats = ClickStatistics(N, probs, **fields)
+        want = qb_decision_ref(stats)
+        assert (want is None) == withheld
+        assert decided_qb(stats) == want
 
 
 # --- whole reports against the reference -----------------------------------------
