@@ -14,19 +14,24 @@ identical seeds and request sequences reproduce histograms bit for bit.
 Histograms drawn by inverse-CDF sampling in earlier releases differ from
 today's for the same seed.
 
-Point estimates come from the standard witness path, exact for the
-empirical frequencies (minors, Q_B and the cross minor are rounded once
-from exact rationals); the bootstrap resamples run the same witness
-formulas on floats over a leading resample axis and take all leading
-minors from one batched float elimination, which is adequate because
-sampling noise dominates float rounding by many orders of magnitude at
-any realistic sample size.
+Point estimates are the standard witness on the counts themselves, read
+as integers over their total: minors, Q_B and the cross minor are exact
+for counts/total and rounded once.  The bootstrap resamples take every
+replica's moments, and for one bank <c> and <c^2>, from one product of the
+resampled histograms with a cached float map, with the resample axis last,
+and all leading minors from one float elimination over the upper triangle
+of the moment matrices, which steps over the zero pivots of a Fock
+source's vanishing moments.  Floats are adequate there on banks of a
+few diodes, where sampling noise dominates float rounding by many orders
+of magnitude; on a bank of tens of diodes the high-order minors are
+rounding noise, and further on they underflow to 0.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +41,12 @@ from .errors import EmptyHistogram
 from .witness import (
     WitnessReport,
     _cross_minor,
-    _graded,
-    _hankel,
-    _joint_pi_map,
-    _pi_map,
+    _graded_index,
+    _hankel_index,
     _qb_terms,
-    witness_report,
+    _read_only,
+    _report,
+    _weights,
 )
 
 __all__ = [
@@ -209,72 +214,103 @@ def estimate_statistics(hist: ClickHistogram):
 # --- bootstrap ------------------------------------------------------------------
 
 
-def _batched_minors(mats: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _replica_map(shape: tuple) -> tuple:
+    """(W, index) for histograms of this shape, read-only.
+
+    W maps a flattened histogram, as a column, to its moments: for one bank
+    the rows k!/(k-m)! / (N!/(N-m)!) for m = 0..N, then the click powers k
+    and k^2; for two banks the Kronecker product of the two banks' rows, so
+    that row m1 (N2+1) + m2 holds moment [m1, m2].  Entry (i, j) of the
+    moment matrix (Hankel or graded) is row index[i, j] of W.
+    """
+    falling = [_weights(K - 1)[0] for K in shape]
+    maps = [(f / f[:, -1:]).astype(float) for f in falling]
+    if len(shape) == 1:
+        N = shape[0] - 1
+        W = np.vstack([maps[0], _weights(N)[1].astype(float)])
+        index = _hankel_index(N)[0]
+    else:
+        W = np.kron(*maps)
+        i1, i2 = _graded_index(shape[0] - 1, shape[1] - 1)
+        index = i1 * shape[1] + i2
+    return _read_only(W, index)
+
+
+def _batched_minors(moms: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Leading principal minors of a stack of symmetric matrices.
 
-    mats has shape (R, d, d); the result (R, d) holds det of the k x k
-    top-left block in column k-1.  One Gaussian elimination without
-    pivoting runs over the resample axis, and minor k is the product of
-    the first k pivots.  A replica whose first zero pivot, at step k, sits
-    over an exactly zero column (the vanishing higher moments of a Fock
-    source) has minors k+1..d exactly 0: each is the first k pivots times
-    a determinant of the Schur complement, whose first column is zero.  A
-    replica with any other zero or non-finite pivot takes its minors from
-    np.linalg.det.  Float precision only: used for bootstrap spread, not
-    for point estimates.
+    moms has shape (M, R), the resample axis last, and entry (i, j) of
+    replica r's d x d matrix is moms[index[i, j], r]; the result (d, R)
+    holds det of the k x k top-left block in row k-1.  One Gaussian
+    elimination without pivoting runs over the whole stack at once, and
+    minor k is the product of the first k pivots.  A symmetric matrix stays
+    symmetric under it, so only the upper triangle is taken out of moms and
+    updated, row by row, and row i takes its multiplier from row k.  A
+    zero pivot over a zero row (the vanishing higher moments of a Fock
+    source) is stepped over with zero multipliers: every later minor is
+    then exactly 0, the first k pivots times a determinant whose first row
+    is zero.  A zero pivot over a nonzero row gives an infinite multiplier,
+    and so a non-finite pivot further on; a replica with any non-finite
+    pivot takes its minors from np.linalg.det.  Float precision only: used
+    for bootstrap spread, not for point estimates.
     """
-    a = np.array(mats, dtype=float)
-    d = a.shape[-1]
-    pivots = np.empty(a.shape[:-1])
-    zero_column = np.empty(a.shape[:-1], dtype=bool)
+    d, R = len(index), moms.shape[-1]
+    rows = [moms[index[i, i:]] for i in range(d)]  # row i: columns i..d-1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(d):
-            pivots[:, k] = a[:, k, k]
-            zero_column[:, k] = ~np.any(a[:, k:, k], axis=1)
-            factors = a[:, k + 1:, k] / a[:, k, k, None]
-            a[:, k + 1:, k + 1:] -= factors[:, :, None] * a[:, None, k, k + 1:]
-        minors = np.cumprod(pivots, axis=1)
-    regular = np.isfinite(pivots) & (pivots != 0)
-    replicas = np.arange(len(a))
-    first = np.argmin(regular, axis=1)  # the first zero or non-finite pivot
-    bad = ~regular[replicas, first]
-    flat = bad & zero_column[replicas, first]
-    minors[flat] = np.where(np.arange(d) < first[flat, None], minors[flat], 0.0)
-    bad &= ~flat
+        for k, row in enumerate(rows):
+            f = row[1:] / row[0]
+            if np.count_nonzero(row[0]) < R:
+                np.copyto(f, 0.0, where=(row[0] == 0) & ~row[1:].any(axis=0))
+            for i in range(k + 1, d):
+                rows[i] -= f[i - k - 1] * row[i - k:]
+        pivots = np.array([row[0] for row in rows])
+        minors = np.cumprod(pivots, axis=0)
+    if np.isfinite(minors[-1]).all():
+        return minors
+    bad = ~np.isfinite(pivots).all(axis=0)
     if bad.any():
-        sub = mats[bad]
-        minors[bad] = np.stack([np.linalg.det(sub[:, :k, :k])
-                                for k in range(1, d + 1)], axis=1)
+        sub = np.moveaxis(moms[:, bad][index], -1, 0)
+        minors[:, bad] = [np.linalg.det(sub[:, :k, :k]) for k in range(1, d + 1)]
     return minors
 
 
-def _replicas(freqs: np.ndarray, hist: ClickHistogram) -> dict:
-    """Moments and witness criteria of a stack of frequency tables.
+def _replicas(draws: np.ndarray, total: int, shape: tuple) -> dict:
+    """Moments and witness criteria of resampled histograms.
 
-    freqs carries a leading resample axis; the witness formulas of the
-    point estimates run over it unchanged, and only the minors are taken
-    in float.  Q_B keeps the replicas whose mean leaves a spread.
+    draws holds one flattened histogram of `total` events per row.  One
+    product with the cached `_replica_map` gives every replica's moments,
+    and for one bank <c> and <c^2>, with the resample axis last; the
+    moment matrices are indexed straight out of them.  Q_B keeps the
+    replicas whose mean leaves a spread.
     """
-    if hist.is_joint:
-        moms = _joint_pi_map(freqs, hist.N1, hist.N2)
-        return {"moments": moms,
-                "minors": _batched_minors(_graded(moms, hist.N1, hist.N2)),
-                "cross": _cross_minor(moms)}
-    moms = _pi_map(freqs, hist.N)
-    _, num, den = _qb_terms(freqs, hist.N)
+    W, index = _replica_map(shape)
+    moms = W @ draws.T
+    moms /= total
+    minors = _batched_minors(moms, index)
+    if len(shape) == 2:
+        moms = moms.reshape(shape + (-1,))
+        return {"moments": moms, "minors": minors, "cross": _cross_minor(moms)}
+    N = shape[0] - 1
+    num, den = _qb_terms(moms[N + 1], moms[N + 2], N)
     ok = den > 0
-    return {"moments": moms,
-            "minors": _batched_minors(_hankel(moms, hist.N)),
+    return {"moments": moms[:N + 1], "minors": minors,
             "qb": num[ok] / den[ok] - 1.0}
+
+
+def _spread(x: np.ndarray) -> np.ndarray:
+    """Sample standard deviation (ddof = 1) along the last axis."""
+    dev = x - x.mean(axis=-1, keepdims=True)
+    return np.sqrt(np.einsum("...i,...i->...", dev, dev) / (x.shape[-1] - 1))
 
 
 def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
                       threshold_sigmas: float = 3.0) -> WitnessReport:
     """Witness report with bootstrap uncertainties from a histogram.
 
-    Point estimates come from the standard witness path on the
-    empirical statistics.  `resamples` multinomial resamples of the
-    histogram give empirical standard errors, and the verdict flags
+    Point estimates are the witness on the counts over their total, exact
+    until each number is rounded once.  `resamples` multinomial resamples
+    of the histogram give empirical standard errors, and the verdict flags
     nonclassicality when any leading minor beyond the first, the Q
     parameter, or the cross-correlation minor satisfies
 
@@ -293,21 +329,19 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
         raise ValueError(f"the bootstrap takes banks of at most {_MAX_OUTCOME} "
                          f"diodes, not {max(hist.counts.shape) - 1}")
     total = _events(hist)
-    stats = estimate_statistics(hist)
-    base = witness_report(stats)
+    counts = np.array(hist.counts.tolist(), dtype=object)
+    base = _report(estimate_statistics(hist), counts, total, threshold_sigmas)
 
     weights = hist.counts.ravel() / total
     weights = weights / weights.sum()
     rng = _generator(seed)
-    draws = rng.multinomial(total, weights, size=resamples) / total
+    draws = rng.multinomial(total, weights, size=resamples)
 
-    rep = _replicas(draws.reshape((resamples,) + hist.counts.shape), hist)
-    cross_se = (float(np.std(rep["cross"], ddof=1)) if "cross" in rep
-                else None)
-    qb_se = (float(np.std(rep["qb"], ddof=1))
-             if len(rep.get("qb", ())) >= 2 else None)
-
-    minor_se = tuple(float(s) for s in np.std(rep["minors"], axis=0, ddof=1))
+    rep = _replicas(draws, total, hist.counts.shape)
+    minor_se = tuple(_spread(rep["minors"]).tolist())
+    cross_se = float(_spread(rep["cross"])) if "cross" in rep else None
+    qb_se = (float(_spread(rep["qb"])) if len(rep.get("qb", ())) >= 2
+             else None)
 
     criteria = [(m, s) for m, s in zip(base.leading_minors[1:], minor_se[1:])]
     if base.qb is not None and qb_se is not None:

@@ -210,13 +210,17 @@ def _check_mean(mean: float, limit: float = math.inf):
         raise ValueError(f"mean photon number {mean!r} outside [0, {limit})")
 
 
+def _too_long(tol: float) -> ValueError:
+    return ValueError(
+        f"tail below {tol!r} needs more than {_MAX_CUTOFF} photon numbers")
+
+
 def _check_cutoff(q: float, tol: float) -> float:
     """log(tol)/log(q), the M from which q^M <= tol; a tail that falls below
     tol only beyond _MAX_CUTOFF is rejected."""
     steps = math.log(tol) / math.log(q) if q < 1.0 else math.inf
     if not steps <= _MAX_CUTOFF:
-        raise ValueError(
-            f"tail below {tol!r} needs more than {_MAX_CUTOFF} photon numbers")
+        raise _too_long(tol)
     return steps
 
 
@@ -304,6 +308,8 @@ def spats_distribution(nbar: float,
         estimate = steps - (math.log((estimate + 1.0 + nb) / (nb + 1.0))
                             / math.log(q))
     cutoff = _cutoff(tail, tol, estimate, 1)
+    if cutoff > _MAX_CUTOFF:  # the factor (M+1+nbar)/(nbar+1) carried it past
+        raise _too_long(tol)
     pref = 1.0 / (nb + 1.0) ** 2
     probs = [0.0] + [pref * n * q ** (n - 1) for n in range(1, cutoff + 1)]
     return PhotonNumberDistribution(tuple(probs), tail(cutoff),

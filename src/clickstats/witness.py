@@ -11,10 +11,10 @@ classical state; any negative leading principal minor, negative eigenvalue,
 negative cross-correlation minor, or negative binomial Q parameter
 certifies nonclassicality.
 
-Each formula is written once, over any leading axes.  Point estimates read
-the numbers given (the statistics' `exact` values when the forward model
-supplied them, their floats otherwise) once, as Python integers n_k over
-one denominator L: every float and mpf is a dyadic rational.  Every moment
+Each formula is written once.  Point estimates read the numbers given
+(the statistics' `exact` values when the forward model supplied them,
+their floats otherwise) once, as Python integers n_k over one
+denominator L: every float and mpf is a dyadic rational.  Every moment
 is then an integer over one scale, S = L N! for one bank and S = L N1! N2!
 for two (all divided by their greatest common divisor), and the moment
 matrices hold those integers, so minor k is an integer determinant over
@@ -26,8 +26,10 @@ orders below the matrix entries, are the pivots of one fraction-free
 elimination, which keeps a symmetric matrix symmetric and so updates
 the upper triangle of the moment matrices alone.  The `exact` fields of
 the moment containers the library builds are reduced Fractions, made
-from the integers only when first read.  The bootstrap runs the
-formulas on floats over resamples.
+from the integers only when first read.  The bootstrap's point estimates
+read a histogram's counts over their total the same way, and its resamples
+share the Hankel and graded indexes, Q_B's terms and the cross minor, on
+floats with the resample axis last.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def _read(stats) -> tuple:
     return _integers(stats.probs if stats.exact is None else stats.exact)
 
 
-# --- the inverse formulas, over any leading axes ----------------------------------
+# --- the inverse formulas ---------------------------------------------------------
 
 def _read_only(*arrays) -> tuple:
     """The arrays, made read-only: they are kept in caches."""
@@ -245,36 +247,28 @@ def _read_only(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _weights(N: int, dtype) -> tuple:
-    """Integer weights over k = 0..N in the data's number type (Python
-    integers for Fractions): the falling factorials P[m, k] = k!/(k-m)! and
-    the click powers (k, k^2)."""
+def _weights(N: int) -> tuple:
+    """Integer weights over k = 0..N: the falling factorials P[m, k] =
+    k!/(k-m)! and the click powers (k, k^2)."""
     ks = range(N + 1)
     falling = np.array([[math.perm(k, m) for k in ks] for m in ks],
-                       dtype=dtype)
-    powers = np.array([list(ks), [k * k for k in ks]], dtype=dtype)
+                       dtype=object)
+    powers = np.array([list(ks), [k * k for k in ks]], dtype=object)
     return _read_only(falling, powers)
 
 
-def _quotient(a, b, common: int):
-    """a / b on floats; on Python integers the numerators of a / b over
-    `common`, which every b divides."""
-    return a * (common // b) if a.dtype == object else a / b
-
-
 def _pi_map(c, N: int):
-    """<:pi^m:> = (N-m)!/N! sum_k k!/(k-m)! c_k for m = 0..N (times N! on
-    integers)."""
-    falling = _weights(N, c.dtype)[0]
-    return _quotient(c @ falling.T, falling[:, N], math.factorial(N))
+    """N! <:pi^m:> = (N-m)! sum_k k!/(k-m)! c_k for m = 0..N."""
+    falling = _weights(N)[0]
+    return (falling @ c) * (math.factorial(N) // falling[:, N])
 
 
 def _joint_pi_map(c, N1: int, N2: int):
-    """Two-bank moments [m1, m2]: the single-bank sums along each axis (times
-    N1! N2! on integers)."""
-    f1, f2 = _weights(N1, c.dtype)[0], _weights(N2, c.dtype)[0]
-    return _quotient(f1 @ c @ f2.T, np.outer(f1[:, N1], f2[:, N2]),
-                     math.factorial(N1) * math.factorial(N2))
+    """N1! N2! times the two-bank moments [m1, m2]: the single-bank sums
+    along each axis."""
+    f1, f2 = _weights(N1)[0], _weights(N2)[0]
+    return (f1 @ c @ f2.T) * np.outer(math.factorial(N1) // f1[:, N1],
+                                      math.factorial(N2) // f2[:, N2])
 
 
 @lru_cache(maxsize=64)
@@ -286,7 +280,7 @@ def _hankel_index(N: int) -> tuple:
 
 def _hankel(v, N: int):
     """M[i, j] = <:pi^(i+j):> for i, j = 0..N//2."""
-    return v[(..., *_hankel_index(N))]
+    return v[_hankel_index(N)]
 
 
 @lru_cache(maxsize=64)
@@ -307,21 +301,21 @@ def _graded_index(N1: int, N2: int) -> tuple:
 
 def _graded(v, N1: int, N2: int):
     """M[a, b] = <:pi1^(m1a+m1b) pi2^(m2a+m2b):> over the graded basis."""
-    return v[(..., *_graded_index(N1, N2))]
+    return v[_graded_index(N1, N2)]
 
 
-def _qb_terms(c, N: int, scale: int = 1):
-    """<c>, and Q_B + 1 as N Var(c) over <c>(N - <c>), from c times scale."""
-    mean, second = (c @ _weights(N, c.dtype)[1].T).T
-    return mean, N * (second * scale - mean ** 2), mean * (N * scale - mean)
+def _qb_terms(mean, second, N: int, scale: int = 1):
+    """Q_B + 1 as N Var(c) over <c>(N - <c>), from <c> and <c^2> times
+    scale."""
+    return N * (second * scale - mean ** 2), mean * (N * scale - mean)
 
 
 def _cross_minor(v, scale: int = 1):
-    """scale^4 det of the centered second-moment block, from moments times
-    scale."""
-    v1 = v[..., 2, 0] * scale - v[..., 1, 0] ** 2
-    v2 = v[..., 0, 2] * scale - v[..., 0, 1] ** 2
-    cov = v[..., 1, 1] * scale - v[..., 1, 0] * v[..., 0, 1]
+    """scale^4 det of the centered second-moment block, from moments [m1, m2]
+    times scale (over any trailing axes)."""
+    v1 = v[2, 0] * scale - v[1, 0] ** 2
+    v2 = v[0, 2] * scale - v[0, 1] ** 2
+    cov = v[1, 1] * scale - v[1, 0] * v[0, 1]
     return v1 * v2 - cov ** 2
 
 
@@ -335,7 +329,7 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
     n, scale = _read(stats)
-    return (n @ _weights(stats.N, n.dtype)[0][m]) / scale
+    return (_weights(stats.N)[0][m] @ n) / scale
 
 
 def _lowest(ints, scale: int) -> tuple:
@@ -359,14 +353,19 @@ def pi_moments(stats: ClickStatistics) -> PiMoments:
     return _pi_moments(stats, *_read(stats))
 
 
-def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
-    """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    n, scale = _read(stats)
+def _joint_pi_moments(stats: JointClickStatistics, n,
+                      scale: int) -> JointPiMoments:
+    """The two-bank moments of click numbers read as n / scale."""
     mom, scale = _lowest(_joint_pi_map(n, stats.N1, stats.N2), scale
                          * math.factorial(stats.N1) * math.factorial(stats.N2))
     return JointPiMoments(mom / scale, (stats.N1, stats.N2),
                           formal=stats.formal, norm_slack=stats.norm_slack,
                           _ints=mom, _scale=scale)
+
+
+def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
+    """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
+    return _joint_pi_moments(stats, *_read(stats))
 
 
 def _matrix(mom, arrange, basis: tuple) -> MomentMatrix:
@@ -507,7 +506,8 @@ def _above(n: int, d: int, x: float) -> bool:
 def _qb(stats: ClickStatistics, n, scale: int) -> float:
     """Q_B of click numbers read as n / scale."""
     N = stats.N
-    mean, num, den = _qb_terms(n, N, scale)
+    mean, second = _weights(N)[1] @ n
+    num, den = _qb_terms(mean, second, N, scale)
     m = mean / scale
     total = (int(n.sum()) - scale) / scale
     slack = ((N + 1) * stats.exact_error
@@ -551,20 +551,24 @@ def witness_report(stats, threshold: float = DEFAULT_THRESHOLD) -> WitnessReport
     """Assemble all nonclassicality criteria for one statistics object."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
+    if not isinstance(stats, (ClickStatistics, JointClickStatistics)):
+        raise TypeError(f"unsupported statistics type {type(stats).__name__}")
+    return _report(stats, *_read(stats), threshold)
+
+
+def _report(stats, n, scale: int, threshold: float) -> WitnessReport:
+    """The report on the click numbers of `stats` read as n / scale."""
     qb = cross = None
     if isinstance(stats, ClickStatistics):
-        n, scale = _read(stats)
         M = moment_matrix(_pi_moments(stats, n, scale), stats.N)
         try:
             qb = _qb(stats, n, scale)
         except DegenerateMean:
             pass
-    elif isinstance(stats, JointClickStatistics):
-        mom = joint_pi_moments(stats)
+    else:
+        mom = _joint_pi_moments(stats, n, scale)
         M = joint_moment_matrix(mom, stats.N1, stats.N2)
         cross = _cross(stats, mom)
-    else:
-        raise TypeError(f"unsupported statistics type {type(stats).__name__}")
     minors = leading_principal_minors(M)
     mineig = min_eigenvalue(M)
     criteria = list(minors[1:]) + [mineig]

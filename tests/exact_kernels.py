@@ -235,15 +235,32 @@ def witness_ref(stats):
     """Moments, matrix, leading minors, smallest eigenvalue, Q_B (None when
     the mean is not strictly inside (0, N)) and cross minor (None for one
     bank)."""
-    c = numbers(stats)
-    qb = cross = None
     if getattr(stats, "N1", None) is not None:
-        N1, N2 = stats.N1, stats.N2
+        return witness_of(numbers(stats), (stats.N1, stats.N2))
+    return witness_of(numbers(stats), (stats.N,))
+
+
+def histogram_ref(counts):
+    """`witness_ref` of a histogram's counts (a list, or a list of rows)
+    over their total."""
+    if isinstance(counts[0], list):
+        total = sum(map(sum, counts))
+        return witness_of([[Fraction(x, total) for x in row] for row in counts],
+                          (len(counts) - 1, len(counts[0]) - 1))
+    total = sum(counts)
+    return witness_of([Fraction(x, total) for x in counts], (len(counts) - 1,))
+
+
+def witness_of(c, dims):
+    """`witness_ref` of click numbers c (Fractions) on banks of dims diodes."""
+    qb = cross = None
+    if len(dims) == 2:
+        N1, N2 = dims
         mom = joint_pi_ref(c, N1, N2)
         M = graded_ref(mom, N1, N2)
         cross = cross_ref(mom)
     else:
-        N = stats.N
+        N, = dims
         mom = pi_ref(c, N)
         M = hankel_ref(mom, N)
         if 0 < sum(k * ck for k, ck in enumerate(c)) < N:

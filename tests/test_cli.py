@@ -97,6 +97,15 @@ class TestStats:
                      "--detector", DET_N4])
         assert code == 2
 
+    @pytest.mark.parametrize("nbar, tol", [(144124.7, 0.5), (3098.5, 1e-14)])
+    def test_spats_cutoff_limit(self, nbar, tol, capsys):
+        # q^M is within tol before 100000 photon numbers, but the spats tail
+        # carries (M+1+nbar)/(nbar+1) and needs 241892 and 111077 of them
+        state = json.dumps({"kind": "spats", "nbar": nbar, "tol": tol})
+        code = main(["stats", "--state", state, "--detector", DET_N4])
+        assert code == 2
+        assert "100000" in capsys.readouterr().err
+
     def test_precision_flag(self, capsys):
         code = main(["stats", "--state", COHERENT1, "--detector", DET_N8,
                      "--precision", "300"])

@@ -34,8 +34,7 @@ from clickstats import (
 )
 from clickstats.cli import main
 from clickstats.errors import EmptyHistogram
-from clickstats.sampler import _batched_minors, _replicas
-from clickstats.witness import _hankel, _pi_map
+from clickstats.sampler import _batched_minors, _replica_map, _replicas
 from clickstats.witness import (
     cross_correlation_minor,
     joint_pi_moments,
@@ -43,6 +42,7 @@ from clickstats.witness import (
     qb_parameter,
     witness_report,
 )
+from exact_kernels import histogram_ref
 
 
 def binomial_stats(N: int, p: float) -> ClickStatistics:
@@ -210,6 +210,52 @@ def det_minors(mats):
                      for k in range(1, mats.shape[-1] + 1)], axis=1)
 
 
+def batched(mats):
+    """`_batched_minors` of an (R, d, d) stack, as (R, d)."""
+    R, d = len(mats), mats.shape[-1]
+    flat = np.ascontiguousarray(mats.reshape(R, d * d).T)
+    return _batched_minors(flat, np.arange(d * d).reshape(d, d)).T
+
+
+@st.composite
+def planted_stacks(draw):
+    """(mats, kinds, where): a stack of symmetric matrices, each diagonally
+    dominant (so elimination without pivoting is stable) with signs of
+    either kind on its diagonal, and in some a planted defect: "zero row"
+    at index j, "zero pivot" (pivot 1 exactly 0 over a nonzero row 1), or
+    "non-finite" (inf, -inf or NaN at a symmetric pair (i, j))."""
+    d = draw(st.integers(1, 9))
+    R = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((R, d, d))
+    mats = a + a.transpose(0, 2, 1)
+    off = np.abs(mats).sum(axis=2) - np.abs(np.diagonal(mats, axis1=1, axis2=2))
+    signs = rng.choice([-1.0, 1.0], size=(R, d))
+    idx = np.arange(d)
+    mats[:, idx, idx] = signs * (off + 1.0)
+    kinds = ["regular", "zero row"] + (["zero pivot"] if d >= 3 else [])
+    kinds += ["non-finite"]
+    plan = draw(st.lists(st.sampled_from(kinds), min_size=R, max_size=R))
+    where = []
+    for r, kind in enumerate(plan):
+        m = mats[r]
+        i, j = sorted(draw(st.tuples(st.integers(0, d - 1),
+                                     st.integers(0, d - 1))))
+        if kind == "zero row":
+            m[j, :] = m[:, j] = 0.0
+        elif kind == "zero pivot":
+            s = float(draw(st.integers(1, 5)))
+            m[:2, :] = m[:, :2] = 0.0
+            m[:2, :2] = s
+            m[1, 2] = m[2, 1] = float(draw(st.integers(1, 5)))
+        elif kind == "non-finite":
+            m[i, j] = m[j, i] = draw(st.sampled_from(
+                [np.inf, -np.inf, np.nan]))
+        where.append(j)
+    return mats, plan, where
+
+
 class TestBatchedMinors:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
     def test_random_symmetric_stacks(self, d):
@@ -217,9 +263,43 @@ class TestBatchedMinors:
         a = rng.standard_normal((500, d, d))
         mats = a + a.transpose(0, 2, 1)
         want = det_minors(mats)
-        got = _batched_minors(mats)
+        got = batched(mats)
         scale = np.max(np.abs(want), axis=0)
         assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_stacks())
+    def test_planted_stacks(self, planted):
+        # regular replicas within 1e-10 x scale of det; a zero row at j
+        # gives exact zeros from minor j+1 on; a zero pivot over a nonzero
+        # row and a non-finite entry send that replica alone to det, bit
+        # for bit
+        mats, plan, where = planted
+        R, d = len(plan), mats.shape[-1]
+        calls = []
+        real_det = np.linalg.det
+
+        def spy(x):
+            calls.append(x.shape[0])
+            return real_det(x)
+
+        with np.errstate(invalid="ignore"):
+            want = det_minors(mats)
+            with mock.patch("numpy.linalg.det", spy):
+                got = batched(mats)
+        assert got.shape == (R, d)
+        to_det = [r for r, kind in enumerate(plan)
+                  if kind in ("zero pivot", "non-finite")]
+        assert calls == ([len(to_det)] * d if to_det else [])
+        assert np.array_equal(got[to_det], want[to_det], equal_nan=True)
+        finite = [r for r, kind in enumerate(plan)
+                  if kind in ("regular", "zero row")]
+        scale = np.max(np.abs(want[finite]), axis=0, initial=0.0)
+        for r in finite:
+            first = where[r] if plan[r] == "zero row" else d
+            assert np.all(got[r, first:] == 0.0)
+            assert np.all(np.abs(got[r, :first] - want[r, :first])
+                          <= 1e-10 * scale[:first])
 
     @staticmethod
     def zero_pivot_stack():
@@ -229,7 +309,9 @@ class TestBatchedMinors:
         det = DetectorConfig(N=8, response=Linear(eta=0.9))
         fock = np.array(click_statistics(fock_distribution(1), det).probs)
         th = np.array(click_statistics(thermal_distribution(1.0), det).probs)
-        mats = _hankel(_pi_map(np.stack([th, fock, th / 2 + fock / 2]), 8), 8)
+        W, index = _replica_map((9,))
+        moms = W @ np.stack([th, fock, th / 2 + fock / 2]).T
+        mats = np.moveaxis(moms[index], -1, 0)
         zero_row = mats[0].copy()
         zero_row[2, :] = zero_row[:, 2] = 0.0
         column = np.eye(5)
@@ -249,7 +331,7 @@ class TestBatchedMinors:
             return real_det(x)
 
         with mock.patch("numpy.linalg.det", spy):
-            got = _batched_minors(mats)
+            got = batched(mats)
         assert calls == [1] * 5
         want = det_minors(mats)
         assert np.array_equal(got[5], want[5])
@@ -265,12 +347,13 @@ class TestBatchedMinors:
         # and the earlier ones are products of pivots
         mats = self.zero_pivot_stack()
         want = det_minors(mats)
-        got = _batched_minors(mats)
+        got = batched(mats)
         scale = np.max(np.abs(want[:5]), axis=0)
         for r, first in ((1, 2), (3, 2), (4, 0)):
             assert np.all(got[r, first:] == 0.0)
             assert np.all(np.abs(got[r, :first] - want[r, :first])
                           <= 1e-10 * scale[:first])
+
 
 class TestEstimateStatistics:
     def test_point_mass(self):
@@ -407,8 +490,8 @@ class TestBootstrapWitness:
 
     @pytest.mark.parametrize("joint", [False, True])
     def test_replica_of_the_point_estimate(self, joint):
-        # one resample equal to the data must reproduce the point estimates:
-        # the replicas run the witness formulas over a leading axis
+        # one resample equal to the data must reproduce the point estimates
+        # of its float frequencies
         if joint:
             det = DetectorConfig(N=4, response=Linear(eta=0.8))
             stats = joint_click_statistics(tmsv_joint(0.6), det, det)
@@ -417,8 +500,7 @@ class TestBootstrapWitness:
             stats = click_statistics(fock_distribution(3), det)
         h = sample_clicks(stats, 20000, RngSeed(5))
         point = estimate_statistics(h)
-        freqs = (h.counts / h.total)[None]
-        rep = _replicas(freqs, h)
+        rep = _replicas(h.counts.ravel()[None], h.total, h.counts.shape)
         if joint:
             moments = joint_pi_moments(point).values
             assert rep["cross"][0] == pytest.approx(
@@ -427,11 +509,27 @@ class TestBootstrapWitness:
             moments = pi_moments(point).values
             assert rep["qb"][0] == pytest.approx(qb_parameter(point),
                                                  rel=1e-12, abs=1e-15)
-        np.testing.assert_allclose(rep["moments"][0], moments,
+        np.testing.assert_allclose(rep["moments"][..., 0], moments,
                                    rtol=1e-13, atol=1e-16)
         minors = witness_report(point).leading_minors
-        np.testing.assert_allclose(rep["minors"][0], minors,
+        np.testing.assert_allclose(rep["minors"][:, 0], minors,
                                    rtol=1e-6, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        hnp.arrays(np.int64, st.integers(2, 9), elements=st.integers(0, 10 ** 6)),
+        hnp.arrays(np.int64, st.tuples(st.integers(3, 5), st.integers(3, 5)),
+                   elements=st.integers(0, 10 ** 6))).filter(
+                       lambda c: c.sum() > 0))
+    def test_point_estimates_exact_for_the_counts(self, counts):
+        # minors, smallest eigenvalue, Q_B and cross minor are those of
+        # counts / total in exact rationals, each rounded once
+        report = bootstrap_witness(ClickHistogram(counts), 100, RngSeed(3))
+        ref = histogram_ref(counts.tolist())
+        assert report.leading_minors == ref["minors"]
+        assert report.min_eigenvalue == ref["mineig"]
+        assert report.qb == ref["qb"]
+        assert report.cross_minor == ref["cross"]
 
 
 class TestHistogramCsv:

@@ -460,7 +460,15 @@ class TestCutoffs:
         build, tail, lo = ((spats_distribution, spats_tail(q, nbar), 1)
                            if spats else
                            (thermal_distribution, geometric_tail(q), 0))
-        if refused(q, tol):
+        # thermal: the q^M test; spats: the scanned cutoff exceeds
+        # _MAX_CUTOFF (its tail is at least q^M, so a q^M refusal implies
+        # that and spares the long scan)
+        if spats:
+            want = None if refused(q, tol) else scan_cutoff(tail, tol, lo)
+            refuse = want is None or want > _MAX_CUTOFF
+        else:
+            refuse = refused(q, tol)
+        if refuse:
             with pytest.raises(ValueError, match=str(_MAX_CUTOFF)):
                 build(nbar, tol)
             return
