@@ -14,7 +14,7 @@ violated, with the invariant named on standard error.
 Every grid scan, `witness --grid` and the witness figures fig2, fig3 and
 fig6, is one `_Sweep`: a state at each grid value, measured on one or
 more bank sets, with columns read off each witness report.  Click tables
-(`stats`, `sample`, fig5) share one row builder, `sampler._table_rows`.
+(`stats`, `sample`, fig5) share `sampler._table_rows` and `_table_text`.
 Grid defaults used by `figure` bracket the interesting features of
 each example and are choices of this package, tunable with --grid; a
 grid holds at most _MAX_GRID_STEPS points.
@@ -23,8 +23,6 @@ grid holds at most _MAX_GRID_STEPS points.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -53,6 +51,7 @@ from .errors import (
 from .sampler import (
     RngSeed,
     _table_rows,
+    _table_text,
     bootstrap_witness,
     read_histogram_csv,
     sample_clicks,
@@ -130,16 +129,6 @@ def _emit(text: str, out) -> None:
             sys.stdout.write("\n")
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _table_text(header: list, rows: list, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _emit_table(header: list, rows: list, args) -> None:

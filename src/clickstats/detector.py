@@ -22,14 +22,16 @@ are exact, integers over one common denominator, and their contractions run
 on Fractions.  Only a constant term f(0) > 0 rounds a number there, the
 dark-count factor e^-f(0), which leaves each kernel within 1e-40.  Coherent
 superpositions need no kernels: each expectation is a finite sum over pairs
-of amplitudes.
+of amplitudes, rounded once, like those of the analytic families, onto a
+grid of 2^-p, and the binomial combination is then summed on integers.
+Statistics keep their numbers as integers over one scale, read once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -262,38 +264,65 @@ def response_series(resp, N: int, s, order: int, prec: int | None = None) -> Pow
 _fractions = np.frompyfunc(Fraction, 1, 1)
 
 
-def _float(x) -> float:
-    """float(x), or a signed infinity beyond float range, which is rejected."""
+def _float(x, d: int = 1) -> float:
+    """x / d as a float, or a signed infinity beyond float range (rejected)."""
     try:
-        return float(x)
+        return x / d if d != 1 else float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
 
 
-def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
-                    exact=None):
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of a float, an integer or a Fraction
+    (`as_integer_ratio`), or of an mpf, read from its sign, mantissa and
+    exponent."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"cannot convert {x} to a rational")
+    man = -int(man) if sign else int(man)
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _integers(values) -> tuple:
+    """(n, L): numbers given as floats, mpf or Fractions, as Python integers
+    n = value * L over the lcm L of their denominators (a power of two for
+    floats and mpf)."""
+    a = np.asarray(values, dtype=object)
+    pairs = [_ratio(x) for x in a.flat]
+    scale = math.lcm(*{d for _, d in pairs})
+    return np.array([n * (scale // d) for n, d in pairs],
+                    dtype=object).reshape(a.shape), scale
+
+
+def _validate_probs(stats, flat, shape: tuple, what: str) -> list:
     """Clamp tiny negatives to zero; reject material ones; check the total.
 
     `formal` statistics (responses with signed kernels) are signed by nature,
-    so only their total is checked.  The total is taken over the `exact`
-    values when the statistics carry them: formal click numbers can reach
-    1e16 and cancel to a sum of one, which a float sum cannot resolve.
+    so only their total is checked, as `_ints` over `_scale` (read here from
+    `exact`, else the cleaned floats, when not given) rounded once: formal
+    click numbers can reach 1e16 and cancel to a sum of one.
     """
     cleaned = []
     for c in flat:
-        if not math.isfinite(c) or (not formal and c < -_CLAMP):
+        if not math.isfinite(c) or (not stats.formal and c < -_CLAMP):
             raise PrecisionLoss(f"{what} probability {float(c)!r} below "
                                 f"-{_CLAMP} or beyond float range")
-        if not formal and c < 0.0:
+        if not stats.formal and c < 0.0:
             logger.debug("%s: clamping %r to 0", what, c)
             c = 0.0
         cleaned.append(float(c))
-    total = math.fsum(cleaned) if exact is None else _float(
-        sum(exact) if isinstance(exact[0], Fraction) else mp.fsum(exact))
-    if not abs(total - 1.0) <= _NORM_TOL + total_slack:
+    if stats._ints is None:
+        ints, scale = _integers(cleaned if stats.exact is None else stats.exact)
+        object.__setattr__(stats, "_ints", ints.reshape(shape))
+        object.__setattr__(stats, "_scale", scale)
+    total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
+    slack = _NORM_TOL + stats.norm_slack
+    if not abs(total - 1.0) <= slack:
         raise NormalizationViolation(
-            f"{what} probabilities sum to {total!r} "
-            f"(allowed slack {_NORM_TOL + total_slack:.3e})")
+            f"{what} probabilities sum to {total!r} (allowed slack {slack:.3e})")
     return cleaned
 
 
@@ -301,10 +330,12 @@ def _validate_probs(flat, total_slack: float, what: str, formal: bool = False,
 class ClickStatistics:
     """Click-number distribution c_0..c_N of a single bank.
 
-    `exact` carries the values behind `probs` where floats would lose them:
-    Fractions from the exact kernels of a formal response on a finite
-    table, mpf from superpositions and quadrature.  It is None on float
-    kernels, whose floats are exact, and for empirical data.
+    `exact` carries the values behind `probs` where floats would lose them,
+    as Fractions: from the exact kernels of a formal response on a finite
+    table, and from no-click values on a grid of 2^-p for superpositions
+    and quadrature.  It is None on float kernels, whose floats are exact,
+    and for estimates.  `_ints` over `_scale` hold the numbers given (for
+    estimates the counts over their total) as integers, read once.
     `stderr` carries per-entry standard errors when estimated from counts.
     `norm_slack` is the extra normalization deficit allowed for truncated
     input states (their tail bound).  `formal` marks statistics of a
@@ -323,6 +354,8 @@ class ClickStatistics:
     formal: bool = False
     exact_error: float = 0.0
     relative_error: float = 0.0
+    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 1:
@@ -330,8 +363,7 @@ class ClickStatistics:
         if len(self.probs) != self.N + 1:
             raise ValueError(
                 f"expected {self.N + 1} entries, got {len(self.probs)}")
-        cleaned = _validate_probs(self.probs, self.norm_slack, "click",
-                                  self.formal, self.exact)
+        cleaned = _validate_probs(self, self.probs, (self.N + 1,), "click")
         object.__setattr__(self, "probs", tuple(cleaned))
         if self.stderr is not None:
             object.__setattr__(self, "stderr", tuple(float(s) for s in self.stderr))
@@ -349,15 +381,16 @@ class JointClickStatistics:
     stderr: np.ndarray | None = None
     norm_slack: float = 0.0
     formal: bool = False
+    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float)
         if arr.shape != (self.N1 + 1, self.N2 + 1):
             raise ValueError(f"expected shape {(self.N1 + 1, self.N2 + 1)}, "
                              f"got {arr.shape}")
-        exact = None if self.exact is None else sum(self.exact, ())
-        cleaned = _validate_probs(arr.ravel(), self.norm_slack, "joint click",
-                                  self.formal, exact)
+        cleaned = _validate_probs(self, arr.ravel().tolist(), arr.shape,
+                                  "joint click")
         arr = np.array(cleaned).reshape(arr.shape)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -513,7 +546,7 @@ def _dark_offset(T, D, f0, prec: int | None):
     magnitude = mp.mpf(max(sum(abs(t) for t in col) for col in T.T)) / D
     p = max(prec or 0, _precision_for(magnitude, 2 + N.bit_length(), 53))
     with mp.workprec(p + 8):
-        Q = int(mp.nint(mp.ldexp(mp.exp(-mp.mpf(f0)), p)))
+        Q = _on_grid(mp.exp(-mp.mpf(f0)), p)
     W = [[math.comb(N - i, k - i) * ((1 << p) - Q) ** (k - i) * Q ** (N - k)
           << p * i if k >= i else 0 for i in range(N + 1)] for k in range(N + 1)]
     return np.array(W, dtype=object) @ T, D << p * N
@@ -528,7 +561,7 @@ def click_statistics(state, det: DetectorConfig,
         return _click_from_distribution(state, det, prec)
     if isinstance(state, CoherentSuperposition):
         return _click_from_E(det.N, _superposition_E(state, det, prec), prec,
-                             _formal(det.response), _ABS_TARGET)
+                             _formal(det.response))
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
@@ -556,18 +589,29 @@ def _click_from_distribution(state, det, prec):
                            exact_error=error, relative_error=rel)
 
 
-def _click_from_E(N, E, prec, formal, e_error=0):
+def _click_from_E(N, E, prec, formal, e_error=float(_ABS_TARGET)):
     """c_k = sum_s B[k][s] E[s] (`_assembly`) from the no-click expectations
-    E[s], at bits from the rounding bound sum_ks |B[k][s] E[s]| (`prec` a
-    floor); with each E[s] within `e_error`, c_k is within C(N,k) 2^k e_error."""
-    B = _assembly(N)
-    with mp.workprec(53):
-        magnitude = mp.fsum(abs(b * e) for row in B for b, e in zip(row, E) if b)
-    with mp.workprec(max(prec or 0, _precision_for(magnitude, 4, 240))):
-        exact = tuple(mp.fsum(b * e for b, e in zip(row, E) if b) for row in B)
-        error = max(math.comb(N, k) * 2 ** k for k in range(N + 1)) * e_error
-    return ClickStatistics(N, tuple(map(float, exact)), exact=exact,
-                           formal=formal, exact_error=float(error))
+    E[s], each within `e_error` and rounded once to the grid 2^-p, p the
+    least that adds at most 2^-32 of that error (`prec` a floor); the sums
+    are then taken on integers, and c_k is within C(N,k) 2^k (e_error +
+    2^-p).  Values far below the grid cost nothing to round."""
+    p = max(prec or 0, 33 - math.frexp(e_error)[1], 0)
+    n = [_on_grid(e, p) for e in E]
+    c = [sum(b * x for b, x in zip(row, n) if b) for row in _assembly(N)]
+    exact = tuple(Fraction(x, 1 << p) for x in c)
+    error = max(math.comb(N, k) * 2 ** k for k in range(N + 1)) * (
+        e_error + 2.0 ** -p)
+    return ClickStatistics(N, tuple(map(_float, exact)), exact=exact,
+                           formal=formal, exact_error=error,
+                           _ints=np.array(c, dtype=object), _scale=1 << p)
+
+
+def _on_grid(e, p: int) -> int:
+    """The mpf e times 2^p rounded to the nearest integer, exactly and at
+    once however far below the grid its exponent lies."""
+    if not mp.isfinite(e):
+        raise PrecisionLoss(f"no-click value {e} is not finite")
+    return int(mp.nint(mp.ldexp(e, p), prec=0))
 
 
 def _no_click_factor(resp, x):

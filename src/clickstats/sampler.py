@@ -14,9 +14,9 @@ identical seeds and request sequences reproduce histograms bit for bit.
 Histograms drawn by inverse-CDF sampling in earlier releases differ from
 today's for the same seed.
 
-Point estimates are the standard witness on the counts themselves, read
-as integers over their total: minors, Q_B and the cross minor are exact
-for counts/total and rounded once.  The bootstrap resamples take every
+Point estimates are `witness_report` on `estimate_statistics`, which carry
+the counts as integers over their total: minors, Q_B and the cross minor
+are exact for counts/total and rounded once.  The bootstrap resamples take every
 replica's moments, and for one bank <c> and <c^2>, from one product of the
 resampled histograms with a cached float map, with the resample axis last,
 and all leading minors from one float elimination over the upper triangle
@@ -24,12 +24,15 @@ of the moment matrices, which steps over the zero pivots of a Fock
 source's vanishing moments.  Floats are adequate there on banks of a
 few diodes, where sampling noise dominates float rounding by many orders
 of magnitude; on a bank of tens of diodes the high-order minors are
-rounding noise, and further on they underflow to 0.
+rounding noise, and further on they underflow to 0.  Their spread is
+taken on deviations scaled to one, so it does not underflow itself.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -45,8 +48,8 @@ from .witness import (
     _hankel_index,
     _qb_terms,
     _read_only,
-    _report,
     _weights,
+    witness_report,
 )
 
 __all__ = [
@@ -205,10 +208,12 @@ def estimate_statistics(hist: ClickHistogram):
     total = _events(hist)
     freq = hist.counts / total
     se = np.sqrt(freq * (1.0 - freq) / total)
+    counts = np.array(hist.counts.tolist(), dtype=object)
     if hist.is_joint:
         return JointClickStatistics(N1=hist.N1, N2=hist.N2, probs=freq,
-                                    stderr=se)
-    return ClickStatistics(N=hist.N, probs=tuple(freq), stderr=tuple(se))
+                                    stderr=se, _ints=counts, _scale=total)
+    return ClickStatistics(N=hist.N, probs=tuple(freq), stderr=tuple(se),
+                           _ints=counts, _scale=total)
 
 
 # --- bootstrap ------------------------------------------------------------------
@@ -299,9 +304,14 @@ def _replicas(draws: np.ndarray, total: int, shape: tuple) -> dict:
 
 
 def _spread(x: np.ndarray) -> np.ndarray:
-    """Sample standard deviation (ddof = 1) along the last axis."""
+    """Sample standard deviation (ddof = 1) along the last axis, from the
+    deviations over their largest magnitude, whose squares do not underflow
+    below 1e-154 as the deviations' own do; a row without deviations is 0."""
     dev = x - x.mean(axis=-1, keepdims=True)
-    return np.sqrt(np.einsum("...i,...i->...", dev, dev) / (x.shape[-1] - 1))
+    top = np.abs(dev).max(axis=-1, keepdims=True)
+    np.divide(dev, top, out=dev, where=top > 0)
+    return top[..., 0] * np.sqrt(np.einsum("...i,...i->...", dev, dev)
+                                 / (x.shape[-1] - 1))
 
 
 def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
@@ -329,8 +339,7 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
         raise ValueError(f"the bootstrap takes banks of at most {_MAX_OUTCOME} "
                          f"diodes, not {max(hist.counts.shape) - 1}")
     total = _events(hist)
-    counts = np.array(hist.counts.tolist(), dtype=object)
-    base = _report(estimate_statistics(hist), counts, total, threshold_sigmas)
+    base = witness_report(estimate_statistics(hist), threshold_sigmas)
 
     weights = hist.counts.ravel() / total
     weights = weights / weights.sum()
@@ -378,13 +387,19 @@ def _table_rows(table, name: str) -> tuple:
                                 for k2, x in enumerate(row)]
 
 
+def _table_text(header: list, rows: list, fmt: str) -> str:
+    """A table as CSV text with LF line ends, or as a JSON list of rows."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def write_histogram_csv(hist: ClickHistogram, path) -> None:
-    """Write a histogram as CSV: header k,count or k1,k2,count."""
-    header, rows = _table_rows(hist.counts, "count")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write a histogram as `sample` prints it: header k,count or k1,k2,count."""
+    Path(path).write_text(_table_text(*_table_rows(hist.counts, "count"),
+                                      "csv"), encoding="utf-8", newline="")
 
 
 def read_histogram_csv(path) -> ClickHistogram:

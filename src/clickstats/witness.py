@@ -11,10 +11,10 @@ classical state; any negative leading principal minor, negative eigenvalue,
 negative cross-correlation minor, or negative binomial Q parameter
 certifies nonclassicality.
 
-Each formula is written once.  Point estimates read the numbers given
-(the statistics' `exact` values when the forward model supplied them,
-their floats otherwise) once, as Python integers n_k over one
-denominator L: every float and mpf is a dyadic rational.  Every moment
+Each formula is written once.  Point estimates read the Python integers
+n_k over one scale L that statistics carry from where they were made
+(their `exact` Fractions, their floats, each a dyadic rational, or an
+estimate's counts over their total), and no other form.  Every moment
 is then an integer over one scale, S = L N! for one bank and S = L N1! N2!
 for two (all divided by their greatest common divisor), and the moment
 matrices hold those integers, so minor k is an integer determinant over
@@ -27,7 +27,7 @@ elimination, which keeps a symmetric matrix symmetric and so updates
 the upper triangle of the moment matrices alone.  The `exact` fields of
 the moment containers the library builds are reduced Fractions, made
 from the integers only when first read.  The bootstrap's point estimates
-read a histogram's counts over their total the same way, and its resamples
+are this witness on the estimate from a histogram, and its resamples
 share the Hankel and graded indexes, Q_B's terms and the cross minor, on
 floats with the resample axis last.
 """
@@ -41,7 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector import _NORM_TOL, ClickStatistics, JointClickStatistics
+from .detector import (_NORM_TOL, ClickStatistics, JointClickStatistics,
+                       _integers)
 from .errors import (
     DegenerateMean,
     InsufficientOrder,
@@ -204,39 +205,6 @@ class WitnessReport:
         return out
 
 
-# --- exact numbers ----------------------------------------------------------------
-
-def _ratio(x) -> tuple:
-    """(numerator, denominator) of a float, an integer or a Fraction
-    (`as_integer_ratio`), or of an mpf, read from its sign, mantissa and
-    exponent."""
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:
-        sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"cannot convert {x} to a rational")
-    man = -int(man) if sign else int(man)
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-
-
-def _integers(values) -> tuple:
-    """(n, L): numbers given as floats, mpf or Fractions, as Python integers
-    n = value * L over the lcm L of their denominators (a power of two for
-    floats and mpf)."""
-    a = np.asarray(values, dtype=object)
-    pairs = [_ratio(x) for x in a.flat]
-    scale = math.lcm(*{d for _, d in pairs})
-    return np.array([n * (scale // d) for n, d in pairs],
-                    dtype=object).reshape(a.shape), scale
-
-
-def _read(stats) -> tuple:
-    """(n, L) of a statistics object: its `exact` values when the forward
-    model supplied them, its floats otherwise."""
-    return _integers(stats.probs if stats.exact is None else stats.exact)
-
-
 # --- the inverse formulas ---------------------------------------------------------
 
 def _read_only(*arrays) -> tuple:
@@ -328,8 +296,7 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
     if m > stats.N:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
-    n, scale = _read(stats)
-    return (_weights(stats.N)[0][m] @ n) / scale
+    return (_weights(stats.N)[0][m] @ stats._ints) / stats._scale
 
 
 def _lowest(ints, scale: int) -> tuple:
@@ -340,32 +307,22 @@ def _lowest(ints, scale: int) -> tuple:
     return ints // g, scale // g
 
 
-def _pi_moments(stats: ClickStatistics, n, scale: int) -> PiMoments:
-    """The moments of click numbers read as n / scale."""
-    mom, scale = _lowest(_pi_map(n, stats.N),
-                         scale * math.factorial(stats.N))
+def pi_moments(stats: ClickStatistics) -> PiMoments:
+    """All normally ordered click-fraction moments, orders 0..N."""
+    mom, scale = _lowest(_pi_map(stats._ints, stats.N),
+                         stats._scale * math.factorial(stats.N))
     return PiMoments(mom / scale, stats.N, formal=stats.formal,
                      norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
 
 
-def pi_moments(stats: ClickStatistics) -> PiMoments:
-    """All normally ordered click-fraction moments, orders 0..N."""
-    return _pi_moments(stats, *_read(stats))
-
-
-def _joint_pi_moments(stats: JointClickStatistics, n,
-                      scale: int) -> JointPiMoments:
-    """The two-bank moments of click numbers read as n / scale."""
-    mom, scale = _lowest(_joint_pi_map(n, stats.N1, stats.N2), scale
-                         * math.factorial(stats.N1) * math.factorial(stats.N2))
+def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
+    """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
+    mom, scale = _lowest(_joint_pi_map(stats._ints, stats.N1, stats.N2),
+                         stats._scale * math.factorial(stats.N1)
+                         * math.factorial(stats.N2))
     return JointPiMoments(mom / scale, (stats.N1, stats.N2),
                           formal=stats.formal, norm_slack=stats.norm_slack,
                           _ints=mom, _scale=scale)
-
-
-def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
-    """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    return _joint_pi_moments(stats, *_read(stats))
 
 
 def _matrix(mom, arrange, basis: tuple) -> MomentMatrix:
@@ -433,6 +390,9 @@ def _leading_minors(a) -> list:
     bordered by row i and column j, so an exactly symmetric matrix stays
     symmetric: then only the upper triangle is updated, and row i takes
     its multiplier from row k.  Any other matrix gets the full update.
+    By Sylvester's identity each larger leading minor is a determinant of
+    those bordered minors, so a zero pivot whose row is zero from column k
+    on (the part every update keeps current) makes all of them 0.
     """
     n, rows, prev, minors = len(a), [row[:] for row in a], 1, []
     symmetric = all(row == list(col) for row, col in zip(rows, zip(*rows)))
@@ -440,6 +400,8 @@ def _leading_minors(a) -> list:
         pivot = row_k[k]
         minors.append(pivot)
         if not pivot:
+            if not any(row_k[k:]):
+                return minors + [0] * (n - k - 1)
             return minors + [_det([row[:j] for row in a[:j]])
                              for j in range(k + 2, n + 1)]
         for i in range(k + 1, n):
@@ -491,21 +453,7 @@ def qb_parameter(stats: ClickStatistics) -> float:
     within e (|N - 2<c>| + e); Q_B is withheld when these errors leave it
     not known to within one.
     """
-    return _qb(stats, *_read(stats))
-
-
-def _above(n: int, d: int, x: float) -> bool:
-    """n / d > x for d > 0, exactly: against the float's own integer ratio;
-    a non-finite x decides as 0 > x, as it would against any finite n / d."""
-    if not math.isfinite(x):
-        return 0.0 > x
-    p, q = x.as_integer_ratio()
-    return n * q > p * d
-
-
-def _qb(stats: ClickStatistics, n, scale: int) -> float:
-    """Q_B of click numbers read as n / scale."""
-    N = stats.N
+    N, n, scale = stats.N, stats._ints, stats._scale
     mean, second = _weights(N)[1] @ n
     num, den = _qb_terms(mean, second, N, scale)
     m = mean / scale
@@ -526,6 +474,15 @@ def _qb(stats: ClickStatistics, n, scale: int) -> float:
             return qb
     raise DegenerateMean(
         f"mean click number {m!r} leaves no resolved spread")
+
+
+def _above(n: int, d: int, x: float) -> bool:
+    """n / d > x for d > 0, exactly: against the float's own integer ratio;
+    a non-finite x decides as 0 > x, as it would against any finite n / d."""
+    if not math.isfinite(x):
+        return 0.0 > x
+    p, q = x.as_integer_ratio()
+    return n * q > p * d
 
 
 def _cross(stats: JointClickStatistics, mom: JointPiMoments) -> float:
@@ -553,20 +510,15 @@ def witness_report(stats, threshold: float = DEFAULT_THRESHOLD) -> WitnessReport
         raise ValueError("threshold must be >= 0")
     if not isinstance(stats, (ClickStatistics, JointClickStatistics)):
         raise TypeError(f"unsupported statistics type {type(stats).__name__}")
-    return _report(stats, *_read(stats), threshold)
-
-
-def _report(stats, n, scale: int, threshold: float) -> WitnessReport:
-    """The report on the click numbers of `stats` read as n / scale."""
     qb = cross = None
     if isinstance(stats, ClickStatistics):
-        M = moment_matrix(_pi_moments(stats, n, scale), stats.N)
+        M = moment_matrix(pi_moments(stats), stats.N)
         try:
-            qb = _qb(stats, n, scale)
+            qb = qb_parameter(stats)
         except DegenerateMean:
             pass
     else:
-        mom = _joint_pi_moments(stats, n, scale)
+        mom = joint_pi_moments(stats)
         M = joint_moment_matrix(mom, stats.N1, stats.N2)
         cross = _cross(stats, mom)
     minors = leading_principal_minors(M)

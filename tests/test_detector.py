@@ -7,8 +7,11 @@ series machinery under test.  Fock inputs give polynomial closed forms via
 <n|:exp(-g nhat):|n> = (1 - g)^n.
 """
 
+import io
+import json
 import math
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from clickstats import (
     Affine,
+    ClickHistogram,
     ClickStatistics,
     DetectorConfig,
     JointClickStatistics,
@@ -29,6 +33,7 @@ from clickstats import (
     click_statistics,
     coherent_distribution,
     detector_from_descriptor,
+    estimate_statistics,
     fock_distribution,
     generating_function,
     joint_click_statistics,
@@ -37,11 +42,12 @@ from clickstats import (
     product_joint,
     response_series,
     spats_distribution,
+    state_from_descriptor,
     thermal_distribution,
     tmsv_joint,
 )
-from clickstats.cli import _SWEEPS
-from clickstats.detector import _bucket, _kernels
+from clickstats.cli import _SWEEPS, main
+from clickstats.detector import _bucket, _kernels, _ratio
 from clickstats.errors import (
     DescriptorError,
     LengthMismatch,
@@ -338,7 +344,8 @@ class TestSuperlinearResponses:
         with mp.workprec(300):
             E = [_family_E(kind, nbar, j, resp, None) for j in range(9)]
             for row, c in zip(_assembly(8), stats.exact):
-                want = mp.fsum(b * e for b, e in zip(row, E))
+                # the exact Fraction against the reference read exactly
+                want = Fraction(*_ratio(mp.fsum(b * e for b, e in zip(row, E))))
                 assert abs(c - want) <= stats.exact_error
 
     def test_untagged_distribution_rejected(self):
@@ -390,6 +397,93 @@ class TestSuperlinearResponses:
         det = DetectorConfig(4, Power(2))
         with pytest.raises(UnboundedKernel):
             joint_click_statistics(state, det, det)
+
+
+def _given_numbers(stats) -> list:
+    """The numbers a statistics object was made from, exactly: its `exact`
+    values when it carries them, else its floats."""
+    values = np.ravel(np.asarray(stats.probs if stats.exact is None
+                                 else stats.exact, dtype=object))
+    return [Fraction(*_ratio(x)) for x in values]
+
+
+@st.composite
+def made_statistics(draw):
+    """(statistics, the numbers given) of every source of statistics."""
+    N = draw(st.integers(1, 6))
+    det = DetectorConfig(N, Linear(draw(st.floats(0.05, 1.0))))
+    kind = draw(st.sampled_from(["float", "joint-float", "formal",
+                                 "joint-formal", "superposition",
+                                 "quadrature", "estimate", "caller"]))
+    if kind == "float":
+        stats = click_statistics(thermal_distribution(
+            draw(st.floats(0.0, 3.0))), det)
+    elif kind == "joint-float":
+        small = DetectorConfig(min(N, 3), det.response)
+        stats = joint_click_statistics(tmsv_joint(draw(st.floats(0.0, 0.7))),
+                                       small, small)
+    elif kind == "formal":
+        stats = click_statistics(fock_distribution(draw(st.integers(0, 20))),
+                                 DetectorConfig(N, Power(2)))
+    elif kind == "joint-formal":
+        n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        formal = DetectorConfig(min(N, 3), Power(2))
+        stats = joint_click_statistics(product_joint(
+            fock_distribution(n1), fock_distribution(n2)), formal, formal)
+    elif kind == "superposition":
+        stats = click_statistics(odd_coherent(draw(st.floats(0.1, 3.0))), det)
+    elif kind == "quadrature":
+        # a few fixed families: each cold quadrature takes a fraction of a
+        # second
+        stats = click_statistics(thermal_distribution(1.0), DetectorConfig(
+            draw(st.sampled_from([2, 4])), Power(2)))
+    elif kind == "estimate":
+        counts = draw(st.lists(st.integers(0, 10 ** 12), min_size=N + 1,
+                               max_size=N + 1).filter(any))
+        stats = estimate_statistics(ClickHistogram(np.array(counts)))
+        return stats, [Fraction(c, sum(counts)) for c in counts]
+    else:
+        w = draw(st.lists(st.integers(0, 10 ** 6), min_size=N + 1,
+                          max_size=N + 1).filter(any))
+        if draw(st.booleans()):
+            exact = tuple(Fraction(x, sum(w)) for x in w)
+        else:
+            with mp.workprec(200):
+                exact = tuple(mp.mpf(x) / sum(w) for x in w)
+        stats = ClickStatistics(N, tuple(map(float, exact)), exact=exact)
+    return stats, _given_numbers(stats)
+
+
+class TestExactIntegers:
+    """Statistics hold their numbers as integers over one scale, read once
+    when they are made."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(made=made_statistics())
+    def test_integers_over_the_scale_are_the_numbers_given(self, made):
+        stats, given_numbers = made
+        got = [Fraction(n, stats._scale) for n in np.ravel(stats._ints)]
+        assert got == given_numbers
+
+    def test_superposition_exact_values_are_fractions(self):
+        stats = click_statistics(odd_coherent(1.2), DetectorConfig(6, Linear(0.8)))
+        assert all(type(x) is Fraction for x in stats.exact)
+        assert stats.probs == tuple(map(float, stats.exact))
+
+    @pytest.mark.parametrize("mu", [1e4, 99999.0])
+    def test_bright_superposition_stays_on_the_grid(self, mu):
+        # odd coherent light on eight poly (0, 1, 0.25) diodes: no-click
+        # values with binary exponents near -4.5e6 (mu = 1e4) and beyond
+        # are rounded once onto the grid of the 1e-40 target, p = 165, so
+        # the scale stays within p + 64 bits and the witness reads it at once
+        det = ('{"N": 8, "response": {"kind": "poly", '
+               '"coefficients": [0.0, 1.0, 0.25]}}')
+        state = f'{{"kind": "odd_coherent", "alpha": {math.sqrt(mu)!r}}}'
+        stats = click_statistics(state_from_descriptor(json.loads(state)),
+                                 detector_from_descriptor(json.loads(det)))
+        assert stats._scale.bit_length() <= 165 + 64
+        with redirect_stdout(io.StringIO()):
+            assert main(["witness", "--state", state, "--detector", det]) == 0
 
 
 class TestJointStatistics:

@@ -34,7 +34,7 @@ from clickstats import (
 )
 from clickstats.cli import main
 from clickstats.errors import EmptyHistogram
-from clickstats.sampler import _batched_minors, _replica_map, _replicas
+from clickstats.sampler import _batched_minors, _replica_map, _replicas, _spread
 from clickstats.witness import (
     cross_correlation_minor,
     joint_pi_moments,
@@ -532,6 +532,47 @@ class TestBootstrapWitness:
         assert report.cross_minor == ref["cross"]
 
 
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_point_estimates_are_the_report_on_the_estimate(self, joint):
+        # the estimate carries the counts over their total, so the standard
+        # witness on it gives the bootstrap's point estimates bit for bit
+        if joint:
+            det = DetectorConfig(N=4, response=Linear(eta=0.8))
+            stats = joint_click_statistics(tmsv_joint(0.6), det, det)
+        else:
+            det = DetectorConfig(N=8, response=Linear(eta=0.9))
+            stats = click_statistics(fock_distribution(3), det)
+        h = sample_clicks(stats, 20000, RngSeed(5))
+        base = witness_report(estimate_statistics(h), 3.0)
+        report = bootstrap_witness(h, 100, RngSeed(6))
+        assert report.leading_minors == base.leading_minors
+        assert report.min_eigenvalue == base.min_eigenvalue
+        assert report.qb == base.qb
+        assert report.cross_minor == base.cross_minor
+
+    @pytest.mark.parametrize("N", [32, 40])
+    def test_thermal_light_on_a_large_bank_not_flagged(self, N):
+        # the replicas' high-order minors of a large bank sit far below
+        # 1e-154, where squared deviations underflow; their spread read
+        # exactly 0.0 and flagged a tiny negative point minor on every one
+        # of these runs (a Fock-1 source on N = 8 stays flagged:
+        # test_fock_one_flagged)
+        det = DetectorConfig(N=N, response=Linear(eta=0.9))
+        stats = click_statistics(thermal_distribution(1.0), det)
+        for seed in range(6):
+            h = sample_clicks(stats, 10**5, RngSeed(seed))
+            report = bootstrap_witness(h, 200, RngSeed(seed + 1))
+            assert report.verdict == "consistent-with-classical", seed
+
+    def test_spread_survives_tiny_deviations(self):
+        x = np.array([[1.0, 2.0, 4.0, 0.5], [3.0, 3.0, 3.0, 3.0]])
+        for scale in (1e-200, 1.0, 1e200):
+            got = _spread(x * scale)
+            assert got[0] == pytest.approx(np.std(x[0], ddof=1) * scale,
+                                           rel=1e-15)
+            assert got[1] == 0.0
+
+
 class TestHistogramCsv:
     def test_single_round_trip(self, tmp_path):
         h = ClickHistogram(np.array([5, 0, 3, 2]))
@@ -574,6 +615,22 @@ class TestHistogramCsv:
             files[1].write_text(out.getvalue(), encoding="utf-8")
             for path in files:
                 assert np.array_equal(read_histogram_csv(path).counts, counts)
+
+    @pytest.mark.parametrize("detectors", [1, 2])
+    def test_file_equals_stdout_byte_for_byte(self, detectors, tmp_path,
+                                              capsys):
+        # one writer for click tables: LF line ends in the file too
+        state = ('{"kind": "tmsv", "xi": 0.5}' if detectors == 2
+                 else '{"kind": "thermal", "nbar": 1.0}')
+        args = ["sample", "--state", state, "--samples", "1000", "--seed",
+                "3"] + ["--detector", '{"N": 4, "response": '
+                        '{"kind": "linear", "eta": 0.9}}'] * detectors
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "f.csv"
+        assert main(args + ["--out", str(path)]) == 0
+        assert path.read_bytes() == stdout.encode("utf-8")
+        assert b"\r" not in path.read_bytes()
 
     def test_sparse_and_shuffled_rows(self, tmp_path):
         path = tmp_path / "sparse.csv"

@@ -7,12 +7,13 @@ reference, in `exact_kernels`, is written from the formulas alone, on
 `fractions.Fraction`, with ordinary Gaussian elimination for the
 determinants; it shares no code with the program's inverse path.  Inputs
 cover empirical floats, the forward model's Fractions (formal statistics on
-finite tables, which are signed) and mpf values (coherent superpositions),
+finite tables, which are signed, and coherent superpositions on their grid),
 single and joint banks, and matrices whose leading minors vanish.
 """
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -123,7 +124,7 @@ PHYSICAL = st.one_of(st.builds(Linear, st.floats(0.05, 1.0)),
 def model_statistics(draw):
     N = draw(st.integers(1, 8))
     if draw(st.booleans()):
-        # formal statistics: signed mpf values at extended precision
+        # formal statistics: signed exact Fractions
         return click_statistics(fock_distribution(draw(st.integers(0, 20))),
                                 DetectorConfig(N, Power(2)))
     return click_statistics(draw(STATES), DetectorConfig(N, draw(PHYSICAL)))
@@ -182,7 +183,7 @@ class TestAgainstRationalReference:
 
     def test_signed_mpf_inputs(self):
         # Fock 20 on a two-photon absorber bank: formal statistics with
-        # negative extended values, which must keep their sign
+        # negative exact values, which must keep their sign
         stats = click_statistics(fock_distribution(20),
                                  DetectorConfig(8, Power(2)))
         assert stats.formal and min(stats.exact) < 0
@@ -265,6 +266,23 @@ class TestOnePassMinors:
 
     def test_zero_first_pivot_with_regular_blocks_after(self):
         assert _leading_minors([[0, 1, 2], [1, 0, 3], [2, 3, 5]]) == [0, -1, 7]
+
+    @pytest.mark.parametrize("a", [
+        # Hankel moments of 2, 3 and 1 at the points 1, 2 and 5: rank 3
+        [[sum(w * x ** (i + j) for w, x in ((2, 1), (3, 2), (1, 5)))
+          for j in range(6)] for i in range(6)],
+        # row 1 eliminates to zero, column 1 does not
+        [[1, 2, 3], [2, 4, 6], [5, 7, 1]],
+    ], ids=["hankel-rank-3", "zero-row"])
+    def test_zero_tail_needs_no_determinant(self, a):
+        # a zero pivot over a zero row makes every larger leading minor 0
+        # (Sylvester's identity), so no block is eliminated again
+        with mock.patch("clickstats.witness._det", side_effect=AssertionError):
+            got = _leading_minors(a)
+        exact = [[Fraction(x) for x in row] for row in a]
+        assert got == [det([row[:k] for row in exact[:k]])
+                       for k in range(1, len(a) + 1)]
+        assert got[-1] == 0
 
 
 @st.composite
@@ -355,15 +373,16 @@ FORMAL = st.one_of(
 def report_statistics(draw):
     """Single-bank statistics of each number type the forward model gives:
     floats (linear and affine banks), Fractions (formal responses on Fock
-    states), mpf (odd coherent states), and vacuum and Fock 1, whose
+    states and odd coherent states), and vacuum and Fock 1, whose
     matrices have zero pivots."""
     N = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["float", "fraction", "mpf", "zero-pivot"]))
+    kind = draw(st.sampled_from(["float", "fraction", "superposition",
+                                 "zero-pivot"]))
     if kind == "float":
         state, resp = draw(STATES), draw(FLOAT_BANKS)
     elif kind == "fraction":
         state, resp = fock_distribution(draw(st.integers(0, 12))), draw(FORMAL)
-    elif kind == "mpf":
+    elif kind == "superposition":
         state = odd_coherent(draw(st.floats(0.3, 2.0)))
         resp = Linear(draw(st.floats(0.05, 1.0)))
     else:
