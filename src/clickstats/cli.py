@@ -235,6 +235,9 @@ def cmd_witness(args) -> int:
             raise DescriptorError("witness takes a single --grid")
         name, values = _parse_grid(args.grid[0])
         base = _load_descriptor(args.state)
+        if name not in (base.keys() - {"kind"} if isinstance(base, dict)
+                        else ()):
+            raise DescriptorError(f"--grid {name!r} is not a state parameter")
         dets = [detector_from_descriptor(_load_descriptor(d))
                 for d in args.detector]
         sweep = _Sweep(name, values,
@@ -417,6 +420,9 @@ def main(argv=None) -> int:
         return 3
     except (ClickstatsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import mpmath as mp
 import numpy as np
@@ -55,10 +56,12 @@ from .series import (
     auto_precision,
 )
 from .states import (
+    _MAX_CUTOFF,
     CoherentSuperposition,
     JointPhotonDistribution,
     PhotonNumberDistribution,
     _finite,
+    _integer,
     _pair_weights,
     _real_part,
 )
@@ -127,8 +130,9 @@ class Power:
     n0: int
 
     def __post_init__(self):
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError("power exponent must be a positive integer")
+        if not isinstance(self.n0, int) or not 1 <= self.n0 <= _MAX_CUTOFF:
+            raise ValueError(
+                f"power exponent must be an integer in [1, {_MAX_CUTOFF}]")
 
     def evaluate(self, x):
         return x ** self.n0
@@ -261,15 +265,16 @@ def response_series(resp, N: int, s, order: int, prec: int | None = None) -> Pow
 
 # --- click statistics containers ----------------------------------------------
 
-_fractions = np.frompyfunc(Fraction, 1, 1)
-
-
 def _float(x, d: int = 1) -> float:
     """x / d as a float, or a signed infinity beyond float range (rejected)."""
     try:
         return x / d if d != 1 else float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+_fractions = np.frompyfunc(Fraction, 1, 1)
+_floats = np.frompyfunc(_float, 1, 1)
 
 
 def _ratio(x) -> tuple:
@@ -297,33 +302,46 @@ def _integers(values) -> tuple:
                     dtype=object).reshape(a.shape), scale
 
 
-def _validate_probs(stats, flat, shape: tuple, what: str) -> list:
-    """Clamp tiny negatives to zero; reject material ones; check the total.
-
-    `formal` statistics (responses with signed kernels) are signed by nature,
-    so only their total is checked, as `_ints` over `_scale` (read here from
-    `exact`, else the cleaned floats, when not given) rounded once: formal
-    click numbers can reach 1e16 and cancel to a sum of one.
-    """
-    cleaned = []
-    for c in flat:
-        if not math.isfinite(c) or (not stats.formal and c < -_CLAMP):
-            raise PrecisionLoss(f"{what} probability {float(c)!r} below "
+def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
+    """The float array `values`, checked and read at once, as an array of
+    its shape and a flat list: tiny negatives clamped to zero, the first
+    material one or number beyond float range rejected, the total checked.
+    `formal` statistics (responses with signed kernels) are signed by
+    nature, so only their total is checked, as `_ints` over `_scale` (read
+    here from `exact`, else the floats over their largest denominator, a
+    power of two, when not given) rounded once: formal click numbers can
+    reach 1e16 and cancel to a sum of one."""
+    flat = values.ravel()
+    numbers = flat.tolist()
+    # a pass at C speed finds the usual table, with nothing to clamp or reject
+    if not (all(map(math.isfinite, numbers))
+            and (stats.formal or min(numbers) >= 0.0)):
+        bad = ~np.isfinite(flat) | (flat < (-math.inf if stats.formal
+                                            else -_CLAMP))
+        stop = int(bad.argmax()) if bad.any() else flat.size
+        if not stats.formal:
+            for i in np.flatnonzero(flat[:stop] < 0.0).tolist():
+                logger.debug("%s: clamping %r to 0", what, numbers[i])
+            flat = np.where(flat < 0.0, 0.0, flat)
+        if stop < flat.size:
+            raise PrecisionLoss(f"{what} probability {numbers[stop]!r} below "
                                 f"-{_CLAMP} or beyond float range")
-        if not stats.formal and c < 0.0:
-            logger.debug("%s: clamping %r to 0", what, c)
-            c = 0.0
-        cleaned.append(float(c))
+        numbers = flat.tolist()
     if stats._ints is None:
-        ints, scale = _integers(cleaned if stats.exact is None else stats.exact)
-        object.__setattr__(stats, "_ints", ints.reshape(shape))
+        if stats.exact is None:
+            ratios = [x.as_integer_ratio() for x in numbers]
+            scale = max([d for _, d in ratios])
+            ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
+        else:
+            ints, scale = _integers(stats.exact)
+        object.__setattr__(stats, "_ints", ints.reshape(values.shape))
         object.__setattr__(stats, "_scale", scale)
     total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
     slack = _NORM_TOL + stats.norm_slack
     if not abs(total - 1.0) <= slack:
         raise NormalizationViolation(
             f"{what} probabilities sum to {total!r} (allowed slack {slack:.3e})")
-    return cleaned
+    return flat.reshape(values.shape), numbers
 
 
 @dataclass(frozen=True)
@@ -363,8 +381,12 @@ class ClickStatistics:
         if len(self.probs) != self.N + 1:
             raise ValueError(
                 f"expected {self.N + 1} entries, got {len(self.probs)}")
-        cleaned = _validate_probs(self, self.probs, (self.N + 1,), "click")
-        object.__setattr__(self, "probs", tuple(cleaned))
+        # ldexp reads entries as math.isfinite does: no string, None or complex
+        probs = np.asarray(self.probs if isinstance(self.probs, np.ndarray)
+                           else list(map(math.ldexp, self.probs, repeat(0))),
+                           dtype=float)
+        object.__setattr__(self, "probs",
+                           tuple(_validate_probs(self, probs, "click")[1]))
         if self.stderr is not None:
             object.__setattr__(self, "stderr", tuple(float(s) for s in self.stderr))
 
@@ -389,9 +411,7 @@ class JointClickStatistics:
         if arr.shape != (self.N1 + 1, self.N2 + 1):
             raise ValueError(f"expected shape {(self.N1 + 1, self.N2 + 1)}, "
                              f"got {arr.shape}")
-        cleaned = _validate_probs(self, arr.ravel().tolist(), arr.shape,
-                                  "joint click")
-        arr = np.array(cleaned).reshape(arr.shape)
+        arr = _validate_probs(self, arr, "joint click")[0]
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -579,12 +599,12 @@ def _click_from_distribution(state, det, prec):
         return _click_from_E(det.N, E, prec, formal=True, e_error=max(errors))
     order = _bucket(state.cutoff)
     T, error, rel = _kernels(det, order, prec)
-    p = np.array(state.probs)
+    p = state._array
     # an exact sum may skip the zero p_n; a float sum keeps its BLAS order
     keep = np.flatnonzero(p) if formal else slice(len(p))
-    c = (T[:, keep] @ (_fractions(p[keep]) if formal else p)).tolist()
-    return ClickStatistics(det.N, tuple(map(_float, c)),
-                           exact=tuple(c) if formal else None,
+    c = T[:, keep] @ (_fractions(p[keep]) if formal else p)
+    return ClickStatistics(det.N, _floats(c).astype(float) if formal else c,
+                           exact=tuple(c.tolist()) if formal else None,
                            norm_slack=state.tail_bound, formal=formal,
                            exact_error=error, relative_error=rel)
 
@@ -716,10 +736,10 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
     T2 = _kernels(det2, _bucket(c2), prec)[0][:, :c2 + 1]
     # Fraction * float is a float: make every factor exact first
     number = _fractions if formal else np.asarray
-    table = state._contract(number(T1), number(T2), number).tolist()
+    table = state._contract(number(T1), number(T2), number)
     return JointClickStatistics(
-        det1.N, det2.N, [[_float(c) for c in row] for row in table],
-        exact=tuple(map(tuple, table)) if formal else None,
+        det1.N, det2.N, _floats(table).astype(float) if formal else table,
+        exact=tuple(map(tuple, table.tolist())) if formal else None,
         norm_slack=state.tail_bound, formal=formal)
 
 
@@ -752,7 +772,7 @@ def detector_from_descriptor(desc: dict) -> DetectorConfig:
     if not isinstance(desc, dict):
         raise DescriptorError("detector descriptor must be a JSON object")
     try:
-        N = int(desc["N"])
+        N = _integer(desc["N"], "N")
         r = desc["response"]
         kind = r.get("kind") if isinstance(r, dict) else None
         if kind == "linear":
@@ -760,12 +780,12 @@ def detector_from_descriptor(desc: dict) -> DetectorConfig:
         elif kind == "affine":
             resp = Affine(_finite(r["eta"], "eta"), _finite(r["nu"], "nu"))
         elif kind == "power":
-            resp = Power(int(r["n0"]))
+            resp = Power(_integer(r["n0"], "n0"))
         elif kind == "poly":
             resp = PolynomialSeries(tuple(_finite(c, "coefficient")
                                           for c in r["coefficients"]))
         elif kind == "nabs":
-            resp = NPhotonAbsorption(int(r["n0"]))
+            resp = NPhotonAbsorption(_integer(r["n0"], "n0"))
         else:
             raise DescriptorError(f"unknown response kind {kind!r}")
         return DetectorConfig(N, resp)

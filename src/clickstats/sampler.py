@@ -212,7 +212,7 @@ def estimate_statistics(hist: ClickHistogram):
     if hist.is_joint:
         return JointClickStatistics(N1=hist.N1, N2=hist.N2, probs=freq,
                                     stderr=se, _ints=counts, _scale=total)
-    return ClickStatistics(N=hist.N, probs=tuple(freq), stderr=tuple(se),
+    return ClickStatistics(N=hist.N, probs=freq, stderr=tuple(se),
                            _ints=counts, _scale=total)
 
 

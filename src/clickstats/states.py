@@ -80,10 +80,11 @@ class PhotonNumberDistribution:
     analytic: tuple | None = None
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
+        array = np.array(probs)
         if not probs:
             raise ValueError("distribution needs at least the vacuum entry")
-        if any(p < 0.0 for p in probs):
+        if (array < 0.0).any():
             raise ValueError("negative probability in photon-number distribution")
         if self.tail_bound < 0.0:
             raise ValueError("tail bound must be non-negative")
@@ -91,6 +92,8 @@ class PhotonNumberDistribution:
         if not abs(total - 1.0) <= _NORM_SLACK:
             raise NormalizationViolation(
                 f"probabilities plus tail sum to {total!r}, not 1")
+        array.setflags(write=False)
+        object.__setattr__(self, "_array", array)  # for the contraction
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
 
@@ -318,8 +321,8 @@ def spats_distribution(nbar: float,
 
 def fock_distribution(n: int) -> PhotonNumberDistribution:
     """Photon-number eigenstate |n>."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("Fock level must be a non-negative integer")
+    if not isinstance(n, int) or not 0 <= n <= _MAX_CUTOFF:
+        raise ValueError(f"Fock level must be an integer in [0, {_MAX_CUTOFF}]")
     return PhotonNumberDistribution((0.0,) * n + (1.0,), 0.0)
 
 
@@ -461,6 +464,15 @@ def _finite(value, what: str) -> float:
     return x
 
 
+def _integer(value, what: str) -> int:
+    """A descriptor integer: an integer or an integral float, not a bool;
+    any other value is rejected, not truncated."""
+    if isinstance(value, float) and value.is_integer() or isinstance(
+            value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise DescriptorError(f"{what} must be an integer, got {value!r}")
+
+
 def _complex_param(value, what: str) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
@@ -486,7 +498,7 @@ def state_from_descriptor(desc: dict):
         if kind == "spats":
             return spats_distribution(_finite(desc["nbar"], "nbar"), tol)
         if kind == "fock":
-            return fock_distribution(int(desc["n"]))
+            return fock_distribution(_integer(desc["n"], "n"))
         if kind == "odd_coherent":
             return odd_coherent(_complex_param(desc["alpha"], "alpha"))
         if kind == "tmsv":

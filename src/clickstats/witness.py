@@ -35,7 +35,7 @@ floats with the resample axis last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -105,8 +105,7 @@ class PiMoments:
     exact: tuple | None = _Exact()
     formal: bool = False
     norm_slack: float = 0.0
-    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _scale: int = field(default=1, repr=False, compare=False)
+    _ints = None  # with _scale, the integers `_built` gave it
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -126,8 +125,7 @@ class JointPiMoments:
     exact: tuple | None = _Exact()
     formal: bool = False
     norm_slack: float = 0.0
-    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _scale: int = field(default=1, repr=False, compare=False)
+    _ints = None  # with _scale, the integers `_built` gave it
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -149,8 +147,7 @@ class MomentMatrix:
     index_basis: tuple
     exact: tuple | None = _Exact()
     norm_slack: float = 0.0
-    _ints: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _scale: int = field(default=1, repr=False, compare=False)
+    _ints = None  # with _scale, the integers `_built` gave it
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -217,26 +214,14 @@ def _read_only(*arrays) -> tuple:
 @lru_cache(maxsize=64)
 def _weights(N: int) -> tuple:
     """Integer weights over k = 0..N: the falling factorials P[m, k] =
-    k!/(k-m)! and the click powers (k, k^2)."""
+    k!/(k-m)!, the click powers (k, k^2), and (N-m)! P[m, k], whose sums
+    with c_k are N! <:pi^m:> (along each axis for two banks)."""
     ks = range(N + 1)
     falling = np.array([[math.perm(k, m) for k in ks] for m in ks],
                        dtype=object)
     powers = np.array([list(ks), [k * k for k in ks]], dtype=object)
-    return _read_only(falling, powers)
-
-
-def _pi_map(c, N: int):
-    """N! <:pi^m:> = (N-m)! sum_k k!/(k-m)! c_k for m = 0..N."""
-    falling = _weights(N)[0]
-    return (falling @ c) * (math.factorial(N) // falling[:, N])
-
-
-def _joint_pi_map(c, N1: int, N2: int):
-    """N1! N2! times the two-bank moments [m1, m2]: the single-bank sums
-    along each axis."""
-    f1, f2 = _weights(N1)[0], _weights(N2)[0]
-    return (f1 @ c @ f2.T) * np.outer(math.factorial(N1) // f1[:, N1],
-                                      math.factorial(N2) // f2[:, N2])
+    pi = falling * np.array([[math.factorial(N - m)] for m in ks], dtype=object)
+    return _read_only(falling, powers, pi)
 
 
 @lru_cache(maxsize=64)
@@ -307,22 +292,33 @@ def _lowest(ints, scale: int) -> tuple:
     return ints // g, scale // g
 
 
+def _built(cls, **fields):
+    """A container of moments made from checked statistics, taken as built:
+    its zeroth moment is their checked total and its matrices are symmetric
+    by their index, so no check or copy is repeated."""
+    built = object.__new__(cls)
+    vars(built).update(fields, exact=None)
+    return built
+
+
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    mom, scale = _lowest(_pi_map(stats._ints, stats.N),
+    mom, scale = _lowest(_weights(stats.N)[2] @ stats._ints,
                          stats._scale * math.factorial(stats.N))
-    return PiMoments(mom / scale, stats.N, formal=stats.formal,
-                     norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
+    return _built(PiMoments, values=tuple((mom / scale).tolist()),
+                  max_order=stats.N, formal=stats.formal,
+                  norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
 
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    mom, scale = _lowest(_joint_pi_map(stats._ints, stats.N1, stats.N2),
-                         stats._scale * math.factorial(stats.N1)
-                         * math.factorial(stats.N2))
-    return JointPiMoments(mom / scale, (stats.N1, stats.N2),
-                          formal=stats.formal, norm_slack=stats.norm_slack,
-                          _ints=mom, _scale=scale)
+    N1, N2 = stats.N1, stats.N2
+    mom, scale = _lowest(_weights(N1)[2] @ stats._ints @ _weights(N2)[2].T,
+                         stats._scale * math.factorial(N1) * math.factorial(N2))
+    return _built(JointPiMoments, values=_read_only(
+                      (mom / scale).astype(float))[0],
+                  max_orders=(N1, N2), formal=stats.formal,
+                  norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
 
 
 def _matrix(mom, arrange, basis: tuple) -> MomentMatrix:
@@ -331,8 +327,9 @@ def _matrix(mom, arrange, basis: tuple) -> MomentMatrix:
     values when given."""
     entries = arrange(np.asarray(mom.values))
     if mom._ints is not None:
-        return MomentMatrix(entries, basis, norm_slack=mom.norm_slack,
-                            _ints=arrange(mom._ints), _scale=mom._scale)
+        return _built(MomentMatrix, entries=_read_only(entries)[0],
+                      index_basis=basis, norm_slack=mom.norm_slack,
+                      _ints=arrange(mom._ints), _scale=mom._scale)
     exact = None if mom.exact is None else tuple(map(tuple, arrange(
         np.asarray(mom.exact, dtype=object)).tolist()))
     return MomentMatrix(entries, basis, exact=exact, norm_slack=mom.norm_slack)
@@ -425,8 +422,11 @@ def leading_principal_minors(M: MomentMatrix) -> tuple:
     """
     n, scale = ((M._ints, M._scale) if M._ints is not None else
                 _integers(M.entries if M.exact is None else M.exact))
-    return tuple(m / scale ** k for k, m in
-                 enumerate(_leading_minors(n.tolist()), 1))
+    minors, power = [], 1
+    for m in _leading_minors(n.tolist()):
+        power *= scale
+        minors.append(m / power)
+    return tuple(minors)
 
 
 def min_eigenvalue(M: MomentMatrix) -> float:
@@ -506,7 +506,7 @@ def cross_correlation_minor(stats: JointClickStatistics) -> float:
 
 def witness_report(stats, threshold: float = DEFAULT_THRESHOLD) -> WitnessReport:
     """Assemble all nonclassicality criteria for one statistics object."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too, which no criterion falls below
         raise ValueError("threshold must be >= 0")
     if not isinstance(stats, (ClickStatistics, JointClickStatistics)):
         raise TypeError(f"unsupported statistics type {type(stats).__name__}")

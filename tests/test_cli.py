@@ -455,6 +455,81 @@ class TestBadNumbers:
         assert report["verdict"] == "consistent-with-classical"
 
 
+class TestIntegerFields:
+    """Integer descriptor fields take ints and integral floats; anything
+    else exits 2 instead of being truncated, and sizes past the 100000
+    photon numbers of a state are refused before any work."""
+
+    @staticmethod
+    def stats(state, detector, capsys):
+        code = main(["stats", "--state", json.dumps(state),
+                     "--detector", json.dumps(detector)])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", 1e-300])
+    def test_fock_n(self, value, capsys):
+        code, out = self.stats({"kind": "fock", "n": value}, LINEAR4, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: n must be an integer")
+
+    @pytest.mark.parametrize("value", [4.7, True, "3"])
+    def test_diode_count(self, value, capsys):
+        code, out = self.stats({"kind": "fock", "n": 1},
+                               {**LINEAR4, "N": value}, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: N must be an integer")
+
+    @pytest.mark.parametrize("kind", ["power", "nabs"])
+    @pytest.mark.parametrize("value", [2.5, False, "2"])
+    def test_order(self, kind, value, capsys):
+        code, out = self.stats({"kind": "fock", "n": 1},
+                               {"N": 4, "response": {"kind": kind,
+                                                     "n0": value}}, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: n0 must be an integer")
+
+    def test_integral_floats_are_integers(self, capsys):
+        code, out = self.stats(
+            {"kind": "fock", "n": 2.0},
+            {"N": 4.0, "response": {"kind": "power", "n0": 2.0}}, capsys)
+        expected = main(["stats", "--state", '{"kind": "fock", "n": 2}',
+                         "--detector", json.dumps(POWER2_N4)])
+        assert code == expected == 0
+        assert out.out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("state,detector", [
+        ({"kind": "fock", "n": 100_000_001}, LINEAR4),
+        ({"kind": "fock", "n": 1},
+         {"N": 4, "response": {"kind": "power", "n0": 10**9}}),
+    ], ids=["fock", "power"])
+    def test_sizes_past_the_bound(self, state, detector, capsys):
+        code, out = self.stats(state, detector, capsys)
+        assert code == 2 and out.out == ""
+        assert "100000" in out.err
+
+    def test_bound_is_inclusive(self):
+        from clickstats.detector import Power
+        from clickstats.states import _MAX_CUTOFF, fock_distribution
+        assert Power(_MAX_CUTOFF).n0 == _MAX_CUTOFF
+        with pytest.raises(ValueError, match="100000"):
+            Power(_MAX_CUTOFF + 1)
+        with pytest.raises(ValueError, match="100000"):
+            fock_distribution(_MAX_CUTOFF + 1)
+
+    def test_memory_error_exits_two(self, monkeypatch, capsys):
+        # stands in for a bank too large to allocate, without allocating
+        import clickstats.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 25.0 GiB")
+        monkeypatch.setattr(cli, "click_statistics", exhausted)
+        code = main(["stats", "--state", FOCK1, "--detector", DET_N4])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: out of memory: Unable to allocate 25.0 GiB\n"
+
+
+POWER2_N4 = {"N": 4, "response": {"kind": "power", "n0": 2}}
 POWER3_N4 = {"N": 4, "response": {"kind": "power", "n0": 3}}
 
 
@@ -625,6 +700,16 @@ class TestGridBound:
                      "--detector", DET_N8, "--grid", self.HUGE])
         assert code == 2
         assert "100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["xi", "kind", "tol"])
+    def test_witness_name_the_state_reads(self, name, capsys):
+        # a name the thermal descriptor does not hold used to give rows
+        # that all repeat the base state, with exit 0
+        code = main(["witness", "--state", '{"kind": "thermal", "nbar": 1}',
+                     "--detector", DET_N8, "--grid", f"{name}=0:3:4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: --grid {name!r}")
 
     def test_bound_is_inclusive(self):
         assert len(_parse_grid(f"t=0:1:{_MAX_GRID_STEPS}")[1]) == _MAX_GRID_STEPS

@@ -9,6 +9,7 @@ series machinery under test.  Fock inputs give polynomial closed forms via
 
 import io
 import json
+import logging
 import math
 import tracemalloc
 from contextlib import redirect_stdout
@@ -28,6 +29,7 @@ from clickstats import (
     JointClickStatistics,
     Linear,
     NPhotonAbsorption,
+    PhotonNumberDistribution,
     PolynomialSeries,
     Power,
     click_statistics,
@@ -484,6 +486,191 @@ class TestExactIntegers:
         assert stats._scale.bit_length() <= 165 + 64
         with redirect_stdout(io.StringIO()):
             assert main(["witness", "--state", state, "--detector", det]) == 0
+
+
+# --- the constructors' checks as they were made entry by entry -------------------
+#
+# References for the array pass of the statistics and distribution
+# constructors: the per-entry loops they replaced, kept here verbatim in
+# effect.  Each returns what the constructor should keep, or raises what it
+# should raise, and appends the DEBUG messages it logs to `records`.
+
+
+def _reference_click_numbers(flat, formal, norm_slack, what, records):
+    """(cleaned floats, integers, scale) of a float table."""
+    cleaned = []
+    for c in flat:
+        if not math.isfinite(c) or (not formal and c < -1e-12):
+            raise PrecisionLoss(f"{what} probability {float(c)!r} below "
+                                f"-{1e-12} or beyond float range")
+        if not formal and c < 0.0:
+            records.append("%s: clamping %r to 0" % (what, c))
+            c = 0.0
+        cleaned.append(float(c))
+    pairs = [_ratio(x) for x in cleaned]
+    scale = math.lcm(*{d for _, d in pairs})
+    ints = [n * (scale // d) for n, d in pairs]
+    try:
+        total = sum(ints) / scale
+    except OverflowError:
+        total = math.inf if sum(ints) > 0 else -math.inf
+    slack = 1e-12 + norm_slack
+    if not abs(total - 1.0) <= slack:
+        raise NormalizationViolation(
+            f"{what} probabilities sum to {total!r} (allowed slack {slack:.3e})")
+    return cleaned, ints, scale
+
+
+def _reference_distribution(table, tail_bound):
+    probs = tuple(float(p) for p in table)
+    if not probs:
+        raise ValueError("distribution needs at least the vacuum entry")
+    if any(p < 0.0 for p in probs):
+        raise ValueError("negative probability in photon-number distribution")
+    if tail_bound < 0.0:
+        raise ValueError("tail bound must be non-negative")
+    total = math.fsum(probs) + tail_bound
+    if not abs(total - 1.0) <= 1e-12:
+        raise NormalizationViolation(
+            f"probabilities plus tail sum to {total!r}, not 1")
+    return probs
+
+
+def _outcome(make):
+    """make()'s value, or the class and message of what it raised."""
+    try:
+        return make()
+    except (ArithmeticError, ValueError, PrecisionLoss,
+            NormalizationViolation) as exc:
+        return type(exc), str(exc)
+
+
+class _Messages(logging.Handler):
+    """The messages of the DEBUG records of the detector module."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        self.logger = logging.getLogger("clickstats.detector")
+        self.level = self.logger.level
+        self.logger.setLevel(logging.DEBUG)
+        self.logger.addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level)
+
+
+# the float edge cases the checks must treat as the loops did: non-finite
+# numbers, signed zero, subnormals, negatives either side of the -1e-12
+# clamp limit, and numbers far beyond a probability (formal statistics)
+_EDGES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     -5e-324, 2.2250738585072014e-308, -1e-12,
+                     -1.0000000000000002e-12, -9.999999999999999e-13,
+                     1e16, -1e16, 1.7976931348623157e308]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(-1e-12, 0.0, exclude_min=True, exclude_max=True),
+    st.floats(max_value=-1e-12, allow_infinity=False),
+)
+
+
+@st.composite
+def _float_tables(draw, size):
+    """`size` floats that sum to about one, a few of them edge cases."""
+    table = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    edges = draw(st.dictionaries(st.integers(0, size - 1), _EDGES,
+                                 max_size=min(size, 3)))
+    rest = 1.0 - sum(x for x in edges.values() if math.isfinite(x))
+    weight = math.fsum(x for i, x in enumerate(table) if i not in edges)
+    if weight > 0.0 and 0.0 < rest < math.inf:
+        table = [x * (rest / weight) for x in table]
+    for i, x in edges.items():
+        table[i] = x
+    return table
+
+
+class TestOnePassValidation:
+    """The statistics and distribution constructors check, clamp and read
+    a float table in one pass, exactly as the per-entry loops did: the same
+    exception and message, the same numbers kept and read, and the same
+    DEBUG clamp records."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), shape=st.one_of(
+               st.integers(2, 10).map(lambda n: (n,)),
+               st.tuples(st.integers(1, 4), st.integers(1, 4))),
+           formal=st.booleans(), norm_slack=st.sampled_from([0.0, 1e-10]),
+           as_array=st.booleans())
+    def test_statistics_match_the_loop(self, data, shape, formal,
+                                       norm_slack, as_array):
+        table = data.draw(_float_tables(math.prod(shape)))
+        what = "click" if len(shape) == 1 else "joint click"
+        expected_records = []
+        want = _outcome(lambda: _reference_click_numbers(
+            table, formal, norm_slack, what, expected_records))
+        given_table = (np.array(table) if as_array else
+                       tuple(table) if len(shape) == 1 else
+                       np.array(table).reshape(shape).tolist())
+        if len(shape) == 1:
+            def make():
+                return ClickStatistics(shape[0] - 1, given_table,
+                                       formal=formal, norm_slack=norm_slack)
+        else:
+            def make():
+                return JointClickStatistics(
+                    shape[0] - 1, shape[1] - 1,
+                    np.reshape(given_table, shape) if as_array else given_table,
+                    formal=formal, norm_slack=norm_slack)
+        with _Messages() as records:
+            got = _outcome(make)
+        assert records == expected_records
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        cleaned, ints, scale = want
+        assert np.asarray(got.probs, dtype=float).ravel().tobytes() == (
+            np.array(cleaned).tobytes())
+        assert np.shape(got.probs) == shape and np.shape(got._ints) == shape
+        assert np.ravel(got._ints).tolist() == ints
+        assert got._scale == scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 12),
+           tail_bound=st.sampled_from([0.0, 1e-13, -1e-13]))
+    def test_distribution_matches_the_loop(self, data, size, tail_bound):
+        table = data.draw(_float_tables(size))
+        want = _outcome(lambda: _reference_distribution(table, tail_bound))
+        got = _outcome(lambda: PhotonNumberDistribution(table, tail_bound))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        assert np.array(got.probs).tobytes() == np.array(want).tobytes()
+        assert got._array.tobytes() == np.array(want).tobytes()
+        assert not got._array.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["0.5", None, 0.5j])
+    def test_click_numbers_must_be_real(self, bad):
+        # entries that are not real numbers are refused as math.isfinite
+        # refuses them, not read as NaN or parsed
+        with pytest.raises(TypeError, match="must be real number"):
+            ClickStatistics(1, (0.5, bad))
+
+    def test_caller_array_is_left_as_given(self):
+        # a clamp works on a copy: the caller's arrays keep their numbers
+        table = np.array([0.5, 0.5 + 1e-13, -1e-13])
+        joint_table = np.array([[0.5, -1e-13], [0.5 + 1e-13, 0.0]])
+        stats = ClickStatistics(2, table)
+        joint = JointClickStatistics(1, 1, joint_table)
+        assert stats.probs[2] == 0.0 and joint.probs[0, 1] == 0.0
+        assert table[2] == -1e-13 and joint_table[0, 1] == -1e-13
+        assert joint_table.flags.writeable
 
 
 class TestJointStatistics:

@@ -38,6 +38,7 @@ from clickstats.errors import (
     InsufficientOrder,
     NormalizationViolation,
     OrderExceedsDiodes,
+    PrecisionLoss,
 )
 from clickstats.witness import (
     JointPiMoments,
@@ -207,6 +208,63 @@ class TestNormSlack:
             PiMoments((math.nan, 0.5), 1, norm_slack=1.0)
         with pytest.raises(ValueError, match="symmetric"):
             MomentMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]), (0, 1))
+
+
+class TestBuiltAsChecked:
+    """Moments and matrices the library builds from checked statistics are
+    taken as built; those a caller builds keep every check."""
+
+    @pytest.mark.parametrize("make,error,match", [
+        (lambda: PiMoments((1.0, math.nan), 1, norm_slack=math.nan),
+         NormalizationViolation, "zeroth moment"),
+        (lambda: JointPiMoments(np.array([[math.nan, 0.1], [0.1, 0.0]]),
+                                (1, 1)), NormalizationViolation, "moment"),
+        (lambda: MomentMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), (0, 1)),
+         ValueError, "symmetric"),
+        (lambda: MomentMatrix(np.array([[1.0, math.nan], [math.nan, 1.0]]),
+                              (0, 1)), ValueError, "symmetric"),
+        (lambda: ClickStatistics(1, (math.nan, 1.0)), PrecisionLoss,
+         "beyond float range"),
+        (lambda: JointClickStatistics(1, 1, [[0.5, 0.5], [math.nan, 0.0]]),
+         PrecisionLoss, "beyond float range"),
+    ], ids=["pi", "joint-pi", "asymmetric", "nan-matrix", "click",
+            "joint-click"])
+    def test_caller_input_is_checked(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
+    def test_single_bank_equals_the_checked_containers(self):
+        stats = click_statistics(spats_distribution(0.7, tol=1e-11),
+                                 DetectorConfig(8, Linear(0.9)))
+        mom = pi_moments(stats)
+        assert mom == PiMoments(mom.values, mom.max_order, exact=mom.exact,
+                                formal=mom.formal, norm_slack=mom.norm_slack)
+        assert all(type(v) is float for v in mom.values)
+        M = moment_matrix(mom, 8)
+        self.assert_matrix_checked(M)
+
+    def test_two_banks_equal_the_checked_containers(self):
+        det = DetectorConfig(4, Linear(0.8))
+        mom = joint_pi_moments(joint_click_statistics(tmsv_joint(0.6), det,
+                                                      det))
+        checked = JointPiMoments(mom.values, mom.max_orders, exact=mom.exact,
+                                 formal=mom.formal, norm_slack=mom.norm_slack)
+        assert mom.values.tobytes() == checked.values.tobytes()
+        assert mom.values.dtype == float and not mom.values.flags.writeable
+        assert (mom.max_orders, mom.exact, mom.formal, mom.norm_slack) == (
+            checked.max_orders, checked.exact, checked.formal,
+            checked.norm_slack)
+        self.assert_matrix_checked(joint_moment_matrix(mom, 4, 4))
+
+    @staticmethod
+    def assert_matrix_checked(M):
+        checked = MomentMatrix(M.entries, M.index_basis, exact=M.exact,
+                               norm_slack=M.norm_slack)
+        assert M.entries.tobytes() == checked.entries.tobytes()
+        assert M.entries.dtype == float and not M.entries.flags.writeable
+        assert (M.index_basis, M.exact, M.norm_slack) == (
+            checked.index_basis, checked.exact, checked.norm_slack)
+        assert type(M.index_basis) is tuple
 
 
 class TestSharedTolerance:
@@ -770,6 +828,14 @@ class TestWitnessReport:
         assert rep.verdict == "consistent-with-classical"
         rep_strict = witness_report(stats, threshold=0.0)
         assert rep_strict.threshold == 0.0
+
+    def test_nan_threshold_is_refused(self):
+        # NaN passed the old `threshold < 0` test and then flagged nothing:
+        # a Fock 1 source on four linear diodes read classical
+        stats = click_statistics(fock_distribution(1),
+                                 DetectorConfig(4, Linear(1.0)))
+        with pytest.raises(ValueError, match="threshold"):
+            witness_report(stats, threshold=math.nan)
 
     def test_scaling_never_flips_signs(self):
         stats = click_statistics(spats_distribution(0.4),
