@@ -179,8 +179,9 @@ class NPhotonAbsorption:
     n0: int
 
     def __post_init__(self):
-        if not isinstance(self.n0, int) or self.n0 < 1:
-            raise ValueError("absorption order must be a positive integer")
+        if not isinstance(self.n0, int) or not 1 <= self.n0 <= _MAX_CUTOFF:
+            raise ValueError(
+                f"absorption order must be an integer in [1, {_MAX_CUTOFF}]")
 
     def evaluate(self, x):
         return x - math.log(sum(x**j / math.factorial(j) for j in range(self.n0)))
@@ -416,6 +417,18 @@ class JointClickStatistics:
         object.__setattr__(self, "probs", arr)
 
 
+def _taken_as_built(cls, **values):
+    """A ClickStatistics or JointClickStatistics from numbers the library
+    has made and checked itself, set field by field without the checks of
+    `__post_init__`; fields not given keep their defaults.  Only for values
+    that pass those checks unchanged, such as counts over their exact total
+    (`sampler.estimate_statistics`)."""
+    stats = object.__new__(cls)
+    for name, f in cls.__dataclass_fields__.items():
+        object.__setattr__(stats, name, values.get(name, f.default))
+    return stats
+
+
 # --- kernel tables --------------------------------------------------------------
 
 def _bucket(order: int) -> int:
@@ -513,12 +526,15 @@ def _threshold_occupancy(N: int, n0: int, L: int) -> np.ndarray:
     return F
 
 
-def _assembly(N: int) -> list:
+@lru_cache(maxsize=64)
+def _assembly(N: int) -> tuple:
     """B[k][s] = C(N,k) C(k,j) (-1)^j for s = N-k+j, else 0: c_k = sum_s
     B[k][s] E[s] from the no-click expectations E[s] = <:exp[-s f(nhat/N)]:>
-    of a state, and t_k(n) from their values on Fock level n."""
-    return [[math.comb(N, k) * math.comb(k, s - N + k) * (-1) ** (s - N + k)
-             if s >= N - k else 0 for s in range(N + 1)] for k in range(N + 1)]
+    of a state, and t_k(n) from their values on Fock level n.  Cached, with
+    rows as tuples so that no caller can change them."""
+    return tuple(tuple(math.comb(N, k) * math.comb(k, s - N + k)
+                       * (-1) ** (s - N + k) if s >= N - k else 0
+                       for s in range(N + 1)) for k in range(N + 1))
 
 
 @lru_cache(maxsize=64)

@@ -14,6 +14,15 @@ identical seeds and request sequences reproduce histograms bit for bit.
 Histograms drawn by inverse-CDF sampling in earlier releases differ from
 today's for the same seed.
 
+What the library makes and has checked itself is taken as built.  A draw's
+int64 counts (each at most the sample size) and a histogram file's table
+(every row checked as it is read) become histograms without a second pass
+of `ClickHistogram`'s checks, and `estimate_statistics` builds its
+statistics without the constructors' checks, which counts over their exact
+total pass unchanged; a caller's counts and statistics keep every check.
+The cleaned sampling weights stay with the statistics object after its
+first draw: this helps only repeated draws from one object.
+
 Point estimates are `witness_report` on `estimate_statistics`, which carry
 the counts as integers over their total: minors, Q_B and the cross minor
 are exact for counts/total and rounded once.  The bootstrap resamples take every
@@ -25,7 +34,8 @@ source's vanishing moments.  Floats are adequate there on banks of a
 few diodes, where sampling noise dominates float rounding by many orders
 of magnitude; on a bank of tens of diodes the high-order minors are
 rounding noise, and further on they underflow to 0.  Their spread is
-taken on deviations scaled to one, so it does not underflow itself.
+taken on deviations scaled to one, so it does not underflow itself, in
+one pass with that of Q_B or the cross minor when no replica lacks it.
 """
 
 from __future__ import annotations
@@ -33,13 +43,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .detector import ClickStatistics, JointClickStatistics
+from .detector import ClickStatistics, JointClickStatistics, _taken_as_built
 from .errors import EmptyHistogram
 from .witness import (
     WitnessReport,
@@ -103,7 +114,7 @@ class ClickHistogram:
     counts is a 1-D array over k = 0..N for a single bank, or a 2-D
     array over (k1, k2) for two banks in coincidence.  Entries are
     non-negative integers below 2^63; `total` is their exact sum, which
-    must also stay below 2^63 for estimates to be made from it.
+    must also stay below 2^63 for estimates to be made from it, read once.
     """
 
     counts: np.ndarray
@@ -127,11 +138,20 @@ class ClickHistogram:
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
+    @classmethod
+    def _own(cls, counts: np.ndarray):
+        """A histogram on the library's own int64 counts, already checked
+        where they were made, kept uncopied and made read-only."""
+        counts.setflags(write=False)
+        hist = object.__new__(cls)
+        object.__setattr__(hist, "counts", counts)
+        return hist
+
     @property
     def is_joint(self) -> bool:
         return self.counts.ndim == 2
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.counts.ravel().tolist())
 
@@ -155,7 +175,11 @@ class ClickHistogram:
 
 
 def _sampling_weights(stats) -> tuple:
-    """Flattened outcome probabilities, cleaned for sampling."""
+    """Flattened outcome probabilities, cleaned for sampling, and the
+    table's shape; kept on the statistics object after its first draw."""
+    kept = getattr(stats, "_sampling", None)
+    if kept is not None:
+        return kept
     if isinstance(stats, ClickStatistics):
         flat = np.array(stats.probs, dtype=float)
         shape = (stats.N + 1,)
@@ -169,7 +193,11 @@ def _sampling_weights(stats) -> tuple:
             "statistics carry negative entries beyond roundoff; a signed "
             "quasi-distribution cannot be sampled")
     flat = np.clip(flat, 0.0, None)
-    return flat / flat.sum(), shape
+    weights = flat / flat.sum()
+    weights.setflags(write=False)
+    # not a field: the statistics' ==, hash and repr stay as they were
+    object.__setattr__(stats, "_sampling", (weights, shape))
+    return weights, shape
 
 
 def sample_clicks(stats, n_samples: int, seed) -> ClickHistogram:
@@ -185,8 +213,9 @@ def sample_clicks(stats, n_samples: int, seed) -> ClickHistogram:
     if not isinstance(n_samples, int) or not 1 <= n_samples < _COUNT_LIMIT:
         raise ValueError("n_samples must be an integer in [1, 2^63)")
     weights, shape = _sampling_weights(stats)
-    counts = _generator(seed).multinomial(n_samples, weights)
-    return ClickHistogram(counts.reshape(shape))
+    # int64 counts, each at most n_samples: nothing to check
+    return ClickHistogram._own(
+        _generator(seed).multinomial(n_samples, weights).reshape(shape))
 
 
 def _events(hist: ClickHistogram) -> int:
@@ -203,17 +232,23 @@ def estimate_statistics(hist: ClickHistogram):
     """Empirical click statistics with multinomial standard errors.
 
     Returns ClickStatistics or JointClickStatistics with probs set to
-    counts/total and stderr to sqrt(p(1-p)/total) entrywise.
+    counts/total and stderr to sqrt(p(1-p)/total) entrywise.  They are
+    taken as built: counts of a histogram are non-negative integers, so
+    counts over their exact total are finite, non-negative and sum to one
+    exactly, and the constructors' checks would pass them unchanged.
     """
     total = _events(hist)
     freq = hist.counts / total
     se = np.sqrt(freq * (1.0 - freq) / total)
     counts = np.array(hist.counts.tolist(), dtype=object)
     if hist.is_joint:
-        return JointClickStatistics(N1=hist.N1, N2=hist.N2, probs=freq,
-                                    stderr=se, _ints=counts, _scale=total)
-    return ClickStatistics(N=hist.N, probs=freq, stderr=tuple(se),
-                           _ints=counts, _scale=total)
+        freq.setflags(write=False)
+        return _taken_as_built(JointClickStatistics, N1=hist.N1, N2=hist.N2,
+                               probs=freq, stderr=se, _ints=counts,
+                               _scale=total)
+    return _taken_as_built(ClickStatistics, N=hist.N, probs=tuple(freq.tolist()),
+                           stderr=tuple(se.tolist()), _ints=counts,
+                           _scale=total)
 
 
 # --- bootstrap ------------------------------------------------------------------
@@ -287,7 +322,7 @@ def _replicas(draws: np.ndarray, total: int, shape: tuple) -> dict:
     product with the cached `_replica_map` gives every replica's moments,
     and for one bank <c> and <c^2>, with the resample axis last; the
     moment matrices are indexed straight out of them.  Q_B keeps the
-    replicas whose mean leaves a spread.
+    replicas whose mean leaves a spread, all of them on most histograms.
     """
     W, index = _replica_map(shape)
     moms = W @ draws.T
@@ -299,8 +334,8 @@ def _replicas(draws: np.ndarray, total: int, shape: tuple) -> dict:
     N = shape[0] - 1
     num, den = _qb_terms(moms[N + 1], moms[N + 2], N)
     ok = den > 0
-    return {"moments": moms[:N + 1], "minors": minors,
-            "qb": num[ok] / den[ok] - 1.0}
+    qb = num / den if ok.all() else num[ok] / den[ok]
+    return {"moments": moms[:N + 1], "minors": minors, "qb": qb - 1.0}
 
 
 def _spread(x: np.ndarray) -> np.ndarray:
@@ -347,10 +382,16 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
     draws = rng.multinomial(total, weights, size=resamples)
 
     rep = _replicas(draws, total, hist.counts.shape)
-    minor_se = tuple(_spread(rep["minors"]).tolist())
-    cross_se = float(_spread(rep["cross"])) if "cross" in rep else None
-    qb_se = (float(_spread(rep["qb"])) if len(rep.get("qb", ())) >= 2
-             else None)
+    last = rep["cross"] if hist.is_joint else rep["qb"]
+    if len(last) == resamples:
+        # no replica dropped: one spread pass over the minors and Q_B or the
+        # cross minor, row by row as separate passes would take them
+        se = _spread(np.vstack([rep["minors"], last])).tolist()
+        minor_se, last_se = tuple(se[:-1]), se[-1]
+    else:
+        minor_se = tuple(_spread(rep["minors"]).tolist())
+        last_se = float(_spread(last)) if len(last) >= 2 else None
+    cross_se, qb_se = (last_se, None) if hist.is_joint else (None, last_se)
 
     criteria = [(m, s) for m, s in zip(base.leading_minors[1:], minor_se[1:])]
     if base.qb is not None and qb_se is not None:
@@ -397,9 +438,14 @@ def _table_text(header: list, rows: list, fmt: str) -> str:
 
 
 def write_histogram_csv(hist: ClickHistogram, path) -> None:
-    """Write a histogram as `sample` prints it: header k,count or k1,k2,count."""
-    Path(path).write_text(_table_text(*_table_rows(hist.counts, "count"),
-                                      "csv"), encoding="utf-8", newline="")
+    """Write a histogram as `sample` prints it: header k,count or k1,k2,count.
+
+    The file is truncated on opening and written in one piece, so a crash
+    leaves it empty or complete, never a shorter table that still parses.
+    """
+    text = _table_text(*_table_rows(hist.counts, "count"), "csv")
+    with open(os.fspath(path), "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def read_histogram_csv(path) -> ClickHistogram:
@@ -410,13 +456,12 @@ def read_histogram_csv(path) -> ClickHistogram:
     (so a joint table above 171 x 171), are rejected before any table is
     made.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with open(os.fspath(path), "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path} is empty") from None
+            raise ValueError(f"{Path(path)} is empty") from None
         header = [h.strip().lower() for h in header]
         if header not in (["k", "count"], ["k1", "k2", "count"]):
             raise ValueError(
@@ -441,12 +486,13 @@ def read_histogram_csv(path) -> ClickHistogram:
             if nums[-1] >= _COUNT_LIMIT:
                 raise ValueError(f"count of 2^63 or more in histogram row {row!r}")
             if key in entries:
-                raise ValueError(f"duplicate outcome {key} in {path}")
+                raise ValueError(f"duplicate outcome {key} in {Path(path)}")
             entries[key] = nums[-1]
     if not entries:
-        raise ValueError(f"{path} holds no histogram rows")
+        raise ValueError(f"{Path(path)} holds no histogram rows")
     counts = np.zeros([max(2, 1 + max(key[i] for key in entries))
                        for i in range(len(header) - 1)], dtype=np.int64)
     for key, c in entries.items():
         counts[key] = c
-    return ClickHistogram(counts)
+    # every entry was checked above, as a caller's counts would be
+    return ClickHistogram._own(counts)

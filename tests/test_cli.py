@@ -488,6 +488,23 @@ class TestIntegerFields:
         assert code == 2 and out.out == ""
         assert out.err.startswith("error: n0 must be an integer")
 
+    @pytest.mark.parametrize("n0", [100001, 10 ** 9])
+    def test_absorption_order_bound(self, n0, capsys, monkeypatch):
+        # an order of 1e9 summed 1e9 mpmath terms per amplitude pair; it is
+        # refused before any no-click value is taken
+        from clickstats import detector
+
+        def no_sum(*args):
+            raise AssertionError("a no-click value was computed")
+
+        monkeypatch.setattr(detector, "_no_click_factor", no_sum)
+        code, out = self.stats({"kind": "odd_coherent", "alpha": 1.0},
+                               {"N": 2, "response": {"kind": "nabs",
+                                                     "n0": n0}}, capsys)
+        assert code == 2 and out.out == ""
+        assert out.err == ("error: bad detector parameter: absorption order "
+                           "must be an integer in [1, 100000]\n")
+
     def test_integral_floats_are_integers(self, capsys):
         code, out = self.stats(
             {"kind": "fock", "n": 2.0},

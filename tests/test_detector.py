@@ -98,6 +98,9 @@ class TestResponseValidation:
     def test_absorption_order(self):
         with pytest.raises(ValueError):
             NPhotonAbsorption(0)
+        with pytest.raises(ValueError, match=r"integer in \[1, 100000\]"):
+            NPhotonAbsorption(100001)
+        assert NPhotonAbsorption(100000).n0 == 100000
 
     def test_poly_negative_constant(self):
         with pytest.raises(NegativeResponse):

@@ -1,7 +1,9 @@
 """Tests for Monte Carlo sampling, estimation, and bootstrap witnesses."""
 
+import dataclasses
 import io
 import math
+import re
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -34,7 +36,13 @@ from clickstats import (
 )
 from clickstats.cli import main
 from clickstats.errors import EmptyHistogram
-from clickstats.sampler import _batched_minors, _replica_map, _replicas, _spread
+from clickstats.sampler import (
+    _batched_minors,
+    _generator,
+    _replica_map,
+    _replicas,
+    _spread,
+)
 from clickstats.witness import (
     cross_correlation_minor,
     joint_pi_moments,
@@ -49,6 +57,25 @@ def binomial_stats(N: int, p: float) -> ClickStatistics:
     probs = tuple(math.comb(N, k) * p**k * (1 - p) ** (N - k)
                   for k in range(N + 1))
     return ClickStatistics(N=N, probs=probs)
+
+
+# histograms of one bank (N 1..8) and of two (N1, N2 1..4), zeros included
+HISTOGRAMS = st.one_of(
+    hnp.arrays(np.int64, st.integers(2, 9), elements=st.one_of(
+        st.just(0), st.integers(0, 10 ** 6))),
+    hnp.arrays(np.int64, st.tuples(st.integers(2, 5), st.integers(2, 5)),
+               elements=st.one_of(st.just(0), st.integers(0, 10 ** 6)))
+).filter(lambda c: c.sum() > 0)
+
+
+def assert_checked_histogram(hist, counts):
+    """hist holds what the checking constructor makes of counts, read-only."""
+    ref = ClickHistogram(np.array(counts))
+    assert hist.counts.dtype == ref.counts.dtype == np.int64
+    assert hist.counts.shape == ref.counts.shape
+    assert np.array_equal(hist.counts, ref.counts)
+    assert not hist.counts.flags.writeable
+    assert hist.total == ref.total
 
 
 class TestRngSeed:
@@ -88,6 +115,36 @@ class TestClickHistogram:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ClickHistogram(np.array([1, -1]))
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.array([1, -1]), "counts must be non-negative"),
+        (np.array([[1, 2], [-3, 4]]), "counts must be non-negative"),
+        (np.array([1.5, 2.0]), "counts must be integers"),
+        (np.array([1.0, np.nan]), "counts must be integers"),
+        (np.array([2 ** 63, 1], dtype=np.uint64), "counts must be below 2^63"),
+        (np.array([2.0 ** 63, 1.0]), "counts must be below 2^63"),
+    ])
+    def test_caller_counts_checked(self, counts, message):
+        # histograms the library makes skip these checks; a caller's do not
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClickHistogram(counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=HISTOGRAMS, seed=st.integers(0, 2 ** 64 - 1))
+    def test_library_histograms_are_checked_ones(self, counts, seed):
+        # a draw and a file read back are taken as built: the same table as
+        # the checking constructor makes of their numbers
+        total = int(counts.sum())
+        freq = counts / total
+        stats = (JointClickStatistics(counts.shape[0] - 1, counts.shape[1] - 1,
+                                      freq) if counts.ndim == 2 else
+                 ClickStatistics(len(counts) - 1, freq))
+        drawn = sample_clicks(stats, total, seed)
+        assert_checked_histogram(drawn, drawn.counts.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "h.csv")
+            write_histogram_csv(ClickHistogram(counts), path)
+            assert_checked_histogram(read_histogram_csv(path), counts)
 
     def test_wrong_axis_access(self):
         single = ClickHistogram(np.array([1, 2]))
@@ -156,6 +213,27 @@ class TestSampleClicks:
         h = sample_clicks(stats, 1000, RngSeed(3))
         assert h.counts[2] == 0
         assert h.total == 1000
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_kept_weights(self, joint):
+        # the weights kept after a first draw give the draws of a fresh,
+        # equal object, and are not part of the statistics' value
+        table = np.outer([0.2, 0.5, 0.3], [0.6, 0.4]) if joint else None
+
+        def make():
+            return (JointClickStatistics(2, 1, table) if joint
+                    else binomial_stats(4, 0.3))
+
+        stats = make()
+        before = repr(stats)
+        for seed in (11, 12):
+            drawn = sample_clicks(stats, 5000, RngSeed(seed))
+            fresh = sample_clicks(make(), 5000, RngSeed(seed))
+            assert np.array_equal(drawn.counts, fresh.counts)
+        assert repr(stats) == before == repr(make())
+        if not joint:
+            assert stats == make()
+            assert hash(stats) == hash(make())
 
     def test_sample_count_limit(self):
         # Generator.multinomial takes n only below 2^63
@@ -376,6 +454,39 @@ class TestEstimateStatistics:
         with pytest.raises(EmptyHistogram):
             estimate_statistics(h)
 
+    @settings(max_examples=60, deadline=None)
+    @given(counts=HISTOGRAMS)
+    def test_taken_as_the_constructors_build(self, counts):
+        # the estimate skips the constructors' checks: every field is what
+        # they make of counts over their total
+        est = estimate_statistics(ClickHistogram(counts))
+        total = int(counts.sum())
+        freq = counts / total
+        se = np.sqrt(freq * (1.0 - freq) / total)
+        ints = np.array(counts.tolist(), dtype=object)
+        if counts.ndim == 2:
+            ref = JointClickStatistics(N1=counts.shape[0] - 1,
+                                       N2=counts.shape[1] - 1, probs=freq,
+                                       stderr=se, _ints=ints, _scale=total)
+        else:
+            ref = ClickStatistics(N=len(counts) - 1, probs=freq,
+                                  stderr=tuple(se), _ints=ints, _scale=total)
+            assert est == ref and repr(est) == repr(ref)
+        assert type(est) is type(ref)
+        assert est.exact is None
+        for f in dataclasses.fields(ref):
+            got, want = getattr(est, f.name), getattr(ref, f.name)
+            assert type(got) is type(want), f.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tolist() == want.tolist(), f.name
+                assert got.flags.writeable == want.flags.writeable, f.name
+                assert {type(x) for x in got.flat} == {type(x) for x in want.flat}
+            else:
+                assert got == want, f.name
+                if isinstance(want, tuple):
+                    assert all(type(x) is float for x in got), f.name
+
     def test_joint_estimate(self):
         h = ClickHistogram(np.array([[10, 20], [30, 40]]))
         est = estimate_statistics(h)
@@ -563,6 +674,43 @@ class TestBootstrapWitness:
             h = sample_clicks(stats, 10**5, RngSeed(seed))
             report = bootstrap_witness(h, 200, RngSeed(seed + 1))
             assert report.verdict == "consistent-with-classical", seed
+
+    @pytest.mark.parametrize("counts", [
+        "fock", "tmsv",
+        # about a third of the replicas draw no 2-click event: all their
+        # events sit at k = 0, and they have no Q_B (den = 0)
+        [499, 0, 1],
+        # no replica has Q_B
+        [5, 0, 0],
+    ])
+    def test_uncertainties_are_one_spread_per_criterion(self, counts):
+        if counts == "fock":
+            det = DetectorConfig(N=8, response=Linear(eta=0.9))
+            h = sample_clicks(click_statistics(fock_distribution(2), det),
+                              20000, RngSeed(5))
+        elif counts == "tmsv":
+            det = DetectorConfig(N=4, response=Linear(eta=0.8))
+            h = sample_clicks(joint_click_statistics(tmsv_joint(0.6), det, det),
+                              20000, RngSeed(5))
+        else:
+            h = ClickHistogram(np.array(counts))
+        resamples, seed = 300, 17
+        report = bootstrap_witness(h, resamples, RngSeed(seed))
+        # the same stream as the bootstrap draws it
+        weights = h.counts.ravel() / h.total
+        draws = _generator(seed).multinomial(h.total, weights / weights.sum(),
+                                             size=resamples)
+        rep = _replicas(draws, h.total, h.counts.shape)
+        u = report.uncertainties
+        assert u["leading_minors"] == tuple(_spread(rep["minors"]).tolist())
+        if h.is_joint:
+            assert u["cross_minor"] == float(_spread(rep["cross"]))
+        elif len(rep["qb"]) >= 2:
+            assert u["qb"] == float(_spread(rep["qb"]))
+        else:
+            assert "qb" not in u
+        if counts == [499, 0, 1]:
+            assert 2 <= len(rep["qb"]) < resamples
 
     def test_spread_survives_tiny_deviations(self):
         x = np.array([[1.0, 2.0, 4.0, 0.5], [3.0, 3.0, 3.0, 3.0]])

@@ -4,10 +4,11 @@ checkouts.
 Builds the `monte_carlo` workload of `perfbench/workloads.py` for seeds 1, 2
 and 3 in each checkout (its own `src/` and `perfbench/`, in a subprocess),
 runs every operation of one round after the set-up round, and compares
-them: the drawn histograms and their CSV round trips must be identical, and
-so must the verdicts.  Prints, per seed, the largest relative change of the
-point estimates (leading minors, smallest eigenvalue, Q_B, cross minor) and
-of the bootstrap uncertainties.  The 1x1 minor is the zeroth moment, 1 in
+them: the drawn histograms, the bytes of the CSV file each operation leaves
+in the work directory, and the histograms read back from it must be
+identical, and so must the verdicts.  Prints, per seed, the largest
+relative change of the point estimates (leading minors, smallest
+eigenvalue, Q_B, cross minor) and of the bootstrap uncertainties.  The 1x1 minor is the zeroth moment, 1 in
 every resample, so its uncertainty is roundoff on either side (or exactly
 0): it is not compared, only required to stay below ROUNDOFF.  Run from
 anywhere:
@@ -15,8 +16,9 @@ anywhere:
     python3 tools/bootstrap_gap.py OLD NEW
     python3 tools/bootstrap_gap.py OLD NEW --seeds 1 2
 
-Exits with status 1 when a histogram or a verdict differs, when a number is
-present on one side only, or when a relative change exceeds 1e-9.
+Exits with status 1 when a histogram, a CSV file or a verdict differs, when
+a number is present on one side only, or when a relative change exceeds
+1e-9.
 """
 
 import argparse
@@ -44,8 +46,8 @@ with tempfile.TemporaryDirectory() as tmp:
         ops = []
         for op in mc.round(0):
             hist, back, report = op.run()
-            ops.append((op.slot, hist.counts.tobytes(), back.counts.tobytes(),
-                        report.to_dict()))
+            ops.append((op.slot, hist.counts.tobytes(), mc.csv.read_bytes(),
+                        back.counts.tobytes(), report.to_dict()))
         out[seed] = ops
 sys.stdout.buffer.write(pickle.dumps(out))
 """
@@ -54,7 +56,8 @@ _POINT = ("leading_minors", "min_eigenvalue", "qb", "cross_minor")
 
 
 def outputs(checkout: Path, seeds) -> dict:
-    """{seed: [(slot, counts, counts read back, report dict), ...]}."""
+    """{seed: [(slot, counts, CSV bytes, counts read back, report dict),
+    ...]}."""
     root = checkout.resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))
@@ -97,9 +100,13 @@ def main(argv=None) -> int:
             ok = False
             continue
         point = spread = 0.0
-        for i, ((slot, h, back, ra), (_, h2, back2, rb)) in enumerate(zip(a, b)):
+        for i, ((slot, h, csv, back, ra),
+                (_, h2, csv2, back2, rb)) in enumerate(zip(a, b)):
             if (h, back) != (h2, back2):
                 print(f"seed {seed} operation {i} ({slot}): histograms differ")
+                ok = False
+            if csv != csv2:
+                print(f"seed {seed} operation {i} ({slot}): CSV files differ")
                 ok = False
             if ra["verdict"] != rb["verdict"]:
                 print(f"seed {seed} operation {i} ({slot}): verdict "
