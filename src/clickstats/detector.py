@@ -18,13 +18,14 @@ accurate to (order + N) 2^-52 relative to each entry's size.  Formal
 responses (superlinear, or a degree-1 polynomial of slope above one) have
 signed kernels, on which the alternating sum above cancels catastrophically
 (see the series module); their coefficients are rational, so their kernels
-are exact, integers over one common denominator, and their contractions run
-on Fractions.  Only a constant term f(0) > 0 rounds a number there, the
-dark-count factor e^-f(0), which leaves each kernel within 1e-40.  Coherent
-superpositions need no kernels: each expectation is a finite sum over pairs
-of amplitudes, rounded once, like those of the analytic families, onto a
-grid of 2^-p, and the binomial combination is then summed on integers.
-Statistics keep their numbers as integers over one scale, read once.
+are exact integers over one denominator, contracted on integers with each
+float read over its largest (power-of-two) denominator.  Only a constant
+term f(0) > 0 rounds a number there, the dark-count factor e^-f(0), which
+leaves each kernel within 1e-40.  Coherent superpositions need no kernels:
+each expectation is a finite sum over pairs of amplitudes, rounded once,
+like the N+1 values of an analytic family (one call), onto a grid of 2^-p,
+and the binomial combination is summed on integers.  Every exact statistic
+is made from integers over one scale, with Fractions only in `exact`.
 """
 
 from __future__ import annotations
@@ -266,16 +267,16 @@ def response_series(resp, N: int, s, order: int, prec: int | None = None) -> Pow
 
 # --- click statistics containers ----------------------------------------------
 
-def _float(x, d: int = 1) -> float:
-    """x / d as a float, or a signed infinity beyond float range (rejected)."""
+def _float(n: int, d: int) -> float:
+    """n / d rounded once, or a signed infinity beyond float range (rejected)."""
     try:
-        return x / d if d != 1 else float(x)
+        return n / d
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf
 
 
-_fractions = np.frompyfunc(Fraction, 1, 1)
-_floats = np.frompyfunc(_float, 1, 1)
+_fractions = np.frompyfunc(Fraction, 2, 1)
+_floats = np.frompyfunc(_float, 2, 1)
 
 
 def _ratio(x) -> tuple:
@@ -293,11 +294,11 @@ def _ratio(x) -> tuple:
 
 
 def _integers(values) -> tuple:
-    """(n, L): numbers given as floats, mpf or Fractions, as Python integers
-    n = value * L over the lcm L of their denominators (a power of two for
-    floats and mpf)."""
+    """(n, L): numbers given as floats, mpf, integers or Fractions, as
+    Python integers n = value * L, of their shape, over the lcm L of their
+    denominators (for floats the largest, a power of two)."""
     a = np.asarray(values, dtype=object)
-    pairs = [_ratio(x) for x in a.flat]
+    pairs = [_ratio(x) for x in a.ravel().tolist()]
     scale = math.lcm(*{d for _, d in pairs})
     return np.array([n * (scale // d) for n, d in pairs],
                     dtype=object).reshape(a.shape), scale
@@ -329,12 +330,7 @@ def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
                                 f"-{_CLAMP} or beyond float range")
         numbers = flat.tolist()
     if stats._ints is None:
-        if stats.exact is None:
-            ratios = [x.as_integer_ratio() for x in numbers]
-            scale = max([d for _, d in ratios])
-            ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
-        else:
-            ints, scale = _integers(stats.exact)
+        ints, scale = _integers(flat if stats.exact is None else stats.exact)
         object.__setattr__(stats, "_ints", ints.reshape(values.shape))
         object.__setattr__(stats, "_scale", scale)
     total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
@@ -429,6 +425,18 @@ def _taken_as_built(cls, **values):
     return stats
 
 
+def _exact(cls, n: np.ndarray, scale: int, **fields):
+    """Statistics `cls` of the exact values n / scale, n Python integers:
+    both divided by their gcd, as `_integers` reads `exact`, each float
+    rounded once and `exact` the reduced Fractions."""
+    g = math.gcd(scale, *n.flat)
+    n, scale = n // g, scale // g
+    exact = _fractions(n, scale).tolist()
+    return cls(probs=_floats(n, scale).astype(float),
+               exact=tuple(map(tuple, exact) if n.ndim == 2 else exact),
+               _ints=n, _scale=scale, **fields)
+
+
 # --- kernel tables --------------------------------------------------------------
 
 def _bucket(order: int) -> int:
@@ -450,15 +458,6 @@ def _chain_parameters(resp):
         nu, eta = (resp.coefficients + (0.0,))[:2]
         return (eta, nu) if eta <= 1.0 else None
     return None
-
-
-def _kernels(det: DetectorConfig, order: int, prec: int | None):
-    """(T, exact_error, relative_error): read-only float64 kernels of a
-    physical response, within (order + N) 2^-52 of each entry, or exact
-    Fraction kernels of a formal one (`_formal_kernels`)."""
-    if _formal(det.response):
-        return _formal_kernels(det, order, prec)
-    return _positive_kernels(det, order), 0.0, (order + det.N) * 2.0 ** -52
 
 
 @lru_cache(maxsize=64)
@@ -539,23 +538,24 @@ def _assembly(N: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _formal_kernels(det: DetectorConfig, order: int, prec: int | None):
-    """Exact kernels of a formal response f: (T, error, 0.0), T a read-only
-    array of Fractions, columns summing to one.  With d the least power of
-    two making each a_j d^j (j >= 1) an integer, the coefficients h_k of
-    exp[-s (f(x/N) - f(0))] give integers U_k = k! h_k (d N)^k = -s sum_j
-    C(k-1, j-1) j! a_j d^j U_(k-j), and so do the kernels over (d N)^order.
-    Only f(0) > 0 rounds a number (`_dark_offset`)."""
+    """Exact kernels of a formal response f: (T, D, error), T/D the kernels
+    within `error` (0 unless f(0) > 0), T read-only integers, columns
+    summing to D.  With d the least power of two making each a_j d^j (j >=
+    1) an integer, the coefficients h_k of exp[-s (f(x/N) - f(0))] give
+    integers U_k = k! h_k (d N)^k = -s sum_j C(k-1, j-1) j! a_j d^j U_(k-j),
+    and so do the kernels over (d N)^order.  Only f(0) > 0 rounds a number
+    (`_dark_offset`)."""
     N, resp = det.N, det.response
     if isinstance(resp, Power):
         coeffs = (0,) * resp.n0 + (1,)
     else:
         _check_poly_positive(resp, 10.0 * max(order, 1) / N)
         coeffs = resp.coefficients
-    a = [Fraction(c) for c in coeffs]
-    d = 1 << max(math.ceil((c.denominator.bit_length() - 1) / j)
-                 for j, c in enumerate(a) if j and c)
-    steps = [(j, math.factorial(j) * int(c * d ** j))
-             for j, c in enumerate(a) if j and c]
+    a = [_ratio(c) for c in coeffs]  # denominators are powers of two
+    d = 1 << max(math.ceil((q.bit_length() - 1) / j)
+                 for j, (m, q) in enumerate(a) if j and m)
+    steps = [(j, math.factorial(j) * (m * d ** j // q))
+             for j, (m, q) in enumerate(a) if j and m]
     scale = [(d * N) ** (order - k) for k in range(order + 1)]
     V = []
     for s in range(N + 1):
@@ -566,10 +566,10 @@ def _formal_kernels(det: DetectorConfig, order: int, prec: int | None):
         V.append([u * w for u, w in zip(U, scale)])
     binom = [[math.comb(n, k) for n in range(order + 1)] for k in range(order + 1)]
     T = np.array(_assembly(N), dtype=object) @ np.array(V, dtype=object) @ binom
-    T, D = _dark_offset(T, scale[0], coeffs[0], prec) if a[0] else (T, scale[0])
-    T = T * Fraction(1, D)
+    T, D = (_dark_offset(T, scale[0], coeffs[0], prec) if coeffs[0]
+            else (T, scale[0]))
     T.setflags(write=False)
-    return T, float(_ABS_TARGET) if a[0] else 0.0, 0.0
+    return T, D, float(_ABS_TARGET) if coeffs[0] else 0.0
 
 
 def _dark_offset(T, D, f0, prec: int | None):
@@ -593,16 +593,12 @@ def _dark_offset(T, D, f0, prec: int | None):
 def click_statistics(state, det: DetectorConfig,
                      prec: int | None = None) -> ClickStatistics:
     """Exact click-counting statistics of one bank for the given state."""
-    if isinstance(state, PhotonNumberDistribution):
-        return _click_from_distribution(state, det, prec)
+    formal = _formal(det.response)
     if isinstance(state, CoherentSuperposition):
         return _click_from_E(det.N, _superposition_E(state, det, prec), prec,
-                             _formal(det.response))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def _click_from_distribution(state, det, prec):
-    formal = _formal(det.response)
+                             formal)
+    if not isinstance(state, PhotonNumberDistribution):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
     if formal and state.tail_bound > 0.0:
         # truncated table of an infinite-tail state: the kernel sum does not
         # converge, so fall back to the family's exact representation
@@ -610,19 +606,18 @@ def _click_from_distribution(state, det, prec):
             raise UnboundedKernel(
                 f"{type(det.response).__name__} response on a truncated "
                 "photon-number distribution with no analytic family tag")
-        E, errors = zip(*(_analytic_E(state.analytic, det, s, prec)
-                          for s in range(det.N + 1)))
-        return _click_from_E(det.N, E, prec, formal=True, e_error=max(errors))
-    order = _bucket(state.cutoff)
-    T, error, rel = _kernels(det, order, prec)
-    p = state._array
-    # an exact sum may skip the zero p_n; a float sum keeps its BLAS order
-    keep = np.flatnonzero(p) if formal else slice(len(p))
-    c = T[:, keep] @ (_fractions(p[keep]) if formal else p)
-    return ClickStatistics(det.N, _floats(c).astype(float) if formal else c,
-                           exact=tuple(c.tolist()) if formal else None,
-                           norm_slack=state.tail_bound, formal=formal,
-                           exact_error=error, relative_error=rel)
+        E, error = _analytic_E(state.analytic, det, prec)
+        return _click_from_E(det.N, E, prec, formal=True, e_error=error)
+    order, p = _bucket(state.cutoff), state._array
+    if not formal:
+        return ClickStatistics(det.N, _positive_kernels(det, order)[:, :len(p)]
+                               @ p, norm_slack=state.tail_bound,
+                               relative_error=(order + det.N) * 2.0 ** -52)
+    T, D, error = _formal_kernels(det, order, prec)
+    keep = np.flatnonzero(p)  # an exact sum may skip the zero p_n
+    P, scale = _integers(p[keep])
+    return _exact(ClickStatistics, T[:, keep] @ P, D * scale, N=det.N,
+                  formal=True, exact_error=error)
 
 
 def _click_from_E(N, E, prec, formal, e_error=float(_ABS_TARGET)):
@@ -634,12 +629,10 @@ def _click_from_E(N, E, prec, formal, e_error=float(_ABS_TARGET)):
     p = max(prec or 0, 33 - math.frexp(e_error)[1], 0)
     n = [_on_grid(e, p) for e in E]
     c = [sum(b * x for b, x in zip(row, n) if b) for row in _assembly(N)]
-    exact = tuple(Fraction(x, 1 << p) for x in c)
     error = max(math.comb(N, k) * 2 ** k for k in range(N + 1)) * (
         e_error + 2.0 ** -p)
-    return ClickStatistics(N, tuple(map(_float, exact)), exact=exact,
-                           formal=formal, exact_error=error,
-                           _ints=np.array(c, dtype=object), _scale=1 << p)
+    return _exact(ClickStatistics, np.array(c, dtype=object), 1 << p, N=N,
+                  formal=formal, exact_error=error)
 
 
 def _on_grid(e, p: int) -> int:
@@ -654,13 +647,20 @@ def _no_click_factor(resp, x):
     """(w, W, F) at complex x: w = exp[-f(x)], W >= |w| and F the sum of the
     absolute terms of the exponent, so that w at p bits errs by a few W (F +
     n0) 2^-p.  n-photon absorption gives w = e^-x B(x), B = sum_{j<n0}
-    x^j/j!, through no log, and W = |e^-x| B(|x|), as B(x) may cancel."""
+    x^j/j!, through no log, and W = |e^-x| B(|x|), as B(x) may cancel.
+    Both sums stop at the same j >= 2|x|, from where each term of B(|x|)
+    (which bounds that of B(x)) is at most half the last, once the rest
+    cannot move B(|x|) at the working precision."""
     r = abs(x)
     if isinstance(resp, NPhotonAbsorption):
         e = mp.exp(-x)
-        B = [mp.fsum(y ** j / mp.factorial(j) for j in range(resp.n0))
-             for y in (x, r)]
-        return e * B[0], abs(e) * B[1], r + resp.n0
+        b = B = t = T = mp.mpf(1)  # B(x), B(|x|) and their terms x^j/j!
+        for j in range(1, resp.n0):
+            if j >= 2 * r and 2 * T < mp.eps * B:
+                break
+            t, T = t * x / j, T * r / j
+            b, B = b + t, B + T
+        return e * b, abs(e) * B, r + resp.n0
     w = mp.exp(-resp.evaluate(x))
     # the responses other than polynomials have non-negative coefficients
     coeffs = getattr(resp, "coefficients", None)
@@ -695,10 +695,11 @@ def _superposition_E(state: CoherentSuperposition, det: DetectorConfig,
                 for s in range(N + 1)]
 
 
-@lru_cache(maxsize=4096)
-def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
-    """(E, error): <:exp[-s f(nhat/N)]:> from the family's exact
-    representation, and the error it is known to.
+@lru_cache(maxsize=256)
+def _analytic_E(tag, det: DetectorConfig, prec: int | None):
+    """(E, error): the no-click values E_s = <:exp[-s f(nhat/N)]:>, s =
+    0..N, from the family's exact representation, and the largest error
+    they are known to; the response is checked once for all of them.
 
     Coherent states evaluate the response in closed form; thermal and
     single-photon-added thermal states integrate it against their known
@@ -719,22 +720,24 @@ def _analytic_E(tag, det: DetectorConfig, s: int, prec: int | None):
         raise UnboundedKernel(f"no analytic representation for family {kind!r}")
     with mp.workprec(max(prec or 0, 220)):
         if kind == "coherent":
-            val, err, scale = mp.exp(-s * resp.evaluate(mp.mpf(param) / N)), 0, 1
+            v = resp.evaluate(mp.mpf(param) / N)
+            values, scale = [(mp.exp(-s * v), 0) for s in range(N + 1)], 1
         else:
             nb = mp.mpf(param)
             w = ((lambda x: 1) if kind == "thermal"
                  else (lambda x: (1 + nb) * x - nb))
-            f = lambda x: w(x) * mp.exp(-x / nb - s * resp.evaluate(x / N))
-            val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf], error=True)
-            if err > mp.mpf("1e-25") * max(1, abs(val)):
-                val, err = mp.quad(f, [0, nb, 8 * nb, mp.inf],
-                                   maxdegree=10, error=True)
-                if err > mp.mpf("1e-20") * max(1, abs(val)):
-                    raise PrecisionLoss(f"quadrature for E({s}) stalled at "
-                                        f"error {float(err)!r}")
+            values = [mp.quad(lambda x: w(x) * mp.exp(
+                -x / nb - s * resp.evaluate(x / N)), [0, nb, 8 * nb, mp.inf],
+                maxdegree=10, error=True) for s in range(N + 1)]
             scale = nb if kind == "thermal" else nb ** 3
+        for s, (val, err) in enumerate(values):
+            if err > mp.mpf("1e-20") * max(1, abs(val)):
+                raise PrecisionLoss(f"quadrature for E({s}) stalled at "
+                                    f"error {float(err)!r}")
         # the estimate leaves out the rounding of the value itself
-        return val / scale, float((err + 4 * mp.eps * abs(val)) / scale)
+        return (tuple(val / scale for val, _ in values),
+                max(float((err + 4 * mp.eps * abs(val)) / scale)
+                    for val, err in values))
 
 
 def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
@@ -748,15 +751,20 @@ def joint_click_statistics(state: JointPhotonDistribution, det1: DetectorConfig,
         raise UnboundedKernel(
             "formal response on a truncated two-mode distribution")
     c1, c2 = state.cutoffs
-    T1 = _kernels(det1, _bucket(c1), prec)[0][:, :c1 + 1]
-    T2 = _kernels(det2, _bucket(c2), prec)[0][:, :c2 + 1]
-    # Fraction * float is a float: make every factor exact first
-    number = _fractions if formal else np.asarray
-    table = state._contract(number(T1), number(T2), number)
-    return JointClickStatistics(
-        det1.N, det2.N, _floats(table).astype(float) if formal else table,
-        exact=tuple(map(tuple, table.tolist())) if formal else None,
-        norm_slack=state.tail_bound, formal=formal)
+    (T1, D1), (T2, D2) = (
+        _formal_kernels(d, _bucket(c), prec)[:2] if _formal(d.response)
+        else (_positive_kernels(d, _bucket(c)), 1)
+        for d, c in ((det1, c1), (det2, c2)))
+    T1, T2, P = T1[:, :c1 + 1], T2[:, :c2 + 1], state._table
+    if formal:  # every factor as integers over a scale
+        (T1, L1), (T2, L2), (P, L) = map(_integers, (T1, T2, P))
+    # T1 P T2^T, or (T1 * p) T2^T on the diagonal p that squeezed vacuum keeps
+    table = (T1 * P) @ T2.T if P.ndim == 1 else T1 @ P @ T2.T
+    if not formal:
+        return JointClickStatistics(det1.N, det2.N, table,
+                                    norm_slack=state.tail_bound)
+    return _exact(JointClickStatistics, table, D1 * L1 * L * D2 * L2,
+                  N1=det1.N, N2=det2.N, formal=True)
 
 
 def generating_function(stats: ClickStatistics, z) -> float:

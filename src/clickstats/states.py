@@ -169,38 +169,30 @@ class JointPhotonDistribution:
         if values.min() < 0.0:
             raise ValueError("negative probability in joint distribution")
         values.setflags(write=False)
-        diagonal = values.ndim == 1
-        object.__setattr__(self, "_diagonal", values if diagonal else None)
-        if not diagonal:
+        # the table the forward model contracts: `probs`, or the diagonal
+        object.__setattr__(self, "_table", values)
+        if values.ndim == 2:
             object.__setattr__(self, "probs", values)
         object.__setattr__(self, "tail_bound", float(tail_bound))
 
     def __getattr__(self, name):
         # only a diagonal state lacks its table; it is made once, on demand
-        if name != "probs" or self._diagonal is None:
+        if name != "probs" or self._table.ndim != 1:
             raise AttributeError(name)
-        table = np.diag(self._diagonal)
+        table = np.diag(self._table)
         table.setflags(write=False)
         object.__setattr__(self, "probs", table)
         return table
 
     @property
     def cutoffs(self) -> tuple[int, int]:
-        if self._diagonal is not None:
-            return (len(self._diagonal) - 1,) * 2
-        return self.probs.shape[0] - 1, self.probs.shape[1] - 1
+        # a diagonal's one length is both
+        return self._table.shape[0] - 1, self._table.shape[-1] - 1
 
     def marginal(self, mode: int) -> PhotonNumberDistribution:
-        p = (self._diagonal if self._diagonal is not None
-             else self.probs.sum(axis=1 - mode))
+        p = (self._table if self._table.ndim == 1
+             else self._table.sum(axis=1 - mode))
         return PhotonNumberDistribution(tuple(p), self.tail_bound)
-
-    def _contract(self, T1, T2, number):
-        """T1 P T2^T for kernel tables T_d[k, n] over n = 0..cutoff_d, with
-        the probabilities passed through `number` first."""
-        if self._diagonal is not None:
-            return (T1 * number(self._diagonal)) @ T2.T
-        return T1 @ number(self.probs) @ T2.T
 
 
 def _check_tol(tol: float):

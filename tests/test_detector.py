@@ -49,7 +49,7 @@ from clickstats import (
     tmsv_joint,
 )
 from clickstats.cli import _SWEEPS, main
-from clickstats.detector import _bucket, _kernels, _ratio
+from clickstats.detector import _bucket, _positive_kernels, _ratio
 from clickstats.errors import (
     DescriptorError,
     LengthMismatch,
@@ -309,7 +309,8 @@ class TestSuperlinearResponses:
         for state in (thermal_distribution(1.3), spats_distribution(0.7),
                       coherent_distribution(2.2)):
             via_kernels = click_statistics(state, det)
-            E = [_analytic_E(state.analytic, det, s, None)[0] for s in range(7)]
+            E = _analytic_E(state.analytic, det, None)[0]
+            assert len(E) == 7
             via_analytic = _click_from_E(6, E, None, False)
             for a, b in zip(via_kernels.probs, via_analytic.probs):
                 assert abs(a - b) < 1e-12
@@ -385,16 +386,17 @@ class TestSuperlinearResponses:
         (0.25,) + (0.0,) * 6 + (0.5,) + (0.0,) * 12 + (0.125, 0.0, 0.125),
     ], ids=["fock90", "fock-mixture"])
     def test_formal_contraction_skips_zeros_exactly(self, probs):
-        # the formal statistics contract the nonzero p_n only, which on
-        # exact Fractions must equal the contraction over every p_n
+        # the formal statistics contract the nonzero p_n only, on integers,
+        # which must equal the contraction over every p_n on Fractions
         from clickstats import PhotonNumberDistribution
-        from clickstats.detector import _bucket, _fractions, _kernels
+        from clickstats.detector import _formal_kernels
         state = PhotonNumberDistribution(probs)
         det = DetectorConfig(4, Power(3))
-        T = _kernels(det, _bucket(state.cutoff), None)[0]
-        full = T[:, :len(probs)] @ _fractions(np.array(probs))
+        T, D, _ = _formal_kernels(det, _bucket(state.cutoff), None)
+        full = [sum(Fraction(t, D) * Fraction(p) for t, p in zip(row, probs))
+                for row in T.tolist()]
         stats = click_statistics(state, det)
-        assert stats.exact == tuple(full.tolist())
+        assert stats.exact == tuple(full)
         assert stats.probs == tuple(map(float, full))
 
     def test_joint_superlinear_with_tail_rejected(self):
@@ -733,8 +735,8 @@ class TestJointStatistics:
         for xi2 in fig3.grid:
             state = fig3.state_at(xi2)
             c1, c2 = state.cutoffs
-            T1 = _kernels(d1, _bucket(c1), None)[0][:, :c1 + 1]
-            T2 = _kernels(d2, _bucket(c2), None)[0][:, :c2 + 1]
+            T1 = _positive_kernels(d1, _bucket(c1))[:, :c1 + 1]
+            T2 = _positive_kernels(d2, _bucket(c2))[:, :c2 + 1]
             got = joint_click_statistics(state, d1, d2).probs
             dense = T1 @ state.probs @ T2.T
             assert got.tobytes() == dense.tobytes(), xi2

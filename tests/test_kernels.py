@@ -13,6 +13,7 @@ from `exact_kernels`.
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import mpmath as mp
@@ -21,11 +22,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clickstats import (
+    ClickStatistics,
+    JointClickStatistics,
+    JointPhotonDistribution,
     PhotonNumberDistribution,
     click_statistics,
     coherent_distribution,
+    joint_click_statistics,
     odd_coherent,
     thermal_distribution,
+    witness_report,
 )
 from clickstats import detector
 from clickstats.detector import (
@@ -35,10 +41,16 @@ from clickstats.detector import (
     NPhotonAbsorption,
     PolynomialSeries,
     Power,
-    _kernels,
+    _formal_kernels,
     _positive_kernels,
 )
-from exact_kernels import linear_kernel, nabs_kernel, poly_kernels, power_kernels
+from exact_kernels import (
+    linear_kernel,
+    nabs_kernel,
+    poly_kernels,
+    power_kernels,
+    witness_of,
+)
 
 RESPONSES = st.one_of(
     st.builds(Linear, st.floats(1e-3, 1.0)),
@@ -181,25 +193,150 @@ class TestFormalKernels:
     @example(det=DetectorConfig(5, PolynomialSeries((0.0, 0.5, 0.5, 0.1))),
              order=32)
     def test_equal_the_exact_reference(self, det, order):
-        T, exact_error, relative_error = _kernels(det, order, None)
+        T, D, exact_error = _formal_kernels(det, order, None)
+        got = [[Fraction(t, D) for t in row] for row in T.tolist()]
         want = exact_formal_kernels(det, order)
-        assert relative_error == 0.0
+        # the statistics contracted from these kernels carry their error
+        stats = click_statistics(PhotonNumberDistribution((0.0,) * order
+                                                          + (1.0,)), det)
+        assert (stats.exact_error, stats.relative_error) == (exact_error, 0.0)
         if getattr(det.response, "coefficients", (0.0,))[0]:
             # a dark offset rounds q = e^-f(0), and only q
             assert exact_error == 1e-40
-            assert max(abs(t - w) for t, w in zip(T.flat, sum(want, []))) \
-                <= Fraction(1e-40)
+            assert max(abs(t - w) for t, w in
+                       zip(sum(got, []), sum(want, []))) <= Fraction(1e-40)
         else:
             assert exact_error == 0.0
-            assert T.tolist() == want
+            assert got == want
 
     @settings(max_examples=30, deadline=None)
     @given(det=FORMAL_BANKS, order=st.integers(0, 64))
     def test_columns_sum_to_one_exactly(self, det, order):
-        T = _kernels(det, order, None)[0]
+        T, D, _ = _formal_kernels(det, order, None)
         assert T.shape == (det.N + 1, order + 1)
-        assert all(isinstance(t, Fraction) for t in T.flat)
-        assert all(sum(col) == 1 for col in T.T)
+        assert all(type(t) is int for t in T.flat)
+        assert all(sum(col) == D for col in T.T)
+
+
+# formal banks of one to four diodes, with and without a dark offset f(0)
+SMALL_FORMAL = st.builds(DetectorConfig, st.integers(1, 4), st.one_of(
+    st.builds(Power, st.integers(2, 3)),
+    st.builds(lambda f0, a1, a2: PolynomialSeries((f0, a1, a2)),
+              st.sampled_from([0.0, 0.02, 0.35]), st.floats(0.0, 1.5),
+              st.floats(1e-3, 1.0))))
+PHYSICAL = st.builds(DetectorConfig, st.integers(1, 4), st.one_of(
+    st.builds(Linear, st.floats(1e-3, 1.0)),
+    st.builds(Affine, st.floats(1e-3, 1.0), st.floats(0.0, 1.0))))
+# a Fock state, or a caller's table with zeros: integer weights normalized
+WEIGHTS = st.one_of(
+    st.integers(0, 10).map(lambda n: [0] * n + [1]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=11).filter(any))
+
+
+def _table(weights):
+    return [w / sum(weights) for w in weights]
+
+
+@lru_cache(maxsize=None)
+def _reference_kernels(det, levels):
+    """Kernels over n = 0..levels - 1 as Fractions: the exact reference of
+    a formal response, the float kernels of a physical one read exactly."""
+    cutoff = levels - 1
+    if detector._formal(det.response):
+        return exact_formal_kernels(det, cutoff)
+    T = _positive_kernels(det, detector._bucket(cutoff))[:, :cutoff + 1]
+    return [[Fraction(t) for t in row] for row in T.tolist()]
+
+
+def _dark(det):
+    return bool(getattr(det.response, "coefficients", (0.0,))[0])
+
+
+def _report(stats):
+    """witness_report of the statistics, or the exception it raises."""
+    try:
+        return witness_report(stats)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+def _assert_read_as_given(stats, rebuilt):
+    """The statistics hold exactly the numbers of `rebuilt`, a caller-built
+    twin of them read through `exact`: the same floats, integers, scale
+    and witness report."""
+    assert np.array_equal(stats.probs, rebuilt.probs)
+    assert np.array_equal(stats._ints, rebuilt._ints)
+    assert stats._scale == rebuilt._scale
+    assert all(Fraction(n, stats._scale) == x for n, x in zip(
+        np.ravel(stats._ints), np.ravel(np.array(stats.exact, dtype=object))))
+    assert _report(stats) == _report(rebuilt)
+
+
+class TestIntegerPath:
+    """Formal statistics contracted on integers equal a contraction of the
+    exact reference kernels on Fractions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(det=SMALL_FORMAL, weights=WEIGHTS)
+    def test_one_bank(self, det, weights):
+        p = _table(weights)
+        stats = click_statistics(PhotonNumberDistribution(tuple(p)), det)
+        K = _reference_kernels(det, len(p))
+        want = [sum(t * Fraction(x) for t, x in zip(row, p)) for row in K]
+        assert stats.formal and stats.relative_error == 0.0
+        if _dark(det):
+            # a dark offset rounds q = e^-f(0), and only q
+            assert stats.exact_error == 1e-40
+            assert max(abs(c - w) for c, w in zip(stats.exact, want)) \
+                <= Fraction(1e-40) * sum(map(Fraction, p))
+        else:
+            assert stats.exact_error == 0.0
+            assert stats.exact == tuple(want)
+            report = _report(stats)
+            if not isinstance(report, tuple):
+                minors = witness_of(want, (det.N,))["minors"]
+                assert report.leading_minors == minors
+        assert all(type(c) is Fraction for c in stats.exact)
+        assert stats.probs == tuple(map(float, stats.exact))
+        _assert_read_as_given(stats, ClickStatistics(
+            det.N, stats.probs, exact=stats.exact, formal=True,
+            exact_error=stats.exact_error))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dets=st.one_of(st.tuples(SMALL_FORMAL, SMALL_FORMAL),
+                          st.tuples(SMALL_FORMAL, PHYSICAL),
+                          st.tuples(PHYSICAL, SMALL_FORMAL)),
+           rows=st.lists(WEIGHTS, min_size=1, max_size=6),
+           diagonal=st.booleans())
+    def test_two_banks(self, dets, rows, diagonal):
+        if diagonal:
+            p = _table(rows[0])
+            state = JointPhotonDistribution._own(np.array(p), 0.0)
+            P = np.diag(p)
+        else:
+            width = max(map(len, rows))
+            P = np.array(_table(sum((r + [0] * (width - len(r)) for r in rows),
+                                    []))).reshape(len(rows), width)
+            state = JointPhotonDistribution(P)
+        stats = joint_click_statistics(state, *dets)
+        K1, K2 = (_reference_kernels(d, c) for d, c in zip(dets, P.shape))
+        want = [[sum(a * Fraction(x) * b for a, row in zip(k1, P.tolist())
+                     for b, x in zip(k2, row)) for k2 in K2] for k1 in K1]
+        # a dark offset moves each kernel of its bank by at most 1e-40
+        err = [Fraction(1e-40) if _dark(d) else 0 for d in dets]
+        bound = max(sum(
+            Fraction(x) * (err[0] * abs(b) + abs(a) * err[1] + err[0] * err[1])
+            for a, row in zip(k1, P.tolist()) for b, x in zip(k2, row))
+            for k1 in K1 for k2 in K2)
+        assert stats.formal
+        assert max(abs(c - w) for c, w in zip(sum(stats.exact, ()),
+                                              sum(want, []))) <= bound
+        if not any(err):
+            assert stats.exact == tuple(map(tuple, want))
+        assert all(type(c) is Fraction for c in sum(stats.exact, ()))
+        assert stats.probs.tolist() == [list(map(float, r)) for r in stats.exact]
+        _assert_read_as_given(stats, JointClickStatistics(
+            dets[0].N, dets[1].N, stats.probs, exact=stats.exact, formal=True))
 
 
 def _fire_probability(resp, x):

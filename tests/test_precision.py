@@ -12,6 +12,7 @@ exact rational kernels in test_kernels too.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -24,7 +25,6 @@ from clickstats.detector import (
     PolynomialSeries,
     Power,
     _formal_kernels,
-    _kernels,
     _no_click_factor,
     _superposition_E,
 )
@@ -39,6 +39,7 @@ from clickstats.series import (
 from clickstats.states import (
     CoherentSuperposition,
     _pair_weights,
+    coherent_distribution,
     fock_distribution,
     nom_expectation,
     odd_coherent,
@@ -72,6 +73,12 @@ def _gap(a, b):
     return max(abs(fraction(x) - fraction(y)) for x, y in zip(a, b))
 
 
+def _kernels(det, order, prec):
+    """(kernels as a flat list of Fractions, error) of `_formal_kernels`."""
+    T, D, error = _formal_kernels(det, order, prec)
+    return [Fraction(t, D) for t in T.flat], error
+
+
 class TestPrecisionFor:
     def test_floor_when_the_bound_already_holds(self):
         assert _precision_for(mp.mpf(1), 12, 240) == 240
@@ -90,34 +97,34 @@ class TestKernelTables:
         # the table equals the exact reference, and one with q = e^-f(0)
         # forced to 1200 bits; with a dark offset, within 1e-40 of both
         det = DetectorConfig(4, resp)
-        T, error, _ = _formal_kernels(det, order, None)
-        R, _, _ = _formal_kernels(det, order, REFERENCE_BITS)
+        T, error = _kernels(det, order, None)
+        R, _ = _kernels(det, order, REFERENCE_BITS)
         if isinstance(resp, Power):
             exact = power_kernels(det.N, resp.n0, order)
         else:
             exact = poly_kernels(det.N, resp.coefficients, order)
         if resp.evaluate(0.0):
             assert error == float(_ABS_TARGET)
-            assert _gap(T.flat, R.flat) <= TARGET
-            assert _gap(T.flat, sum(exact, [])) <= TARGET
+            assert _gap(T, R) <= TARGET
+            assert _gap(T, sum(exact, [])) <= TARGET
         else:
             assert error == 0.0
-            assert T.tolist() == R.tolist() == exact
+            assert T == R == sum(exact, [])
 
     def test_forced_bits_are_a_floor(self, monkeypatch):
         # q = e^-0.02 at the 53-bit floor leaves this table off by 2.7e-16,
         # so the bound (139 bits here), not the floor, carries the accuracy;
         # forcing the floor must not take it away, and forcing more bits
         # raises them and stays within 1e-40
-        T, error, _ = _formal_kernels(DARK, 32, None)
-        R, _, _ = _formal_kernels(DARK, 32, REFERENCE_BITS)
+        T, error = _kernels(DARK, 32, None)
+        R, _ = _kernels(DARK, 32, REFERENCE_BITS)
         assert error == float(_ABS_TARGET)
-        assert R.tolist() != T.tolist()
-        assert _gap(T.flat, R.flat) <= TARGET
-        assert _formal_kernels(DARK, 32, 53)[0].tolist() == T.tolist()
+        assert R != T
+        assert _gap(T, R) <= TARGET
+        assert _kernels(DARK, 32, 53)[0] == T
         monkeypatch.setattr(detector, "_precision_for", lambda *args: 53)
-        floor = _formal_kernels.__wrapped__(DARK, 32, None)[0]
-        assert _gap(floor.flat, R.flat) > 1e-16
+        floor, D, _ = _formal_kernels.__wrapped__(DARK, 32, None)
+        assert _gap([Fraction(t, D) for t in floor.flat], R) > 1e-16
 
     def test_table_is_built_once(self, monkeypatch):
         calls = []
@@ -134,7 +141,25 @@ class TestKernelTables:
         for n in (20, 31, 20):
             detector.click_statistics(fock_distribution(n), det)
         assert len(calls) == 1
-        assert _kernels(det, 32, None)[0] is _kernels(det, 32, None)[0]
+        assert _formal_kernels(det, 32, None) is _formal_kernels(det, 32, None)
+
+    def test_response_is_checked_once(self, monkeypatch):
+        # a cold coherent statistic on a poly bank takes its N+1 no-click
+        # values from one call, which checks the response once (it took 17
+        # checks on 16 diodes); a repeat is a cache hit and checks nothing
+        calls = []
+        original = detector._check_poly_positive
+
+        def spy(resp, xmax):
+            calls.append(xmax)
+            return original(resp, xmax)
+
+        monkeypatch.setattr(detector, "_check_poly_positive", spy)
+        det = DetectorConfig(16, PolynomialSeries((0.0, 1.0, 0.25)))
+        detector._analytic_E.cache_clear()
+        for _ in range(2):
+            detector.click_statistics(coherent_distribution(4.0), det)
+            assert len(calls) == 1
 
     def test_forced_precision_below_the_bound(self):
         # forcing 280 bits under the 461 that Fock 90 on this bank needs
@@ -197,9 +222,10 @@ class TestSuperpositions:
             assert len(got) == det.N + 1
             assert _gap(got, ref) <= TARGET
 
-    @pytest.mark.parametrize("resp", [NPhotonAbsorption(3), Power(3),
+    @pytest.mark.parametrize("resp", [NPhotonAbsorption(3),
+                                      NPhotonAbsorption(1000), Power(3),
                                       PolynomialSeries((0.35, 0.8))],
-                             ids=["nabs3", "power3", "poly-affine"])
+                             ids=["nabs3", "nabs1000", "power3", "poly-affine"])
     def test_bounds_cover_every_pair(self, resp):
         # complex cross amplitudes, where B(x) of n-photon absorption can
         # cancel: W bounds |exp[-f(x)]| and |e^-x| sum_j |x^j/j!|, and F
@@ -223,6 +249,19 @@ class TestSuperpositions:
         got = _superposition_E(state, det, None)
         assert _gap(got, _superposition_E(state, det, REFERENCE_BITS)) \
             <= TARGET
+
+    def test_absorption_sums_stop_at_the_working_precision(self):
+        # on odd coherent light of alpha = 1 the terms x^j/j! of n-photon
+        # absorption fall below the working precision long before j = 200,
+        # so order 100000 sums no more terms than order 200 (it used to sum
+        # them all, about two minutes) and gives exactly the same statistics
+        state = odd_coherent(1.0)
+        got, want = (detector.click_statistics(
+            state, DetectorConfig(2, NPhotonAbsorption(n0)))
+            for n0 in (100000, 200))
+        assert got.exact == want.exact
+        assert got.probs == want.probs
+        assert got.exact_error == want.exact_error
 
     def test_large_amplitude_on_linear_diodes(self):
         # |alpha|^2 = 100 on two linear diodes: the truncated series needed

@@ -293,8 +293,9 @@ class TestJointHelpers:
 
         monkeypatch.setattr(JointPhotonDistribution, "_own", classmethod(spy))
         j = build()
-        kept = j._diagonal if ndim == 1 else j.probs
+        kept = j._table
         assert kept is handed[-1] and kept.ndim == ndim
+        assert ndim == 1 or j.probs is kept
         assert not kept.flags.writeable and not j.probs.flags.writeable
 
 
