@@ -279,6 +279,25 @@ _fractions = np.frompyfunc(Fraction, 2, 1)
 _floats = np.frompyfunc(_float, 2, 1)
 
 
+class _Exact:
+    """The `exact` field of the statistics and moment containers: the
+    values the caller gave, or, where the library set it to ..., reduced
+    Fractions made from `_ints` over `_scale` when first read."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        exact = obj.__dict__["exact"]
+        if exact is ...:
+            q = _fractions(obj._ints, obj._scale).tolist()
+            exact = tuple(map(tuple, q) if obj._ints.ndim == 2 else q)
+            obj.__dict__["exact"] = exact
+        return exact
+
+    def __set__(self, obj, value):
+        obj.__dict__["exact"] = value
+
+
 def _ratio(x) -> tuple:
     """(numerator, denominator) of a float, an integer or a Fraction
     (`as_integer_ratio`), or of an mpf, read from its sign, mantissa and
@@ -295,10 +314,10 @@ def _ratio(x) -> tuple:
 
 def _integers(values) -> tuple:
     """(n, L): numbers given as floats, mpf, integers or Fractions, as
-    Python integers n = value * L, of their shape, over the lcm L of their
-    denominators (for floats the largest, a power of two)."""
+    Python integers n = value * L over the lcm L of their denominators (a
+    power of two for floats and mpf)."""
     a = np.asarray(values, dtype=object)
-    pairs = [_ratio(x) for x in a.ravel().tolist()]
+    pairs = [_ratio(x) for x in a.flat]
     scale = math.lcm(*{d for _, d in pairs})
     return np.array([n * (scale // d) for n, d in pairs],
                     dtype=object).reshape(a.shape), scale
@@ -330,7 +349,12 @@ def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
                                 f"-{_CLAMP} or beyond float range")
         numbers = flat.tolist()
     if stats._ints is None:
-        ints, scale = _integers(flat if stats.exact is None else stats.exact)
+        if stats.exact is None:
+            ratios = [x.as_integer_ratio() for x in numbers]
+            scale = max([d for _, d in ratios])
+            ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
+        else:
+            ints, scale = _integers(stats.exact)
         object.__setattr__(stats, "_ints", ints.reshape(values.shape))
         object.__setattr__(stats, "_scale", scale)
     total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
@@ -348,7 +372,7 @@ class ClickStatistics:
     `exact` carries the values behind `probs` where floats would lose them,
     as Fractions: from the exact kernels of a formal response on a finite
     table, and from no-click values on a grid of 2^-p for superpositions
-    and quadrature.  It is None on float kernels, whose floats are exact,
+    and quadrature, made from `_ints` when first read; None on float kernels
     and for estimates.  `_ints` over `_scale` hold the numbers given (for
     estimates the counts over their total) as integers, read once.
     `stderr` carries per-entry standard errors when estimated from counts.
@@ -363,7 +387,7 @@ class ClickStatistics:
 
     N: int
     probs: tuple
-    exact: tuple | None = None
+    exact: tuple | None = _Exact()
     stderr: tuple | None = None
     norm_slack: float = 0.0
     formal: bool = False
@@ -396,7 +420,7 @@ class JointClickStatistics:
     N1: int
     N2: int
     probs: np.ndarray
-    exact: tuple | None = None
+    exact: tuple | None = _Exact()
     stderr: np.ndarray | None = None
     norm_slack: float = 0.0
     formal: bool = False
@@ -428,13 +452,11 @@ def _taken_as_built(cls, **values):
 def _exact(cls, n: np.ndarray, scale: int, **fields):
     """Statistics `cls` of the exact values n / scale, n Python integers:
     both divided by their gcd, as `_integers` reads `exact`, each float
-    rounded once and `exact` the reduced Fractions."""
+    rounded once, and `exact` their reduced Fractions (`_Exact`)."""
     g = math.gcd(scale, *n.flat)
     n, scale = n // g, scale // g
-    exact = _fractions(n, scale).tolist()
-    return cls(probs=_floats(n, scale).astype(float),
-               exact=tuple(map(tuple, exact) if n.ndim == 2 else exact),
-               _ints=n, _scale=scale, **fields)
+    return cls(probs=_floats(n, scale).astype(float), exact=..., _ints=n,
+               _scale=scale, **fields)
 
 
 # --- kernel tables --------------------------------------------------------------
@@ -648,9 +670,8 @@ def _no_click_factor(resp, x):
     absolute terms of the exponent, so that w at p bits errs by a few W (F +
     n0) 2^-p.  n-photon absorption gives w = e^-x B(x), B = sum_{j<n0}
     x^j/j!, through no log, and W = |e^-x| B(|x|), as B(x) may cancel.
-    Both sums stop at the same j >= 2|x|, from where each term of B(|x|)
-    (which bounds that of B(x)) is at most half the last, once the rest
-    cannot move B(|x|) at the working precision."""
+    Both stop at one j >= 2|x| (terms halve from there) once the rest of
+    B(|x|), which bounds B(x)'s, cannot move it at the working precision."""
     r = abs(x)
     if isinstance(resp, NPhotonAbsorption):
         e = mp.exp(-x)

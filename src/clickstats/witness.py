@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .detector import (_NORM_TOL, ClickStatistics, JointClickStatistics,
-                       _integers)
+                       _Exact, _integers)
 from .errors import (
     DegenerateMean,
     InsufficientOrder,
@@ -74,26 +73,6 @@ def _check_unit(value: float, slack: float, what: str) -> None:
     """The zeroth moment is one, less at most the state's tail (`slack`)."""
     if not abs(value - 1.0) <= _NORM_TOL + slack:
         raise NormalizationViolation(f"{what} is {value!r}, not 1")
-
-
-class _Exact:
-    """The `exact` field of the moment containers: the values the caller
-    gave, or, for a container the library built over integers and a scale,
-    reduced Fractions made from those on first access and then kept."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        exact = obj.__dict__["exact"]
-        if exact is None and obj._ints is not None:
-            q = np.frompyfunc(Fraction, 2, 1)(obj._ints, obj._scale)
-            exact = (tuple(q.tolist()) if q.ndim == 1
-                     else tuple(map(tuple, q.tolist())))
-            obj.__dict__["exact"] = exact
-        return exact
-
-    def __set__(self, obj, value):
-        obj.__dict__["exact"] = value
 
 
 @dataclass(frozen=True)
@@ -297,7 +276,7 @@ def _built(cls, **fields):
     its zeroth moment is their checked total and its matrices are symmetric
     by their index, so no check or copy is repeated."""
     built = object.__new__(cls)
-    vars(built).update(fields, exact=None)
+    vars(built).update(fields, exact=...)  # made on first access
     return built
 
 
