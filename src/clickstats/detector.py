@@ -632,8 +632,8 @@ def click_statistics(state, det: DetectorConfig,
         return _click_from_E(det.N, E, prec, formal=True, e_error=error)
     order, p = _bucket(state.cutoff), state._array
     if not formal:
-        return ClickStatistics(det.N, _positive_kernels(det, order)[:, :len(p)]
-                               @ p, norm_slack=state.tail_bound,
+        T = _positive_kernels(det, order)[:, :len(p)]
+        return ClickStatistics(det.N, T @ p, norm_slack=state.tail_bound,
                                relative_error=(order + det.N) * 2.0 ** -52)
     T, D, error = _formal_kernels(det, order, prec)
     keep = np.flatnonzero(p)  # an exact sum may skip the zero p_n
