@@ -323,6 +323,13 @@ def _integers(values) -> tuple:
                     dtype=object).reshape(a.shape), scale
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only, as caches and frozen objects keep them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
     """The float array `values`, checked and read at once, as an array of
     its shape and a flat list: tiny negatives clamped to zero, the first
@@ -355,6 +362,9 @@ def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
             ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
         else:
             ints, scale = _integers(stats.exact)
+            if ints.shape != values.shape:
+                raise ValueError(f"exact has shape {ints.shape}, "
+                                 f"probs {values.shape}")
         object.__setattr__(stats, "_ints", ints.reshape(values.shape))
         object.__setattr__(stats, "_scale", scale)
     total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
@@ -435,18 +445,28 @@ class JointClickStatistics:
         arr = _validate_probs(self, arr, "joint click")[0]
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+        if self.stderr is not None:
+            object.__setattr__(self, "stderr", _read_only(
+                np.array(self.stderr, dtype=float))[0])
 
 
-def _taken_as_built(cls, **values):
-    """A ClickStatistics or JointClickStatistics from numbers the library
-    has made and checked itself, set field by field without the checks of
-    `__post_init__`; fields not given keep their defaults.  Only for values
-    that pass those checks unchanged, such as counts over their exact total
-    (`sampler.estimate_statistics`)."""
-    stats = object.__new__(cls)
-    for name, f in cls.__dataclass_fields__.items():
-        object.__setattr__(stats, name, values.get(name, f.default))
-    return stats
+@lru_cache(maxsize=None)
+def _defaults(cls) -> dict:
+    """The default of every field of the dataclass `cls`."""
+    return {name: f.default for name, f in cls.__dataclass_fields__.items()}
+
+
+def _as_built(cls, **fields):
+    """An instance of the frozen dataclass `cls` from values the library
+    has made and checked itself, set without the checks and copies of
+    `__post_init__`: every field is set, those not given to their defaults,
+    and any other attribute given (`_ints`, `_scale`) alongside.  Only for
+    values that pass those checks unchanged, such as counts over their
+    exact total (`sampler.estimate_statistics`), a draw's own counts, or
+    moments and matrices made from checked statistics."""
+    built = object.__new__(cls)
+    vars(built).update(_defaults(cls), **fields)
+    return built
 
 
 def _exact(cls, n: np.ndarray, scale: int, **fields):

@@ -14,28 +14,29 @@ identical seeds and request sequences reproduce histograms bit for bit.
 Histograms drawn by inverse-CDF sampling in earlier releases differ from
 today's for the same seed.
 
-What the library makes and has checked itself is taken as built.  A draw's
-int64 counts (each at most the sample size) and a histogram file's table
-(every row checked as it is read) become histograms without a second pass
-of `ClickHistogram`'s checks, and `estimate_statistics` builds its
-statistics without the constructors' checks, which counts over their exact
-total pass unchanged; a caller's counts and statistics keep every check.
-The cleaned sampling weights stay with the statistics object after its
-first draw: this helps only repeated draws from one object.
+What the library makes and has checked itself is taken as built
+(`detector._as_built`): a draw's int64 counts (each at most the sample
+size), a histogram file's table (every row checked as it is read), and
+the statistics `estimate_statistics` makes, counts over their exact total
+that the constructors' checks would pass unchanged; a caller's counts
+and statistics keep every check.  The cleaned sampling weights stay with
+the statistics object after its first draw: this helps only repeated
+draws from one object.
 
 Point estimates are `witness_report` on `estimate_statistics`, which carry
-the counts as integers over their total: minors, Q_B and the cross minor
-are exact for counts/total and rounded once.  The bootstrap resamples take every
-replica's moments, and for one bank <c> and <c^2>, from one product of the
-resampled histograms with a cached float map, with the resample axis last,
-and all leading minors from one float elimination over the upper triangle
-of the moment matrices, which steps over the zero pivots of a Fock
-source's vanishing moments.  Floats are adequate there on banks of a
-few diodes, where sampling noise dominates float rounding by many orders
-of magnitude; on a bank of tens of diodes the high-order minors are
-rounding noise, and further on they underflow to 0.  Their spread is
-taken on deviations scaled to one, so it does not underflow itself, in
-one pass with that of Q_B or the cross minor when no replica lacks it.
+the counts as integers over their total: exact for counts/total and
+rounded once.  The bootstrap reads a histogram's shape as one axis per
+bank: one product with a cached float map, the Kronecker product of the
+banks' moment rows (and <c>, <c^2> for one bank), gives every replica's
+moments with the resample axis last, placed by the witness's matrix
+index, and all leading minors come from one float elimination over the
+upper triangle, which steps over the zero pivots of a Fock source's
+vanishing moments.  Floats suffice on banks of a few diodes, where
+sampling noise dominates rounding by many orders of magnitude; on tens
+of diodes the high-order minors are rounding noise, and further on they
+underflow to 0.  Their spread is taken on deviations scaled to one, in
+one pass with that of the criterion beside them, Q_B for one bank or the
+cross minor for two, when no replica lacks it.
 """
 
 from __future__ import annotations
@@ -45,20 +46,19 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
 
-from .detector import ClickStatistics, JointClickStatistics, _taken_as_built
+from .detector import (ClickStatistics, JointClickStatistics, _as_built,
+                       _read_only)
 from .errors import EmptyHistogram
 from .witness import (
     WitnessReport,
     _cross_minor,
     _graded_index,
-    _hankel_index,
     _qb_terms,
-    _read_only,
     _weights,
     witness_report,
 )
@@ -138,15 +138,6 @@ class ClickHistogram:
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
-    @classmethod
-    def _own(cls, counts: np.ndarray):
-        """A histogram on the library's own int64 counts, already checked
-        where they were made, kept uncopied and made read-only."""
-        counts.setflags(write=False)
-        hist = object.__new__(cls)
-        object.__setattr__(hist, "counts", counts)
-        return hist
-
     @property
     def is_joint(self) -> bool:
         return self.counts.ndim == 2
@@ -180,14 +171,10 @@ def _sampling_weights(stats) -> tuple:
     kept = getattr(stats, "_sampling", None)
     if kept is not None:
         return kept
-    if isinstance(stats, ClickStatistics):
-        flat = np.array(stats.probs, dtype=float)
-        shape = (stats.N + 1,)
-    elif isinstance(stats, JointClickStatistics):
-        flat = np.asarray(stats.probs, dtype=float).ravel()
-        shape = (stats.N1 + 1, stats.N2 + 1)
-    else:
+    if not isinstance(stats, (ClickStatistics, JointClickStatistics)):
         raise TypeError(f"unsupported statistics type {type(stats).__name__}")
+    flat = np.asarray(stats.probs, dtype=float).ravel()
+    shape = stats._ints.shape
     if np.min(flat) < -_SIGNED_TOL:
         raise ValueError(
             "statistics carry negative entries beyond roundoff; a signed "
@@ -213,9 +200,9 @@ def sample_clicks(stats, n_samples: int, seed) -> ClickHistogram:
     if not isinstance(n_samples, int) or not 1 <= n_samples < _COUNT_LIMIT:
         raise ValueError("n_samples must be an integer in [1, 2^63)")
     weights, shape = _sampling_weights(stats)
+    counts = _generator(seed).multinomial(n_samples, weights).reshape(shape)
     # int64 counts, each at most n_samples: nothing to check
-    return ClickHistogram._own(
-        _generator(seed).multinomial(n_samples, weights).reshape(shape))
+    return _as_built(ClickHistogram, counts=_read_only(counts)[0])
 
 
 def _events(hist: ClickHistogram) -> int:
@@ -242,13 +229,11 @@ def estimate_statistics(hist: ClickHistogram):
     se = np.sqrt(freq * (1.0 - freq) / total)
     counts = np.array(hist.counts.tolist(), dtype=object)
     if hist.is_joint:
-        freq.setflags(write=False)
-        return _taken_as_built(JointClickStatistics, N1=hist.N1, N2=hist.N2,
-                               probs=freq, stderr=se, _ints=counts,
-                               _scale=total)
-    return _taken_as_built(ClickStatistics, N=hist.N, probs=tuple(freq.tolist()),
-                           stderr=tuple(se.tolist()), _ints=counts,
-                           _scale=total)
+        probs, stderr = _read_only(freq, se)
+        return _as_built(JointClickStatistics, N1=hist.N1, N2=hist.N2,
+                         probs=probs, stderr=stderr, _ints=counts, _scale=total)
+    return _as_built(ClickStatistics, N=hist.N, probs=tuple(freq.tolist()),
+                     stderr=tuple(se.tolist()), _ints=counts, _scale=total)
 
 
 # --- bootstrap ------------------------------------------------------------------
@@ -256,25 +241,20 @@ def estimate_statistics(hist: ClickHistogram):
 
 @lru_cache(maxsize=64)
 def _replica_map(shape: tuple) -> tuple:
-    """(W, index) for histograms of this shape, read-only.
+    """(W, index) for histograms of this shape, one axis per bank, read-only.
 
-    W maps a flattened histogram, as a column, to its moments: for one bank
-    the rows k!/(k-m)! / (N!/(N-m)!) for m = 0..N, then the click powers k
-    and k^2; for two banks the Kronecker product of the two banks' rows, so
-    that row m1 (N2+1) + m2 holds moment [m1, m2].  Entry (i, j) of the
-    moment matrix (Hankel or graded) is row index[i, j] of W.
+    W maps a flattened histogram, as a column, to its moments: the
+    Kronecker product over the banks of the rows k!/(k-m)! / (N!/(N-m)!),
+    m = 0..N, so that row m1 (N2+1) + m2 holds moment [m1, m2] of two
+    banks and row m moment m of one; for one bank the click powers k and
+    k^2 follow.  Entry (i, j) of the moment matrix is row index[i, j].
     """
-    falling = [_weights(K - 1)[0] for K in shape]
-    maps = [(f / f[:, -1:]).astype(float) for f in falling]
-    if len(shape) == 1:
-        N = shape[0] - 1
-        W = np.vstack([maps[0], _weights(N)[1].astype(float)])
-        index = _hankel_index(N)[0]
-    else:
-        W = np.kron(*maps)
-        i1, i2 = _graded_index(shape[0] - 1, shape[1] - 1)
-        index = i1 * shape[1] + i2
-    return _read_only(W, index)
+    Ns = tuple(K - 1 for K in shape)
+    falling = [_weights(N)[0] for N in Ns]
+    W = reduce(np.kron, [(f / f[:, -1:]).astype(float) for f in falling])
+    if len(Ns) == 1:
+        W = np.vstack([W, _weights(Ns[0])[1].astype(float)])
+    return _read_only(W, np.ravel_multi_index(_graded_index(Ns), shape))
 
 
 def _batched_minors(moms: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -315,8 +295,10 @@ def _batched_minors(moms: np.ndarray, index: np.ndarray) -> np.ndarray:
     return minors
 
 
-def _replicas(draws: np.ndarray, total: int, shape: tuple) -> dict:
-    """Moments and witness criteria of resampled histograms.
+def _replicas(draws: np.ndarray, total: int, shape: tuple) -> tuple:
+    """(minors, name, values): the leading minors of resampled histograms,
+    and the criterion beside them, Q_B ("qb") for one bank and the cross
+    minor ("cross_minor") for two.
 
     draws holds one flattened histogram of `total` events per row.  One
     product with the cached `_replica_map` gives every replica's moments,
@@ -329,13 +311,11 @@ def _replicas(draws: np.ndarray, total: int, shape: tuple) -> dict:
     moms /= total
     minors = _batched_minors(moms, index)
     if len(shape) == 2:
-        moms = moms.reshape(shape + (-1,))
-        return {"moments": moms, "minors": minors, "cross": _cross_minor(moms)}
+        return minors, "cross_minor", _cross_minor(moms.reshape(shape + (-1,)))
     N = shape[0] - 1
     num, den = _qb_terms(moms[N + 1], moms[N + 2], N)
     ok = den > 0
-    qb = num / den if ok.all() else num[ok] / den[ok]
-    return {"moments": moms[:N + 1], "minors": minors, "qb": qb - 1.0}
+    return minors, "qb", (num / den if ok.all() else num[ok] / den[ok]) - 1.0
 
 
 def _spread(x: np.ndarray) -> np.ndarray:
@@ -381,31 +361,24 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
     rng = _generator(seed)
     draws = rng.multinomial(total, weights, size=resamples)
 
-    rep = _replicas(draws, total, hist.counts.shape)
-    last = rep["cross"] if hist.is_joint else rep["qb"]
+    minors, name, last = _replicas(draws, total, hist.counts.shape)
     if len(last) == resamples:
         # no replica dropped: one spread pass over the minors and Q_B or the
         # cross minor, row by row as separate passes would take them
-        se = _spread(np.vstack([rep["minors"], last])).tolist()
+        se = _spread(np.vstack([minors, last])).tolist()
         minor_se, last_se = tuple(se[:-1]), se[-1]
     else:
-        minor_se = tuple(_spread(rep["minors"]).tolist())
+        minor_se = tuple(_spread(minors).tolist())
         last_se = float(_spread(last)) if len(last) >= 2 else None
-    cross_se, qb_se = (last_se, None) if hist.is_joint else (None, last_se)
-
-    criteria = [(m, s) for m, s in zip(base.leading_minors[1:], minor_se[1:])]
-    if base.qb is not None and qb_se is not None:
-        criteria.append((base.qb, qb_se))
-    if base.cross_minor is not None and cross_se is not None:
-        criteria.append((base.cross_minor, cross_se))
-    flagged = any(value < -threshold_sigmas * se for value, se in criteria)
-    verdict = "nonclassical" if flagged else "consistent-with-classical"
 
     uncertainties = {"leading_minors": minor_se, "resamples": resamples}
-    if qb_se is not None:
-        uncertainties["qb"] = qb_se
-    if cross_se is not None:
-        uncertainties["cross_minor"] = cross_se
+    criteria = list(zip(base.leading_minors[1:], minor_se[1:]))
+    if last_se is not None:
+        uncertainties[name] = last_se
+        if getattr(base, name) is not None:
+            criteria.append((getattr(base, name), last_se))
+    flagged = any(value < -threshold_sigmas * se for value, se in criteria)
+    verdict = "nonclassical" if flagged else "consistent-with-classical"
 
     return WitnessReport(leading_minors=base.leading_minors,
                          min_eigenvalue=base.min_eigenvalue,
@@ -495,4 +468,4 @@ def read_histogram_csv(path) -> ClickHistogram:
     for key, c in entries.items():
         counts[key] = c
     # every entry was checked above, as a caller's counts would be
-    return ClickHistogram._own(counts)
+    return _as_built(ClickHistogram, counts=_read_only(counts)[0])

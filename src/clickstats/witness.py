@@ -11,29 +11,30 @@ classical state; any negative leading principal minor, negative eigenvalue,
 negative cross-correlation minor, or negative binomial Q parameter
 certifies nonclassicality.
 
-Each formula is written once.  Point estimates read the Python integers
-n_k over one scale L that statistics carry from where they were made
-(their `exact` Fractions, their floats, each a dyadic rational, or an
-estimate's counts over their total), and no other form.  Every moment
-is then an integer over one scale, S = L N! for one bank and S = L N1! N2!
-for two (all divided by their greatest common divisor), and the moment
-matrices hold those integers, so minor k is an integer determinant over
-S^k.  Q_B and the cross minor come from the same read, and Q_B's float
-error bounds are compared with its exact mean on integers, through each
-float's integer ratio.  Every number reported is exact until one integer
-division, which Python rounds correctly to float.  The minors, many
-orders below the matrix entries, are the pivots of one fraction-free
-elimination, which keeps a symmetric matrix symmetric and so updates
-the upper triangle of the moment matrices alone.  The `exact` fields of
-the moment containers the library builds are reduced Fractions, made
-from the integers only when first read.  The bootstrap's point estimates
-are this witness on the estimate from a histogram, and its resamples
-share the Hankel and graded indexes, Q_B's terms and the cross minor, on
+Statistics hold their numbers as Python integers n over one scale L,
+read once where they were made (their `exact` Fractions, their floats,
+each a dyadic rational, or an estimate's counts over their total), in a
+table with one axis per bank, and each inverse step is written once over
+those axes.  The moments weigh the table along each axis, so every
+moment is an integer over one scale S, L times each bank's N! (all
+divided by their greatest common divisor).  The moment matrix indexes
+them over exponent tuples up to N//2 per bank by total degree (a Hankel
+matrix for one bank), so minor k is an integer determinant over S^k.
+Q_B and the cross minor come from the same read, and Q_B's float error
+bounds are compared with its exact mean on integers.  Every number
+reported is exact until one integer division, which Python rounds
+correctly to float.  The minors, many orders below the matrix entries,
+are the pivots of one fraction-free elimination, which keeps a symmetric
+matrix symmetric and so updates the upper triangle alone.  The `exact`
+fields of the moment containers the library builds are reduced
+Fractions, made from the integers only when first read.  The bootstrap's
+resamples share the matrix index, Q_B's terms and the cross minor, on
 floats with the resample axis last.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detector import (_NORM_TOL, ClickStatistics, JointClickStatistics,
-                       _Exact, _integers)
+                       _as_built, _Exact, _integers, _read_only)
 from .errors import (
     DegenerateMean,
     InsufficientOrder,
@@ -84,7 +85,7 @@ class PiMoments:
     exact: tuple | None = _Exact()
     formal: bool = False
     norm_slack: float = 0.0
-    _ints = None  # with _scale, the integers `_built` gave it
+    _ints = None  # with _scale, the integers `_as_built` gave it
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -104,7 +105,7 @@ class JointPiMoments:
     exact: tuple | None = _Exact()
     formal: bool = False
     norm_slack: float = 0.0
-    _ints = None  # with _scale, the integers `_built` gave it
+    _ints = None  # with _scale, the integers `_as_built` gave it
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -126,7 +127,7 @@ class MomentMatrix:
     index_basis: tuple
     exact: tuple | None = _Exact()
     norm_slack: float = 0.0
-    _ints = None  # with _scale, the integers `_built` gave it
+    _ints = None  # with _scale, the integers `_as_built` gave it
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -183,13 +184,6 @@ class WitnessReport:
 
 # --- the inverse formulas ---------------------------------------------------------
 
-def _read_only(*arrays) -> tuple:
-    """The arrays, made read-only: they are kept in caches."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=64)
 def _weights(N: int) -> tuple:
     """Integer weights over k = 0..N: the falling factorials P[m, k] =
@@ -204,36 +198,19 @@ def _weights(N: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _hankel_index(N: int) -> tuple:
-    """The order i + j of entry (i, j), i, j = 0..N//2, read-only."""
-    d = N // 2 + 1
-    return _read_only(np.add.outer(np.arange(d), np.arange(d)))
-
-
-def _hankel(v, N: int):
-    """M[i, j] = <:pi^(i+j):> for i, j = 0..N//2."""
-    return v[_hankel_index(N)]
+def _basis(Ns: tuple) -> tuple:
+    """Exponent tuples up to N_a//2 on each bank a, by total degree, then
+    the first bank's exponent highest first: 0..N//2 for one bank."""
+    exps = itertools.product(*(range(N // 2 + 1) for N in Ns))
+    return tuple(sorted(exps, key=lambda e: (sum(e), [-m for m in e])))
 
 
 @lru_cache(maxsize=64)
-def _joint_basis(N1: int, N2: int) -> tuple:
-    """Exponent pairs up to (N1//2, N2//2) by degree, first mode first."""
-    b1, b2 = N1 // 2, N2 // 2
-    return tuple((m1, deg - m1) for deg in range(b1 + b2 + 1)
-                 for m1 in range(min(deg, b1), -1, -1) if deg - m1 <= b2)
-
-
-@lru_cache(maxsize=64)
-def _graded_index(N1: int, N2: int) -> tuple:
-    """The orders (m1a + m1b, m2a + m2b) of entry (a, b) over the graded
-    basis, read-only."""
-    e = np.array(_joint_basis(N1, N2))
-    return _read_only(e[:, 0, None] + e[:, 0], e[:, 1, None] + e[:, 1])
-
-
-def _graded(v, N1: int, N2: int):
-    """M[a, b] = <:pi1^(m1a+m1b) pi2^(m2a+m2b):> over the graded basis."""
-    return v[_graded_index(N1, N2)]
+def _graded_index(Ns: tuple) -> tuple:
+    """Per bank axis, the order m_a + m_b of entry (a, b) over the basis,
+    read-only: i + j for one bank (a Hankel matrix)."""
+    e = np.array(_basis(Ns), dtype=int).reshape(-1, len(Ns))
+    return _read_only(*(e[:, a, None] + e[:, a] for a in range(len(Ns))))
 
 
 def _qb_terms(mean, second, N: int, scale: int = 1):
@@ -271,46 +248,49 @@ def _lowest(ints, scale: int) -> tuple:
     return ints // g, scale // g
 
 
-def _built(cls, **fields):
-    """A container of moments made from checked statistics, taken as built:
-    its zeroth moment is their checked total and its matrices are symmetric
-    by their index, so no check or copy is repeated."""
-    built = object.__new__(cls)
-    vars(built).update(fields, exact=...)  # made on first access
-    return built
+def _moments(stats) -> tuple:
+    """The moments [m_1, .., m_a] of statistics with one axis per bank, as
+    integers over one scale: N_a! <:pi_a^m_a:> weights along each axis, so
+    the scale is `_scale` times every N_a!, reduced by `_lowest`."""
+    n, scale = stats._ints, stats._scale
+    for K in n.shape:  # axis by axis, moving each contracted one last
+        n = (_weights(K - 1)[2] @ n).T
+        scale *= math.factorial(K - 1)
+    return _lowest(n, scale)
 
 
 def pi_moments(stats: ClickStatistics) -> PiMoments:
     """All normally ordered click-fraction moments, orders 0..N."""
-    mom, scale = _lowest(_weights(stats.N)[2] @ stats._ints,
-                         stats._scale * math.factorial(stats.N))
-    return _built(PiMoments, values=tuple((mom / scale).tolist()),
-                  max_order=stats.N, formal=stats.formal,
-                  norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
+    mom, scale = _moments(stats)
+    return _as_built(PiMoments, values=tuple((mom / scale).tolist()),
+                     max_order=stats.N, exact=..., formal=stats.formal,
+                     norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
 
 
 def joint_pi_moments(stats: JointClickStatistics) -> JointPiMoments:
     """Two-bank moments values[m1, m2] for m_d = 0..N_d."""
-    N1, N2 = stats.N1, stats.N2
-    mom, scale = _lowest(_weights(N1)[2] @ stats._ints @ _weights(N2)[2].T,
-                         stats._scale * math.factorial(N1) * math.factorial(N2))
-    return _built(JointPiMoments, values=_read_only(
-                      (mom / scale).astype(float))[0],
-                  max_orders=(N1, N2), formal=stats.formal,
-                  norm_slack=stats.norm_slack, _ints=mom, _scale=scale)
+    mom, scale = _moments(stats)
+    return _as_built(JointPiMoments,
+                     values=_read_only((mom / scale).astype(float))[0],
+                     max_orders=(stats.N1, stats.N2), exact=...,
+                     formal=stats.formal, norm_slack=stats.norm_slack,
+                     _ints=mom, _scale=scale)
 
 
-def _matrix(mom, arrange, basis: tuple) -> MomentMatrix:
-    """The moments placed by `arrange` into a matrix over the integers that
-    `mom` carries, or, for moments the caller built, over their `exact`
-    values when given."""
-    entries = arrange(np.asarray(mom.values))
+def _matrix(mom, Ns: tuple, basis: tuple) -> MomentMatrix:
+    """The moments of banks of Ns diodes over the basis, from the integers
+    that `mom` carries, or, for moments the caller built, from their
+    `exact` values when given.  Those the library built are taken as built:
+    their zeroth moment is the statistics' checked total, and the index
+    makes the matrix symmetric."""
+    index = _graded_index(Ns)
+    entries = np.asarray(mom.values)[index]
     if mom._ints is not None:
-        return _built(MomentMatrix, entries=_read_only(entries)[0],
-                      index_basis=basis, norm_slack=mom.norm_slack,
-                      _ints=arrange(mom._ints), _scale=mom._scale)
-    exact = None if mom.exact is None else tuple(map(tuple, arrange(
-        np.asarray(mom.exact, dtype=object)).tolist()))
+        return _as_built(MomentMatrix, entries=_read_only(entries)[0],
+                         index_basis=basis, exact=..., norm_slack=mom.norm_slack,
+                         _ints=mom._ints[index], _scale=mom._scale)
+    exact = None if mom.exact is None else tuple(map(tuple, np.asarray(
+        mom.exact, dtype=object)[index].tolist()))
     return MomentMatrix(entries, basis, exact=exact, norm_slack=mom.norm_slack)
 
 
@@ -320,7 +300,7 @@ def moment_matrix(mom: PiMoments, N: int) -> MomentMatrix:
     if mom.max_order < 2 * half:
         raise InsufficientOrder(
             f"need moments through order {2 * half}, have {mom.max_order}")
-    return _matrix(mom, lambda v: _hankel(v, N), tuple(range(half + 1)))
+    return _matrix(mom, (N,), tuple(range(half + 1)))
 
 
 def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
@@ -330,7 +310,7 @@ def joint_moment_matrix(mom: JointPiMoments, N1: int, N2: int) -> MomentMatrix:
         raise InsufficientOrder(
             f"need moments through orders ({2 * b1}, {2 * b2}), "
             f"have {mom.max_orders}")
-    return _matrix(mom, lambda v: _graded(v, N1, N2), _joint_basis(N1, N2))
+    return _matrix(mom, (N1, N2), _basis((N1, N2)))
 
 
 # --- minors, eigenvalues, verdicts ------------------------------------------------

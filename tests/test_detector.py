@@ -272,6 +272,24 @@ class TestNormalizationAndShape:
         stats = ClickStatistics(2, (0.5, 0.5 + 1e-13, -1e-13))
         assert stats.probs[2] == 0.0
 
+    def test_exact_of_another_shape_is_refused(self):
+        # a flat exact on a 2x2 table and a nested one on a bank were
+        # reshaped to the table's shape and taken
+        q, h = Fraction(1, 4), Fraction(1, 2)
+        cases = [
+            (lambda: JointClickStatistics(1, 1, np.full((2, 2), 0.25),
+                                          exact=(q,) * 4), "(4,)", "(2, 2)"),
+            (lambda: ClickStatistics(2, (0.25, 0.5, 0.25),
+                                     exact=((q,), (h,), (q,))), "(3, 1)", "(3,)"),
+            (lambda: ClickStatistics(2, (0.25, 0.5, 0.25), exact=(h, h)),
+             "(2,)", "(3,)"),
+        ]
+        for make, given_shape, probs_shape in cases:
+            with pytest.raises(ValueError) as err:
+                make()
+            assert given_shape in str(err.value), given_shape
+            assert probs_shape in str(err.value), probs_shape
+
 
 class TestSuperpositionPath:
     def test_odd_coherent_against_fock_expansion(self):
@@ -764,6 +782,16 @@ class TestJointStatistics:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             JointClickStatistics(2, 2, np.ones((2, 3)) / 6.0)
+
+    def test_stderr_is_a_read_only_copy(self):
+        se = np.full((2, 2), 0.1)
+        joint = JointClickStatistics(1, 1, np.full((2, 2), 0.25), stderr=se)
+        se[0, 0] = 1.0
+        assert joint.stderr.tolist() == [[0.1, 0.1], [0.1, 0.1]]
+        est = estimate_statistics(ClickHistogram(np.array([[1, 2], [3, 4]])))
+        for stats in (joint, est):
+            with pytest.raises(ValueError):
+                stats.stderr[0, 0] = 1.0
 
 
 class TestGeneratingFunction:

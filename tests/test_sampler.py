@@ -611,19 +611,33 @@ class TestBootstrapWitness:
             stats = click_statistics(fock_distribution(3), det)
         h = sample_clicks(stats, 20000, RngSeed(5))
         point = estimate_statistics(h)
-        rep = _replicas(h.counts.ravel()[None], h.total, h.counts.shape)
+        minors, name, values = _replicas(h.counts.ravel()[None], h.total,
+                                         h.counts.shape)
         if joint:
             moments = joint_pi_moments(point).values
-            assert rep["cross"][0] == pytest.approx(
+            assert name == "cross_minor"
+            assert values[0] == pytest.approx(
                 cross_correlation_minor(point), rel=1e-12, abs=1e-15)
         else:
             moments = pi_moments(point).values
-            assert rep["qb"][0] == pytest.approx(qb_parameter(point),
-                                                 rel=1e-12, abs=1e-15)
-        np.testing.assert_allclose(rep["moments"][..., 0], moments,
+            assert name == "qb"
+            assert values[0] == pytest.approx(qb_parameter(point),
+                                              rel=1e-12, abs=1e-15)
+        # the map's rows: every moment, row-major over [m1, m2] for two
+        # banks, then for one bank <c> and <c^2>
+        W, _ = _replica_map(h.counts.shape)
+        rows = W @ h.counts.ravel() / h.total
+        np.testing.assert_allclose(rows[:np.size(moments)], np.ravel(moments),
                                    rtol=1e-13, atol=1e-16)
-        minors = witness_report(point).leading_minors
-        np.testing.assert_allclose(rep["minors"][:, 0], minors,
+        if joint:
+            assert len(rows) == np.size(moments)
+        else:
+            k = np.arange(h.N + 1)
+            np.testing.assert_allclose(rows[h.N + 1:],
+                                       [k @ point.probs, k ** 2 @ point.probs],
+                                       rtol=1e-13)
+        np.testing.assert_allclose(minors[:, 0],
+                                   witness_report(point).leading_minors,
                                    rtol=1e-6, atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -700,17 +714,18 @@ class TestBootstrapWitness:
         weights = h.counts.ravel() / h.total
         draws = _generator(seed).multinomial(h.total, weights / weights.sum(),
                                              size=resamples)
-        rep = _replicas(draws, h.total, h.counts.shape)
+        minors, name, values = _replicas(draws, h.total, h.counts.shape)
         u = report.uncertainties
-        assert u["leading_minors"] == tuple(_spread(rep["minors"]).tolist())
+        assert name == ("cross_minor" if h.is_joint else "qb")
+        assert u["leading_minors"] == tuple(_spread(minors).tolist())
         if h.is_joint:
-            assert u["cross_minor"] == float(_spread(rep["cross"]))
-        elif len(rep["qb"]) >= 2:
-            assert u["qb"] == float(_spread(rep["qb"]))
+            assert u["cross_minor"] == float(_spread(values))
+        elif len(values) >= 2:
+            assert u["qb"] == float(_spread(values))
         else:
             assert "qb" not in u
         if counts == [499, 0, 1]:
-            assert 2 <= len(rep["qb"]) < resamples
+            assert 2 <= len(values) < resamples
 
     def test_spread_survives_tiny_deviations(self):
         x = np.array([[1.0, 2.0, 4.0, 0.5], [3.0, 3.0, 3.0, 3.0]])

@@ -14,6 +14,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clickstats import (
     ClickStatistics,
@@ -54,6 +57,7 @@ from clickstats.witness import (
     pi_moments,
     qb_parameter,
     witness_report,
+    _basis,
 )
 from exact_kernels import fraction, linear_kernel, nabs_kernel
 
@@ -741,6 +745,42 @@ class TestJointMatrix:
         mom = joint_pi_moments(joint_click_statistics(state, det, det))
         with pytest.raises(InsufficientOrder):
             joint_moment_matrix(mom, 4, 4)
+
+
+def _rows(table) -> tuple:
+    """A table of integers as rows of Fractions over its total."""
+    total = int(table.sum())
+    return tuple(tuple(Fraction(int(c), total) for c in row) for row in table)
+
+
+class TestOneAxisPerBank:
+    """One bank is the one-axis case of the moments and matrices of two."""
+
+    def test_basis_orders(self):
+        for N in range(12):
+            assert _basis((N,)) == tuple((m,) for m in range(N // 2 + 1))
+        assert _basis((4, 4)) == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                  (0, 2), (2, 1), (1, 2), (2, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda N1: hnp.arrays(
+        np.int64, (N1 + 1, 2), elements=st.integers(0, 10 ** 6))).filter(
+            lambda c: c.sum() > 0))
+    def test_second_bank_of_one_diode_reduces_to_one_bank(self, table):
+        # c[k1, k2] with N2 = 1 against its marginal over k2
+        N1 = table.shape[0] - 1
+        exact = _rows(table)
+        joint = JointClickStatistics(N1, 1, np.array(exact, dtype=float),
+                                     exact=exact)
+        (marginal,) = _rows(table.sum(axis=1)[None])
+        single = ClickStatistics(N1, tuple(map(float, marginal)),
+                                 exact=marginal)
+        got = joint_moment_matrix(joint_pi_moments(joint), N1, 1)
+        want = moment_matrix(pi_moments(single), N1)
+        assert got.entries.tobytes() == want.entries.tobytes()
+        assert got.index_basis == tuple((m, 0) for m in want.index_basis)
+        assert leading_principal_minors(got) == leading_principal_minors(want)
+        assert min_eigenvalue(got) == min_eigenvalue(want)
 
 
 class TestCrossCorrelationMinor:

@@ -1,21 +1,36 @@
-"""Compare the outputs of every `sweep` benchmark operation in two checkouts.
+"""Compare a benchmark workload's outputs in two checkouts.
 
-Builds the `sweep` workload of `perfbench/workloads.py` for seeds 1, 2 and
-3 in each checkout (its own `src/` and `perfbench/`, in a subprocess), runs
-every operation of one round after the set-up round, and compares their
-`workloads._fingerprint`s (click numbers as bytes, minors, smallest
-eigenvalue, Q_B, cross minor and verdict), followed by the statistics'
-`exact` values and `exact_error`, bit for bit.  `--workload first_use`
-compares round 0 of the `first_use` workload instead, whose operations
-each meet a new detector: formal kernel tables, quadrature, closed forms,
-superpositions and joint banks, all cold.  Prints each operation that
-differs and a count per seed.  Run from anywhere:
+Builds the workload of `perfbench/workloads.py` for seeds 1, 2 and 3 in
+each checkout (its own `src/` and `perfbench/`, in a subprocess), runs
+every operation of one round after the set-up round, and compares them.
+
+- `sweep` (the default): every operation's `workloads._fingerprint`
+  (click numbers as bytes, minors, smallest eigenvalue, Q_B, cross minor
+  and verdict), followed by the statistics' `exact` values and
+  `exact_error`, bit for bit.
+- `first_use`: the same, on round 0 of the `first_use` workload, whose
+  operations each meet a new detector: formal kernel tables, quadrature,
+  closed forms, superpositions and joint banks, all cold.
+- `monte_carlo`: the drawn histograms, the bytes of the CSV file each
+  operation leaves in the work directory, the histograms read back from
+  it and the verdicts must be identical; the largest relative change of
+  the point estimates (leading minors, smallest eigenvalue, Q_B, cross
+  minor) and of the bootstrap uncertainties must stay within LIMIT.  The
+  1x1 minor is the zeroth moment, 1 in every resample, so its uncertainty
+  is roundoff on either side (or exactly 0): it is not compared, only
+  required to stay below ROUNDOFF.
+
+Prints each operation that differs and a line per seed.  Run from
+anywhere:
 
     python3 tools/sweep_identity.py OLD NEW
     python3 tools/sweep_identity.py OLD NEW --seeds 1 2
     python3 tools/sweep_identity.py OLD NEW --workload first_use
+    python3 tools/sweep_identity.py OLD NEW --workload monte_carlo
 
-Exits with status 1 when any fingerprint differs.
+Exits with status 1 when any fingerprint differs (for `monte_carlo`: a
+histogram, a CSV file or a verdict, a number present on one side only,
+or a relative change above LIMIT).
 """
 
 import argparse
@@ -28,14 +43,21 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = (1, 2, 3)
+LIMIT = 1e-9
+ROUNDOFF = 1e-15
 
-# run inside a checkout: (slot, fingerprint) of every operation of one round
+# run inside a checkout: (slot, pickled outputs) of every operation of one
+# round
 _CHILD = """
 import pickle, sys, tempfile
 from pathlib import Path
 import workloads
 
-def fingerprint(out):
+def fingerprint(workload, out):
+    if workload.name == "monte_carlo":
+        hist, back, report = out
+        return (hist.counts.tobytes(), workload.csv.read_bytes(),
+                back.counts.tobytes(), report.to_dict())
     stats = out[1]
     return workloads._fingerprint(out) + (
         stats.exact, getattr(stats, "exact_error", None))
@@ -45,15 +67,14 @@ with tempfile.TemporaryDirectory() as tmp:
     for seed in map(int, sys.argv[2:]):
         workload = workloads.WORKLOADS[sys.argv[1]](seed, Path(tmp))
         workload.setup()
-        out[seed] = [(op.slot, pickle.dumps(fingerprint(op.run())))
+        out[seed] = [(op.slot, pickle.dumps(fingerprint(workload, op.run())))
                      for op in workload.round(0)]
 sys.stdout.buffer.write(pickle.dumps(out))
 """
 
 
 def fingerprints(checkout: Path, workload: str, seeds) -> dict:
-    """{seed: [(slot, pickled fingerprint), ...]} of the checkout's
-    workload."""
+    """{seed: [(slot, pickled outputs), ...]} of the checkout's workload."""
     root = checkout.resolve()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), str(root / "perfbench")]))
@@ -85,13 +106,75 @@ def differences(old: tuple, new: tuple) -> list:
     return out
 
 
+def compare_fingerprints(ops: list) -> tuple:
+    """(problems, summary) of [(old, new), ...] pickled fingerprints, which
+    must be identical."""
+    problems = [(i, differences(pickle.loads(x), pickle.loads(y)))
+                for i, (x, y) in enumerate(ops) if x != y]
+    return problems, f"{len(problems)} differ" if problems else "identical"
+
+
+def _numbers(value) -> list:
+    """A report entry as a list of numbers (None stays None)."""
+    return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def gap(old, new) -> float:
+    """Largest relative change between two report entries; infinite when
+    one side lacks a number the other has."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b) or [x is None for x in a] != [y is None for y in b]:
+        return float("inf")
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x is not None and x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+_POINT = ("leading_minors", "min_eigenvalue", "qb", "cross_minor")
+
+
+def compare_monte_carlo(ops: list) -> tuple:
+    """(problems, summary) of [(old, new), ...] pickled monte_carlo
+    outputs: identical histograms, CSV bytes and verdicts, and point
+    estimates and uncertainties within LIMIT."""
+    problems, point, spread = [], 0.0, 0.0
+    for i, ops_pair in enumerate(ops):
+        (h, csv, back, ra), (h2, csv2, back2, rb) = map(pickle.loads, ops_pair)
+        lines = []
+        if (h, back) != (h2, back2):
+            lines.append("histograms differ")
+        if csv != csv2:
+            lines.append("CSV files differ")
+        if ra["verdict"] != rb["verdict"]:
+            lines.append(f"verdict {ra['verdict']!r} -> {rb['verdict']!r}")
+        point = max([point] + [gap(ra[k], rb[k]) for k in _POINT])
+        ua, ub = (dict(r["uncertainties"]) for r in (ra, rb))
+        first = [u["leading_minors"].pop(0) for u in (ua, ub)]
+        if max(first) > ROUNDOFF:
+            lines.append(f"1x1 minor uncertainty {first[0]!r} -> {first[1]!r}")
+        keys = sorted(set(ua) | set(ub))
+        spread = max([spread] + [gap(ua.get(k), ub.get(k)) for k in keys])
+        if lines:
+            problems.append((i, lines))
+    if not (point <= LIMIT and spread <= LIMIT):
+        problems.append((None, [f"relative change above {LIMIT:g}"]))
+    return problems, (f"largest relative change {point:.3g} in point "
+                      f"estimates, {spread:.3g} in uncertainties")
+
+
+COMPARE = {"sweep": compare_fingerprints, "first_use": compare_fingerprints,
+           "monte_carlo": compare_monte_carlo}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="checkout holding src/ and perfbench/")
     parser.add_argument("new", type=Path, help="checkout holding src/ and perfbench/")
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS,
                         help="workload seeds (default: 1 2 3)")
-    parser.add_argument("--workload", choices=("sweep", "first_use"),
+    parser.add_argument("--workload", choices=tuple(COMPARE),
                         default="sweep", help="workload (default: sweep)")
     args = parser.parse_args(argv)
     old, new = (fingerprints(c, args.workload, args.seeds)
@@ -103,16 +186,15 @@ def main(argv=None) -> int:
             print(f"seed {seed}: the operations differ")
             same = False
             continue
-        differ = 0
-        for i, ((slot, x), (_, y)) in enumerate(zip(a, b)):
-            if x != y:
-                differ += 1
-                print(f"seed {seed} operation {i} ({slot}):")
-                for line in differences(pickle.loads(x), pickle.loads(y)):
-                    print("  " + line)
-        same = same and not differ
-        print(f"seed {seed}: {len(a)} operations, "
-              + (f"{differ} differ" if differ else "identical"))
+        problems, summary = COMPARE[args.workload](
+            [(x, y) for (_, x), (_, y) in zip(a, b)])
+        for i, lines in problems:
+            print(f"seed {seed}" + ("" if i is None else
+                                    f" operation {i} ({a[i][0]})") + ":")
+            for line in lines:
+                print("  " + line)
+        same = same and not problems
+        print(f"seed {seed}: {len(a)} operations, {summary}")
     return 0 if same else 1
 
 
