@@ -338,7 +338,8 @@ def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
     nature, so only their total is checked, as `_ints` over `_scale` (read
     here from `exact`, else the floats over their largest denominator, a
     power of two, when not given) rounded once: formal click numbers can
-    reach 1e16 and cancel to a sum of one."""
+    reach 1e16 and cancel to a sum of one.  Each float given must be its
+    `exact` value rounded once."""
     flat = values.ravel()
     numbers = flat.tolist()
     # a pass at C speed finds the usual table, with nothing to clamp or reject
@@ -365,6 +366,12 @@ def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
             if ints.shape != values.shape:
                 raise ValueError(f"exact has shape {ints.shape}, "
                                  f"probs {values.shape}")
+            rounded = _floats(ints, scale).astype(float)
+            wrong = np.argwhere(rounded != values)
+            if wrong.size:
+                i = tuple(wrong[0].tolist())
+                raise ValueError(f"probs{list(i)} is {float(values[i])!r}, but "
+                                 f"exact rounds to {float(rounded[i])!r}")
         object.__setattr__(stats, "_ints", ints.reshape(values.shape))
         object.__setattr__(stats, "_scale", scale)
     total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
@@ -469,12 +476,19 @@ def _as_built(cls, **fields):
     return built
 
 
+def _lowest(ints, scale: int) -> tuple:
+    """Integers over a scale, both divided by their greatest common divisor:
+    the scale is then the lcm of the reduced denominators, which keeps the
+    integers of the moments and minors made from them short."""
+    g = math.gcd(scale, *ints.flat)
+    return ints // g, scale // g
+
+
 def _exact(cls, n: np.ndarray, scale: int, **fields):
     """Statistics `cls` of the exact values n / scale, n Python integers:
-    both divided by their gcd, as `_integers` reads `exact`, each float
-    rounded once, and `exact` their reduced Fractions (`_Exact`)."""
-    g = math.gcd(scale, *n.flat)
-    n, scale = n // g, scale // g
+    reduced by `_lowest`, as `_integers` reads `exact`, each float rounded
+    once, and `exact` their reduced Fractions (`_Exact`)."""
+    n, scale = _lowest(n, scale)
     return cls(probs=_floats(n, scale).astype(float), exact=..., _ints=n,
                _scale=scale, **fields)
 

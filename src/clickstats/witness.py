@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detector import (_NORM_TOL, ClickStatistics, JointClickStatistics,
-                       _as_built, _Exact, _integers, _read_only)
+                       _as_built, _Exact, _integers, _lowest, _read_only)
 from .errors import (
     DegenerateMean,
     InsufficientOrder,
@@ -238,14 +238,6 @@ def factorial_moment(stats: ClickStatistics, m: int) -> float:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")
     return (_weights(stats.N)[0][m] @ stats._ints) / stats._scale
-
-
-def _lowest(ints, scale: int) -> tuple:
-    """Integers over a scale, both divided by their greatest common divisor:
-    the scale is then the lcm of the reduced denominators, which keeps the
-    minors' integers short."""
-    g = math.gcd(scale, *ints.flat)
-    return ints // g, scale // g
 
 
 def _moments(stats) -> tuple:

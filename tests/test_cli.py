@@ -170,6 +170,21 @@ class TestWitness:
         assert float(rows[1][2]) < 0
         assert rows[1][-1] == "nonclassical"
 
+    def test_joint_grid_table(self, capsys):
+        # two banks take the cross minor in the column one bank gives Q_B
+        dets = ["--detector", DET_N4_08] * 2
+        assert main(["witness", "--state", '{"kind": "tmsv", "xi": 0.3}']
+                    + dets) == 0
+        point = json.loads(capsys.readouterr().out)
+        assert main(["witness", "--state", TMSV, "--grid", "xi=0.3:0.6:2"]
+                    + dets) == 0
+        rows = read_csv(capsys.readouterr().out)
+        assert rows[0][0] == "xi"
+        assert rows[0][-3:] == ["min_eigenvalue", "cross_minor", "verdict"]
+        assert "qb" not in rows[0] and len(rows) == 3
+        assert float(rows[1][-2]) == point["cross_minor"] < 0
+        assert rows[1][-1] == point["verdict"] == "nonclassical"
+
     def test_histogram_path(self, tmp_path, capsys):
         hist_file = tmp_path / "hist.csv"
         code = main(["sample", "--state", FOCK1, "--detector", DET_N8,
@@ -413,6 +428,21 @@ class TestBadNumbers:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["witness", "--state", '{"kind": "thermal", "nbar": 1.0}',
+          "--detector", DET_N4, "--grid", "nbar=0.1:0.5:3",
+          "--grid", "nbar=1:2:2"], "witness takes a single --grid"),
+        (["stats", "--state", FOCK1, "--detector", DET_N4,
+          "--precision", "52"],
+         "--precision must be at least 53 bits, got 52"),
+    ], ids=["two-grids", "precision-52"])
+    def test_refused_option_exit_two(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_tmsv_near_one_exit_two(self, capsys):
         det = json.dumps(LINEAR4)

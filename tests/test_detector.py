@@ -11,6 +11,7 @@ import io
 import json
 import logging
 import math
+import re
 import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -142,6 +143,28 @@ class TestResponseSeries:
         b = response_series(Linear(1.0), 4, 2, 10)
         for ca, cb in zip(a.coefficients, b.coefficients):
             assert abs(float(ca - cb)) < 1e-30
+
+    @pytest.mark.parametrize("resp,terms", [
+        (Power(2), {2: 1}),
+        (Power(3), {3: 1}),
+        (PolynomialSeries(coefficients=(0.0, 1.0, 0.25)), {1: 1, 2: 0.25}),
+    ], ids=["power2", "power3", "poly"])
+    def test_power_and_polynomial_coefficients(self, resp, terms):
+        # exp(-s f(x/N)) as the product over the terms c x^j of f's series
+        # exp(-s c (x/N)^j), each sum_m (-s c / N^j)^m / m! x^(jm), in
+        # Fractions
+        N, s, order = 4, 3, 12
+        want = [Fraction(1)] + [Fraction(0)] * order
+        for j, c in terms.items():
+            a = -s * Fraction(c) / N ** j
+            factor = [Fraction(0)] * (order + 1)
+            for m in range(order // j + 1):
+                factor[j * m] = a ** m / math.factorial(m)
+            want = [sum(want[i] * factor[k - i] for i in range(k + 1))
+                    for k in range(order + 1)]
+        ser = response_series(resp, N, s, order)
+        for got, w in zip(ser.coefficients, want):
+            assert abs(Fraction(float(got)) - w) <= 1e-16 * (1 + abs(w))
 
 
 class TestBinomialPreservation:
@@ -289,6 +312,34 @@ class TestNormalizationAndShape:
                 make()
             assert given_shape in str(err.value), given_shape
             assert probs_shape in str(err.value), probs_shape
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: ClickStatistics(2, (0.25, 0.5, 0.25), exact=(0, 0, 1)),
+         "probs[0] is 0.25, but exact rounds to 0.0"),
+        (lambda: JointClickStatistics(
+            1, 1, np.full((2, 2), 0.25),
+            exact=((Fraction(1, 4),) * 2, (Fraction(1, 2), 0))),
+         "probs[1, 0] is 0.25, but exact rounds to 0.5"),
+        # one unit in the last place off the rounded third
+        (lambda: ClickStatistics(2, (1 / 3, math.nextafter(1 / 3, 1), 1 / 3),
+                                 exact=(Fraction(1, 3),) * 3),
+         "probs[1] is 0.33333333333333337, but exact rounds to "
+         "0.3333333333333333"),
+    ], ids=["bank", "two-banks", "one-ulp"])
+    def test_exact_the_floats_do_not_round_from_is_refused(self, make,
+                                                            message):
+        # the witness reads `exact`, so a float that is not its exact value
+        # rounded once would give moments of other statistics
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_exact_the_floats_round_from_is_taken(self):
+        third = Fraction(1, 3)
+        stats = ClickStatistics(2, (1 / 3,) * 3, exact=(third,) * 3)
+        assert stats.exact == (third,) * 3 and stats.probs == (1 / 3,) * 3
+        joint = JointClickStatistics(1, 1, np.full((2, 2), 0.25),
+                                     exact=((Fraction(1, 4),) * 2,) * 2)
+        assert joint.exact == ((Fraction(1, 4),) * 2,) * 2
 
 
 class TestSuperpositionPath:

@@ -123,6 +123,10 @@ class TestClickHistogram:
         (np.array([1.0, np.nan]), "counts must be integers"),
         (np.array([2 ** 63, 1], dtype=np.uint64), "counts must be below 2^63"),
         (np.array([2.0 ** 63, 1.0]), "counts must be below 2^63"),
+        (np.ones((2, 2, 2), dtype=np.int64),
+         "counts must be a 1-D or 2-D array"),
+        (np.array([5]), "each bank needs outcomes 0..N with N >= 1"),
+        (np.array([[5, 1]]), "each bank needs outcomes 0..N with N >= 1"),
     ])
     def test_caller_counts_checked(self, counts, message):
         # histograms the library makes skip these checks; a caller's do not
@@ -828,6 +832,23 @@ class TestHistogramCsv:
         path = tmp_path / "nonint.csv"
         path.write_text("k,count\n0,1.5\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            read_histogram_csv(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("k,count\n0,1\n\n , \n2,3\n", encoding="utf-8")
+        assert np.array_equal(read_histogram_csv(path).counts, [1, 0, 3])
+
+    @pytest.mark.parametrize("text,message", [
+        ("k,count\n0,1,2\n", "malformed histogram row ['0', '1', '2']"),
+        ("k1,k2,count\n0,1\n", "malformed histogram row ['0', '1']"),
+        ("k,count\n0,-1\n", "negative value in histogram row ['0', '-1']"),
+        ("k,count\n\n", "holds no histogram rows"),
+    ], ids=["long-row", "short-row", "negative-count", "no-rows"])
+    def test_bad_rows(self, text, message, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_histogram_csv(path)
 
     def test_empty_file(self, tmp_path):

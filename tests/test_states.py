@@ -206,6 +206,20 @@ class TestTmsv:
             for k in range(n):
                 assert got.probs[k] == pytest.approx(want.probs[k], abs=1e-12)
 
+    def test_marginals_of_a_dense_table(self):
+        # a product state keeps its dense table; each marginal sums it
+        table = np.array([[0.5, 0.125], [0.25, 0.125]])
+        j = JointPhotonDistribution(table)
+        assert j.marginal(0).probs == (0.625, 0.375)
+        assert j.marginal(1).probs == (0.75, 0.25)
+        a = thermal_distribution(0.5, tol=1e-14)
+        b = PhotonNumberDistribution((0.25, 0.5, 0.25))
+        prod = product_joint(a, b)
+        assert prod.probs.ndim == 2
+        assert prod.marginal(1).probs == pytest.approx(b.probs, abs=1e-14)
+        assert prod.marginal(0).probs == pytest.approx(a.probs, abs=1e-16)
+        assert prod.marginal(0).tail_bound == prod.tail_bound
+
     def test_cutoff_without_a_table(self):
         # |xi|^2 = 0.999 at tol 1e-14 keeps about 32,000 levels, a dense
         # table of 8 GB; the state holds the diagonal alone

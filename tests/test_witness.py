@@ -260,6 +260,42 @@ class TestBuiltAsChecked:
             checked.norm_slack)
         self.assert_matrix_checked(joint_moment_matrix(mom, 4, 4))
 
+    @pytest.mark.parametrize("with_exact", [True, False],
+                             ids=["exact", "floats"])
+    @pytest.mark.parametrize("banks", [1, 2])
+    def test_caller_built_moments_give_the_same_matrix(self, banks,
+                                                       with_exact):
+        # moments a caller builds carry no integers: their matrix is read
+        # from `exact` when given, else from the floats
+        det = DetectorConfig(4, Linear(0.8))
+        if banks == 1:
+            mom = pi_moments(click_statistics(
+                spats_distribution(0.7, tol=1e-11), det))
+            cls, orders, matrix = PiMoments, mom.max_order, moment_matrix
+        else:
+            mom = joint_pi_moments(joint_click_statistics(tmsv_joint(0.6),
+                                                          det, det))
+            cls, orders = JointPiMoments, mom.max_orders
+            matrix = joint_moment_matrix
+        caller = cls(mom.values, orders, exact=mom.exact if with_exact
+                     else None, formal=mom.formal, norm_slack=mom.norm_slack)
+        M, got = (matrix(m, *[4] * banks) for m in (mom, caller))
+        assert got._ints is None
+        self.assert_matrix_checked(got)
+        assert got.entries.tobytes() == M.entries.tobytes()
+        assert got.index_basis == M.index_basis
+        assert min_eigenvalue(got) == min_eigenvalue(M)
+        if with_exact:
+            assert got.exact == M.exact
+            assert leading_principal_minors(got) == \
+                leading_principal_minors(M)
+        else:
+            floats = MomentMatrix(M.entries, M.index_basis,
+                                  norm_slack=M.norm_slack)
+            assert got.exact is None
+            assert leading_principal_minors(got) == \
+                leading_principal_minors(floats)
+
     @staticmethod
     def assert_matrix_checked(M):
         checked = MomentMatrix(M.entries, M.index_basis, exact=M.exact,

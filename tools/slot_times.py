@@ -16,11 +16,12 @@ Run from anywhere:
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from sweep_identity import checkout_env
 
 # run inside a checkout: set up, print "ready", then time round r for each
 # r read from standard input and print {slot: seconds} as one JSON line
@@ -43,20 +44,14 @@ with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps(times), flush=True)
 """
 
-# as perfbench/run.py sets them: the benchmark is single-threaded
-_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
 
 def start(checkout: Path, workload: str, seed: int) -> subprocess.Popen:
     """The checkout's workload process, set up and waiting for rounds."""
     root = checkout.resolve()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), str(root / "perfbench")]))
-    env.update(dict.fromkeys(_THREADS, "1"))
     proc = subprocess.Popen([sys.executable, "-c", _CHILD, workload, str(seed)],
-                            env=env, cwd=root, stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE, text=True)
+                            env=checkout_env(root), cwd=root,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
     if proc.stdout.readline().strip() != "ready":
         proc.kill()
         raise SystemExit(f"error: set-up failed in {root}")

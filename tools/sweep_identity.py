@@ -1,7 +1,7 @@
-"""Compare a benchmark workload's outputs in two checkouts.
+"""Compare a benchmark workload's outputs, or the figures, of two checkouts.
 
 Builds the workload of `perfbench/workloads.py` for seeds 1, 2 and 3 in
-each checkout (its own `src/` and `perfbench/`, in a subprocess), runs
+each checkout (its own `src/` and `perfbench/`, one BLAS thread), runs
 every operation of one round after the set-up round, and compares them.
 
 - `sweep` (the default): every operation's `workloads._fingerprint`
@@ -19,21 +19,25 @@ every operation of one round after the set-up round, and compares them.
   1x1 minor is the zeroth moment, 1 in every resample, so its uncertainty
   is roundoff on either side (or exactly 0): it is not compared, only
   required to stay below ROUNDOFF.
+- `figures` (no seeds): every table of fig2 to fig6 on its default grid,
+  as bytes; one that differs is shown with its largest gaps.
 
-Prints each operation that differs and a line per seed.  Run from
-anywhere:
+Prints each operation or table that differs and a line per seed (or for
+the figures).  Run from anywhere:
 
     python3 tools/sweep_identity.py OLD NEW
     python3 tools/sweep_identity.py OLD NEW --seeds 1 2
     python3 tools/sweep_identity.py OLD NEW --workload first_use
     python3 tools/sweep_identity.py OLD NEW --workload monte_carlo
+    python3 tools/sweep_identity.py OLD NEW --workload figures
 
 Exits with status 1 when any fingerprint differs (for `monte_carlo`: a
 histogram, a CSV file or a verdict, a number present on one side only,
-or a relative change above LIMIT).
+or a relative change above LIMIT; for `figures`: any table).
 """
 
 import argparse
+import csv
 import os
 import pickle
 import subprocess
@@ -46,12 +50,25 @@ SEEDS = (1, 2, 3)
 LIMIT = 1e-9
 ROUNDOFF = 1e-15
 
-# run inside a checkout: (slot, pickled outputs) of every operation of one
-# round
+# as perfbench/run.py sets them: the benchmark is single-threaded
+_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def checkout_env(root: Path) -> dict:
+    """The environment of a process run in the checkout `root`: its `src/`
+    and `perfbench/` first on PYTHONPATH, and one BLAS thread."""
+    return dict(os.environ, **dict.fromkeys(_THREADS, "1"),
+                PYTHONPATH=f"{root / 'src'}{os.pathsep}{root / 'perfbench'}")
+
+
+# run inside a checkout: {table name: bytes} of fig2 .. fig6 for `figures`,
+# else {seed: [(slot, pickled outputs), ...]} of one round's operations
 _CHILD = """
 import pickle, sys, tempfile
 from pathlib import Path
 import workloads
+from clickstats.cli import main
 
 def fingerprint(workload, out):
     if workload.name == "monte_carlo":
@@ -64,6 +81,11 @@ def fingerprint(workload, out):
 
 out = {}
 with tempfile.TemporaryDirectory() as tmp:
+    if sys.argv[1] == "figures":
+        for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
+            if main(["figure", name, "--out", tmp]):
+                sys.exit(f"figure {name} failed")
+        out = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
     for seed in map(int, sys.argv[2:]):
         workload = workloads.WORKLOADS[sys.argv[1]](seed, Path(tmp))
         workload.setup()
@@ -74,13 +96,12 @@ sys.stdout.buffer.write(pickle.dumps(out))
 
 
 def fingerprints(checkout: Path, workload: str, seeds) -> dict:
-    """{seed: [(slot, pickled outputs), ...]} of the checkout's workload."""
+    """{seed: [(slot, pickled outputs), ...]} of the checkout's workload,
+    or {table name: bytes} of its figures."""
     root = checkout.resolve()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), str(root / "perfbench")]))
     done = subprocess.run([sys.executable, "-c", _CHILD, workload,
-                           *map(str, seeds)],
-                          env=env, cwd=root, check=True, capture_output=True)
+                           *map(str, seeds)], env=checkout_env(root),
+                          cwd=root, check=True, stdout=subprocess.PIPE)
     return pickle.loads(done.stdout)
 
 
@@ -140,12 +161,12 @@ def compare_monte_carlo(ops: list) -> tuple:
     outputs: identical histograms, CSV bytes and verdicts, and point
     estimates and uncertainties within LIMIT."""
     problems, point, spread = [], 0.0, 0.0
-    for i, ops_pair in enumerate(ops):
-        (h, csv, back, ra), (h2, csv2, back2, rb) = map(pickle.loads, ops_pair)
+    for i, pair in enumerate(ops):
+        (h, text, back, ra), (h2, text2, back2, rb) = map(pickle.loads, pair)
         lines = []
         if (h, back) != (h2, back2):
             lines.append("histograms differ")
-        if csv != csv2:
+        if text != text2:
             lines.append("CSV files differ")
         if ra["verdict"] != rb["verdict"]:
             lines.append(f"verdict {ra['verdict']!r} -> {rb['verdict']!r}")
@@ -164,6 +185,27 @@ def compare_monte_carlo(ops: list) -> tuple:
                       f"estimates, {spread:.3g} in uncertainties")
 
 
+def table_gap(old: bytes, new: bytes) -> str:
+    """The largest absolute and relative gap of two CSV tables' numbers."""
+    a, b = (list(csv.reader(t.decode().splitlines())) for t in (old, new))
+    if a[0] != b[0] or [len(r) for r in a] != [len(r) for r in b]:
+        return "differs in header or shape"
+    x, y = ([float(v) for row in t[1:] for v in row] for t in (a, b))
+    absolute = max((abs(u - v) for u, v in zip(x, y)), default=0.0)
+    return f"largest gap {absolute:.3e} absolute, {gap(x, y):.3e} relative"
+
+
+def compare_tables(old: dict, new: dict) -> tuple:
+    """(problems, summary) of two sides' {table name: bytes}, which must be
+    identical: a line for each table that differs or is on one side only."""
+    names = sorted(old.keys() | new.keys())
+    problems = [f"{n}: " + (table_gap(old[n], new[n]) if n in old and n in new
+                            else "missing on one side")
+                for n in names if old.get(n) != new.get(n)]
+    return problems, f"{len(names)} tables, " + (
+        f"{len(problems)} differ" if problems else "identical")
+
+
 COMPARE = {"sweep": compare_fingerprints, "first_use": compare_fingerprints,
            "monte_carlo": compare_monte_carlo}
 
@@ -174,11 +216,16 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="checkout holding src/ and perfbench/")
     parser.add_argument("--seeds", type=int, nargs="+", default=SEEDS,
                         help="workload seeds (default: 1 2 3)")
-    parser.add_argument("--workload", choices=tuple(COMPARE),
+    parser.add_argument("--workload", choices=(*COMPARE, "figures"),
                         default="sweep", help="workload (default: sweep)")
     args = parser.parse_args(argv)
-    old, new = (fingerprints(c, args.workload, args.seeds)
+    seeds = () if args.workload == "figures" else args.seeds
+    old, new = (fingerprints(c, args.workload, seeds)
                 for c in (args.old, args.new))
+    if args.workload == "figures":
+        problems, summary = compare_tables(old, new)
+        print(*problems, f"figures: {summary}", sep="\n")
+        return 1 if problems else 0
     same = True
     for seed in args.seeds:
         a, b = old[seed], new[seed]
