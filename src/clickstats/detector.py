@@ -51,10 +51,12 @@ from .errors import (
 from .series import (
     _ABS_TARGET,
     PowerSeries,
-    _exp_neg_lists,
-    _log_series,
+    _exp_integers,
+    _exp_series,
+    _float,
+    _integers,
     _precision_for,
-    auto_precision,
+    _weights,
 )
 from .states import (
     _MAX_CUTOFF,
@@ -218,33 +220,6 @@ class DetectorConfig:
             raise TypeError(f"unsupported response {type(self.response).__name__}")
 
 
-def _scaled_response_coeffs(resp, N: int, order: int):
-    """Coefficients of f(x/N) as mpf values, at the current precision."""
-    invN = mp.mpf(1) / N
-    out = [mp.mpf(0)] * (order + 1)
-    if isinstance(resp, (Linear, Affine)):
-        out[0] = mp.mpf(getattr(resp, "nu", 0))
-        if order >= 1:
-            out[1] = mp.mpf(resp.eta) * invN
-    elif isinstance(resp, Power):
-        if order >= resp.n0:
-            out[resp.n0] = invN ** resp.n0
-    elif isinstance(resp, PolynomialSeries):
-        _check_poly_positive(resp, 10.0 * max(order, 1) / N)
-        for j, c in enumerate(resp.coefficients[:order + 1]):
-            out[j] = mp.mpf(c) * invN ** j
-    elif isinstance(resp, NPhotonAbsorption):
-        p = [invN ** j / mp.factorial(j) for j in range(resp.n0)]
-        ell = _log_series(p, order)
-        if order >= 1:
-            out[1] = invN
-        for k in range(1, order + 1):
-            out[k] -= ell[k]
-    else:
-        raise TypeError(f"unsupported response {type(resp).__name__}")
-    return out
-
-
 def _check_poly_positive(resp: PolynomialSeries, xmax: float):
     grid = np.geomspace(1e-9, max(xmax, 1e-6), 96)
     for x in grid:
@@ -253,27 +228,48 @@ def _check_poly_positive(resp: PolynomialSeries, xmax: float):
                 f"response dips to {resp.evaluate(float(x))!r} at x = {float(x)!r}")
 
 
+def _response_weights(resp, N: int, order: int) -> tuple:
+    """(f(0), d, steps) of a response on N diodes: the nonzero (j, w_j), 0 <
+    j <= order, w_j = j! g_j d^j for the coefficients g_j of f, integers such
+    that U_k = k! h_k (d N)^k of exp[-s f(x/N)] are too (`_exp_integers`).
+    Polynomial responses are checked and take `_weights`.  n-photon
+    absorption takes d = 1 and f' B = B - B' = x^(n0-1)/(n0-1)!, B = sum_(i <
+    n0) x^i/i!: sum_(i<=j) C(j-1, i-1) w_i [j - i < n0] = [j = n0]."""
+    if isinstance(resp, NPhotonAbsorption):
+        n0, w = resp.n0, [0]
+        for j in range(1, order + 1):
+            w.append((j == n0) - sum(math.comb(j - 1, i - 1) * w[i]
+                                     for i in range(max(1, j - n0 + 1), j)))
+        return 0.0, 1, [(j, x) for j, x in enumerate(w) if x]
+    if isinstance(resp, Power):  # f = x^n0: d = 1, w_n0 = n0!
+        n0 = resp.n0
+        return 0, 1, [(n0, math.factorial(n0))] if n0 <= order else []
+    if isinstance(resp, (Linear, Affine)):
+        coeffs = (getattr(resp, "nu", 0.0), resp.eta)
+    elif isinstance(resp, PolynomialSeries):
+        _check_poly_positive(resp, 10.0 * max(order, 1) / N)
+        coeffs = resp.coefficients
+    else:
+        raise TypeError(f"unsupported response {type(resp).__name__}")
+    return (coeffs[0], *_weights(coeffs, order))
+
+
 def response_series(resp, N: int, s, order: int, prec: int | None = None) -> PowerSeries:
-    """Series of exp[-s*f(x/N)] in the photon number x, truncated at `order`."""
+    """Series of exp[-s*f(x/N)] in the photon number x, truncated at `order`.
+
+    Each coefficient is exact but for the factor exp[-s*f(0)] and is rounded
+    once to `prec` bits (default `auto_precision(order)`), as in
+    `series_exp_neg`; a negative order or an s that is not finite is a
+    ValueError."""
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise ValueError(f"order must be >= 0, got {order}")
     if N < 1:
         raise ValueError("diode count must be >= 1")
-    p = prec if prec is not None else auto_precision(order)
-    with mp.workprec(p):
-        h = _exp_neg_lists(_scaled_response_coeffs(resp, N, order), s, order)
-    return PowerSeries(tuple(h))
+    f0, d, steps = _response_weights(resp, N, order)
+    return _exp_series(f0, d * N, steps, s, order, prec)
 
 
 # --- click statistics containers ----------------------------------------------
-
-def _float(n: int, d: int) -> float:
-    """n / d rounded once, or a signed infinity beyond float range (rejected)."""
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
-
 
 _fractions = np.frompyfunc(Fraction, 2, 1)
 _floats = np.frompyfunc(_float, 2, 1)
@@ -296,31 +292,6 @@ class _Exact:
 
     def __set__(self, obj, value):
         obj.__dict__["exact"] = value
-
-
-def _ratio(x) -> tuple:
-    """(numerator, denominator) of a float, an integer or a Fraction
-    (`as_integer_ratio`), or of an mpf, read from its sign, mantissa and
-    exponent."""
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:
-        sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"cannot convert {x} to a rational")
-    man = -int(man) if sign else int(man)
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-
-
-def _integers(values) -> tuple:
-    """(n, L): numbers given as floats, mpf, integers or Fractions, as
-    Python integers n = value * L over the lcm L of their denominators (a
-    power of two for floats and mpf)."""
-    a = np.asarray(values, dtype=object)
-    pairs = [_ratio(x) for x in a.flat]
-    scale = math.lcm(*{d for _, d in pairs})
-    return np.array([n * (scale // d) for n, d in pairs],
-                    dtype=object).reshape(a.shape), scale
 
 
 def _read_only(*arrays) -> tuple:
@@ -596,36 +567,20 @@ def _assembly(N: int) -> tuple:
 def _formal_kernels(det: DetectorConfig, order: int, prec: int | None):
     """Exact kernels of a formal response f: (T, D, error), T/D the kernels
     within `error` (0 unless f(0) > 0), T read-only integers, columns
-    summing to D.  With d the least power of two making each a_j d^j (j >=
-    1) an integer, the coefficients h_k of exp[-s (f(x/N) - f(0))] give
-    integers U_k = k! h_k (d N)^k = -s sum_j C(k-1, j-1) j! a_j d^j U_(k-j),
+    summing to D.  The coefficients h_k of exp[-s (f(x/N) - f(0))] give
+    integers U_k = k! h_k (d N)^k (`_response_weights`, `_exp_integers`),
     and so do the kernels over (d N)^order.  Only f(0) > 0 rounds a number
     (`_dark_offset`)."""
-    N, resp = det.N, det.response
-    if isinstance(resp, Power):
-        coeffs = (0,) * resp.n0 + (1,)
-    else:
-        _check_poly_positive(resp, 10.0 * max(order, 1) / N)
-        coeffs = resp.coefficients
-    a = [_ratio(c) for c in coeffs]  # denominators are powers of two
-    d = 1 << max(math.ceil((q.bit_length() - 1) / j)
-                 for j, (m, q) in enumerate(a) if j and m)
-    steps = [(j, math.factorial(j) * (m * d ** j // q))
-             for j, (m, q) in enumerate(a) if j and m]
+    N = det.N
+    f0, d, steps = _response_weights(det.response, N, order)
     scale = [(d * N) ** (order - k) for k in range(order + 1)]
-    V = []
-    for s in range(N + 1):
-        U = [1]
-        for k in range(1, order + 1):
-            U.append(-s * sum(math.comb(k - 1, j - 1) * w * U[k - j]
-                              for j, w in steps if j <= k))
-        V.append([u * w for u, w in zip(U, scale)])
+    V = [[u * w for u, w in zip(_exp_integers(steps, s, order), scale)]
+         for s in range(N + 1)]
     binom = [[math.comb(n, k) for n in range(order + 1)] for k in range(order + 1)]
     T = np.array(_assembly(N), dtype=object) @ np.array(V, dtype=object) @ binom
-    T, D = (_dark_offset(T, scale[0], coeffs[0], prec) if coeffs[0]
-            else (T, scale[0]))
+    T, D = _dark_offset(T, scale[0], f0, prec) if f0 else (T, scale[0])
     T.setflags(write=False)
-    return T, D, float(_ABS_TARGET) if coeffs[0] else 0.0
+    return T, D, float(_ABS_TARGET) if f0 else 0.0
 
 
 def _dark_offset(T, D, f0, prec: int | None):

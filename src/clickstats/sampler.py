@@ -362,14 +362,8 @@ def bootstrap_witness(hist: ClickHistogram, resamples: int, seed,
     draws = rng.multinomial(total, weights, size=resamples)
 
     minors, name, last = _replicas(draws, total, hist.counts.shape)
-    if len(last) == resamples:
-        # no replica dropped: one spread pass over the minors and Q_B or the
-        # cross minor, row by row as separate passes would take them
-        se = _spread(np.vstack([minors, last])).tolist()
-        minor_se, last_se = tuple(se[:-1]), se[-1]
-    else:
-        minor_se = tuple(_spread(minors).tolist())
-        last_se = float(_spread(last)) if len(last) >= 2 else None
+    minor_se = tuple(_spread(minors).tolist())
+    last_se = float(_spread(last)) if len(last) >= 2 else None
 
     uncertainties = {"leading_minors": minor_se, "resamples": resamples}
     criteria = list(zip(base.leading_minors[1:], minor_se[1:]))

@@ -1,4 +1,4 @@
-"""Truncated power series and the extended-precision sums built on them.
+"""Truncated power series, the series of exp(-s f), and Fock sums on them.
 
 Everything downstream reduces to one kind of number: the expectation value of
 a normally ordered operator function on a Fock state,
@@ -9,16 +9,19 @@ where h_k are the series coefficients of h.  The falling factorials grow like
 n! while the h_k of interest (coefficients of exp[-s*f(x/N)]) alternate in
 sign, so the terms cancel almost completely: for a linear response the sum
 collapses from magnitude ~(1+g)^n down to (1-g)^n.  Double precision loses
-every digit of that well before n = 60.  All such sums are therefore taken
-with mpmath floats, at a working precision chosen once, before the sum, from
-a magnitude that bounds its rounding error: the sum of the absolute terms.
-`_precision_for` turns that magnitude into bits against the one absolute
-error target, 1e-40.  (Click kernels need no such sums: they are float64 for
-physical responses and exact rationals for formal ones; see the detector.)
+every digit of that well before n = 60, so no such number is summed at a
+precision chosen in advance.  The series of exp(-s f) comes from one integer
+recurrence (`_exp_integers`, which the detector's formal kernels run too):
+read as the dyadic rationals they are, f and s give exact integers U_k = k!
+h_k D^k, and each h_k, exact but for the factor exp(-s f(0)), is rounded
+once.  A Fock sum is taken on integers over the largest denominators of its
+coefficients and weights (`_integers`) and rounded once to a float.
 
-mpmath keeps its working precision in one process-global context, which
-`mp.workprec` changes for the duration of a block; concurrent threads would
-see each other's precision, so these sums are not thread-safe.
+mpmath precision remains where an irrational number cancels: the dark-count
+factor of formal kernels and coherent superpositions, whose bits
+`_precision_for` takes from a magnitude that bounds the rounding error.
+mpmath keeps it in one process-global context, which `mp.workprec` changes
+for a block, so those sums are not thread-safe.
 
 Conventions: a series of order L stores coefficients c_0..c_L; arithmetic
 truncates above the requested order and never wraps.  Coefficients may be
@@ -33,6 +36,8 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
+from mpmath.libmp import from_man_exp
 
 from .errors import NegativeConstantTerm, OrderTooLow
 
@@ -47,22 +52,24 @@ __all__ = [
 ]
 
 #: Floor for the working precision in bits.  53-bit doubles are never enough
-#: for the alternating Fock sums; 120 bits covers every small-order case with
-#: a wide margin.
+#: for the alternating sums; 120 bits covers every small-order case with a
+#: wide margin.
 MIN_PRECISION = 120
 
 #: Absolute error target for every extended-precision sum in the package:
-#: formal kernels, Fock sums and superposition expectations.
+#: the dark-count factor of formal kernels and superposition expectations.
 _ABS_TARGET = mp.mpf("1e-40")
 
 
 def auto_precision(order: int) -> int:
-    """Default working precision in bits for sums over a series of this order.
+    """Default bits for the coefficients of a series of this order: those
+    of `series_exp_neg` and `response_series`, each rounded once, and the
+    working precision of an expectation on a coherent superposition.
 
-    The positive part of the Fock sum for a contracting response grows at most
-    like 2^n, so one bit per order plus generous guard bits suffices; worse
-    cancellation shows in the magnitude handed to `_precision_for`, which
-    uses this as its floor.
+    The positive part of a Fock sum for a contracting response grows at most
+    like 2^n, so one bit per order plus generous guard bits keeps the
+    rounding of the coefficients far below its result.  Fock sums themselves
+    are exact and take no precision.
     """
     return max(MIN_PRECISION, int(1.2 * order) + 160)
 
@@ -125,22 +132,107 @@ def series_mul(a: PowerSeries, b: PowerSeries, order: int | None = None) -> Powe
     return PowerSeries(tuple(out))
 
 
-def _exp_neg_lists(f_coeffs, s, order: int):
-    """Coefficients of exp(-s*f(x)) from those of f, order `order`, at the
-    caller's current mpmath precision."""
-    s = mp.mpf(s)
-    f0 = mp.mpf(f_coeffs[0]) if len(f_coeffs) > 0 else mp.mpf(0)
-    h = [mp.exp(-s * f0)]
-    # only nonzero f_j contribute; responses are often very sparse
-    nz = [(j, mp.mpf(fj)) for j, fj in enumerate(f_coeffs) if j >= 1 and fj != 0]
+def _ratio(x) -> tuple:
+    """(numerator, denominator) of a float, an integer or a Fraction
+    (`as_integer_ratio`), or of an mpf, read from its sign, mantissa and
+    exponent."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"cannot convert {x} to a rational")
+    man = -int(man) if sign else int(man)
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _dyadic(x, what: str) -> tuple:
+    """_ratio(x) of a finite float, integer or mpf (a power-of-two
+    denominator), else a ValueError that names `what`."""
+    try:
+        m, q = _ratio(x)
+        if not q & (q - 1):
+            return m, q
+    except (AttributeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} is {x!r}, not a finite float, integer or mpf")
+
+
+def _integers(values) -> tuple:
+    """(n, L): numbers given as floats, mpf, integers or Fractions, as
+    Python integers n = value * L over the lcm L of their denominators (a
+    power of two for floats and mpf)."""
+    a = np.asarray(values, dtype=object)
+    pairs = [_ratio(x) for x in a.flat]
+    scale = math.lcm(*{d for _, d in pairs})
+    return np.array([n * (scale // d) for n, d in pairs],
+                    dtype=object).reshape(a.shape), scale
+
+
+def _float(n: int, d: int) -> float:
+    """n / d rounded once, or a signed infinity beyond float range (rejected)."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _weights(coeffs, order: int) -> tuple:
+    """(d, steps) for f with the coefficients g_j, read by `_dyadic`: d the
+    least power of two that makes every g_j d^j, j >= 1, an integer, and
+    steps the (j, w_j), 0 < j <= order, with w_j = j! g_j d^j nonzero."""
+    ratios = [_dyadic(c, f"coefficient {j} of f") for j, c in enumerate(coeffs)]
+    d = 1 << max((math.ceil((q.bit_length() - 1) / j)
+                  for j, (m, q) in enumerate(ratios) if j and m), default=0)
+    return d, [(j, math.factorial(j) * (m * d ** j // q))
+               for j, (m, q) in enumerate(ratios[:order + 1]) if j and m]
+
+
+def _exp_integers(steps, s: int, order: int) -> list:
+    """U_0..U_order, U_k = k! h_k D^k for the coefficients h_k of
+    exp[-s (f(x) - f(0))], from the (j, w_j) steps of f, w_j = j! g_j D^j,
+    and an integer s: U_k = -s sum_j C(k-1, j-1) w_j U_(k-j)."""
+    U = [1]
     for k in range(1, order + 1):
-        acc = mp.mpf(0)
-        for j, fj in nz:
-            if j > k:
-                break
-            acc += j * fj * h[k - j]
-        h.append(-(s / k) * acc)
-    return h
+        U.append(-s * sum(math.comb(k - 1, j - 1) * w * U[k - j]
+                          for j, w in steps if j <= k))
+    return U
+
+
+def _rounded(n: int, d: int, prec: int):
+    """n/d, d > 0, rounded once to the nearest mpf of `prec` bits: mpmath
+    rounds its quotient, taken by integer shift and division to prec + 2 or
+    3 bits, and a sticky bit for the rest; n and d never become mpf."""
+    t = (d & -d).bit_length() - 1  # only the odd part of d is divided
+    d >>= t
+    a, shift = abs(n), prec + 2 - n.bit_length() + d.bit_length()
+    q, r = divmod(a << shift if shift >= 0 else a >> -shift, d)
+    man = q << 1 | bool(r or shift < 0 and a & ((1 << -shift) - 1))
+    return mp.make_mpf(from_man_exp(-man if n < 0 else man, -shift - 1 - t,
+                                    prec, "n"))
+
+
+def _exp_series(f0, D: int, steps, s, order: int, prec) -> PowerSeries:
+    """Series of exp(-s f(x)) through `order`, f = f0 + sum_j w_j x^j /
+    (j! D^j) from the (j, w_j) steps: with s = a/b, h_k = e^(-s f0) U_k /
+    (k! (D b)^k) for the U_k of `_exp_integers` on a and the weights w_j
+    b^(j-1), exact but for e^(-s f0), rounded once to `prec` bits (default
+    `auto_precision(order)`)."""
+    prec = auto_precision(order) if prec is None else prec
+    a, b = _dyadic(s, "s")
+    U = _exp_integers([(j, w * b ** (j - 1)) for j, w in steps], a, order)
+    e, den = 1, 1  # e^(-s f0), to 10 bits beyond the rounding, as a ratio
+    m, q = _ratio(f0)
+    if m:
+        with mp.workprec(prec + 10):
+            x = from_man_exp(-a * m, 1 - (b * q).bit_length())
+            e, den = _ratio(mp.exp(mp.make_mpf(x)))
+    h = []
+    for k, u in enumerate(U):
+        if k:
+            den *= k * D * b
+        h.append(_rounded(u * e, den, prec))
+    return PowerSeries(tuple(h))
 
 
 def series_exp_neg(f: PowerSeries, s=1.0, order: int | None = None,
@@ -149,32 +241,19 @@ def series_exp_neg(f: PowerSeries, s=1.0, order: int | None = None,
 
     The constant term of f acts as a dark-count-like offset and must be
     non-negative so that h(0) = exp(-s*f(0)) stays a valid no-click
-    probability.
+    probability.  f's coefficients and s are read as the dyadic rationals
+    of their floats, integers or mpf (`_exp_series`); a negative order, or a
+    coefficient or s that is not finite, is a ValueError.
     """
+    if order is None:
+        order = f.order
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     f0 = f.coefficients[0]
     if f0 < 0:
         raise NegativeConstantTerm(
             f"constant term of the response series is {f0}; must be >= 0")
-    if order is None:
-        order = f.order
-    if prec is None:
-        prec = auto_precision(order)
-    with mp.workprec(prec):
-        h = _exp_neg_lists(f.coefficients, s, order)
-    return PowerSeries(tuple(h))
-
-
-def _log_series(p_coeffs, order: int):
-    """Series of log(p(x)) for p with p(0) = 1, at the current precision."""
-    p = [mp.mpf(c) for c in p_coeffs] + [mp.mpf(0)] * max(0, order + 1 - len(p_coeffs))
-    ell = [mp.mpf(0)]
-    for k in range(1, order + 1):
-        acc = mp.mpf(0)
-        for j in range(1, k):
-            if k - j < len(p_coeffs) and p[k - j] != 0:
-                acc += j * ell[j] * p[k - j]
-        ell.append(p[k] - acc / k)
-    return ell
+    return _exp_series(f0, *_weights(f.coefficients, order), s, order, prec)
 
 
 def falling_factorial(n: int, k: int) -> int:
@@ -184,53 +263,39 @@ def falling_factorial(n: int, k: int) -> int:
     return math.perm(n, k)
 
 
-def _fock_terms(coeffs, n: int) -> list:
-    """The terms coeffs[k] * n^(k) of a Fock sum, at the current precision.
-
-    Coefficients beyond index n cannot contribute (the falling factorial
-    annihilates them) and are skipped.
-    """
-    terms = []
-    ff = 1
-    for k in range(min(len(coeffs) - 1, n) + 1):
-        if k:
-            ff *= n - k + 1
-        terms.append(coeffs[k] * ff)
-    return terms
-
-
 def diag_matrix_element(h: PowerSeries, n: int, prec: int | None = None) -> float:
     """<n| :h(nhat): |n> = sum_k h_k * n(n-1)...(n-k+1) for a Fock state.
 
-    Accumulated with mpmath's exact summation at extended precision.  The
-    working precision is chosen from the sum of the absolute terms so that
-    the cancellation error stays below 1e-40 absolute; `prec` can only raise
-    it.
+    The exact sum of the coefficients as given, rounded once to a float
+    (`_fock_average`); `prec` is kept for callers and no longer changes it.
 
-    The bound covers only errors introduced here: coefficients that were
-    already rounded to double precision limit the achievable accuracy to
-    their own rounding error times the positive part of the sum, which for
-    deep Fock levels is everything.  Feed series produced by series_exp_neg
-    (extended-precision coefficients) when the cancellation is severe.
+    Only the coefficients limit the accuracy: ones already rounded to double
+    precision err by their own rounding error times the positive part of
+    the sum, which for deep Fock levels is everything.  Feed series produced
+    by series_exp_neg (extended-precision coefficients) when the
+    cancellation is severe.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("Fock level must be a non-negative integer")
     if h.order < n:
         raise OrderTooLow(
             f"series order {h.order} cannot resolve Fock level {n}")
-    return _fock_average(h.coefficients, [(n, 1)], 4 + (n + 1).bit_length(),
-                         auto_precision(n), prec)
+    return _fock_average(h.coefficients, [(n, 1)])
 
 
-def _fock_average(coeffs, levels, guard: int, floor: int, prec: int | None):
-    """sum of w * sum_k coeffs[k] n^(k) over the (n, w) levels, as a float, at
-    the bits that the sum of its absolute terms calls for (`_precision_for`),
-    or at `prec` where that is more.  That sum has no cancellation, so it is
-    taken at 53 bits."""
-    with mp.workprec(53):
-        magnitude = mp.fsum(w * mp.fsum(_fock_terms(coeffs, n), absolute=True)
-                            for n, w in levels)
-    prec = max(prec or 0, _precision_for(magnitude, guard, floor))
-    with mp.workprec(prec):
-        return float(mp.fsum(w * mp.fsum(_fock_terms(coeffs, n))
-                             for n, w in levels))
+def _fock_average(coeffs, levels) -> float:
+    """sum of w * sum_k coeffs[k] n^(k) over the (n, w) levels, exactly: the
+    coefficients through the top level and the weights are read as integers
+    over their largest denominators, each inner sum is taken by Horner's rule
+    on n^(k) = n^(k-1) (n - k + 1), and the total is divided once."""
+    top = max(n for n, _ in levels)
+    C, c_scale = _integers(coeffs[:top + 1])
+    C = C.tolist()
+    W, w_scale = _integers([w for _, w in levels])
+    total = 0
+    for (n, _), w in zip(levels, W.tolist()):
+        acc = 0
+        for k in range(n, -1, -1):
+            acc = acc * (n - k) + C[k]
+        total += w * acc
+    return _float(total, c_scale * w_scale)

@@ -404,20 +404,19 @@ def nom_expectation(state, h: PowerSeries, prec: int | None = None) -> float:
     """Normally ordered expectation <:h(nhat):> for the given state.
 
     Distributions: sum of p_n times the diagonal Fock matrix element, which
-    requires h to resolve every retained Fock level (h.order >= cutoff); the
-    working precision comes from the sum of the absolute terms, as in
-    diag_matrix_element.  Superpositions: the cross-amplitude rule; h is
-    evaluated as given, so the caller is responsible for carrying enough
-    orders for convergence at the relevant amplitudes.
+    requires h to resolve every retained Fock level (h.order >= cutoff),
+    taken exactly and rounded once, as in diag_matrix_element; `prec` does
+    not change it.  Superpositions: the cross-amplitude rule at `prec` bits
+    (default `auto_precision(h.order)`); h is evaluated as given, so the
+    caller is responsible for carrying enough orders for convergence at the
+    relevant amplitudes.
     """
     if isinstance(state, PhotonNumberDistribution):
         if h.order < state.cutoff:
             raise OrderTooLow(
                 f"series order {h.order} below state cutoff {state.cutoff}")
         levels = [(n, pn) for n, pn in enumerate(state.probs) if pn != 0.0]
-        return _fock_average(h.coefficients, levels,
-                             20 + state.cutoff.bit_length(),
-                             auto_precision(state.cutoff), prec)
+        return _fock_average(h.coefficients, levels)
     if isinstance(state, CoherentSuperposition):
         p = prec if prec is not None else auto_precision(h.order)
         with mp.workprec(p):

@@ -42,13 +42,14 @@ from functools import lru_cache
 import numpy as np
 
 from .detector import (_NORM_TOL, ClickStatistics, JointClickStatistics,
-                       _as_built, _Exact, _integers, _lowest, _read_only)
+                       _as_built, _Exact, _lowest, _read_only)
 from .errors import (
     DegenerateMean,
     InsufficientOrder,
     NormalizationViolation,
     OrderExceedsDiodes,
 )
+from .series import _integers
 
 __all__ = [
     "PiMoments",

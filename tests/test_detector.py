@@ -41,6 +41,7 @@ from clickstats import (
     generating_function,
     joint_click_statistics,
     multimode_effective_intensity,
+    nom_expectation,
     odd_coherent,
     product_joint,
     response_series,
@@ -50,7 +51,7 @@ from clickstats import (
     tmsv_joint,
 )
 from clickstats.cli import _SWEEPS, main
-from clickstats.detector import _bucket, _positive_kernels, _ratio
+from clickstats.detector import _bucket, _positive_kernels
 from clickstats.errors import (
     DescriptorError,
     LengthMismatch,
@@ -59,6 +60,7 @@ from clickstats.errors import (
     PrecisionLoss,
     UnboundedKernel,
 )
+from clickstats.series import _ratio
 
 
 def binomial_pmf(N, p):
@@ -144,19 +146,24 @@ class TestResponseSeries:
         for ca, cb in zip(a.coefficients, b.coefficients):
             assert abs(float(ca - cb)) < 1e-30
 
-    @pytest.mark.parametrize("resp,terms", [
-        (Power(2), {2: 1}),
-        (Power(3), {3: 1}),
-        (PolynomialSeries(coefficients=(0.0, 1.0, 0.25)), {1: 1, 2: 0.25}),
-    ], ids=["power2", "power3", "poly"])
-    def test_power_and_polynomial_coefficients(self, resp, terms):
-        # exp(-s f(x/N)) as the product over the terms c x^j of f's series
-        # exp(-s c (x/N)^j), each sum_m (-s c / N^j)^m / m! x^(jm), in
-        # Fractions
-        N, s, order = 4, 3, 12
-        want = [Fraction(1)] + [Fraction(0)] * order
+    @pytest.mark.parametrize("resp,terms,s", [
+        (Power(2), {2: 1}, 3),
+        (Power(3), {3: 1}, 3),
+        (PolynomialSeries(coefficients=(0.0, 1.0, 0.25)), {1: 1, 2: 0.25}, 3),
+        (PolynomialSeries(coefficients=(0.0, 1.0, 0.25)), {1: 1, 2: 0.25},
+         2.5),
+        (Affine(0.7, 0.3), {1: 0.7}, 2.5),
+    ], ids=["power2", "power3", "poly", "poly-s2.5", "affine-s2.5"])
+    def test_power_and_polynomial_coefficients(self, resp, terms, s):
+        # exp(-s f(x/N)) as e^(-s f(0)), at 200 bits, times the product over
+        # the terms c x^j of f's series exp(-s c (x/N)^j), each sum_m (-s c /
+        # N^j)^m / m! x^(jm), in Fractions
+        N, order = 4, 12
+        with mp.workprec(200):
+            want = [Fraction(*_ratio(mp.exp(-s * mp.mpf(resp.evaluate(0.0)))))]
+        want += [Fraction(0)] * order
         for j, c in terms.items():
-            a = -s * Fraction(c) / N ** j
+            a = -Fraction(s) * Fraction(c) / N ** j
             factor = [Fraction(0)] * (order + 1)
             for m in range(order // j + 1):
                 factor[j * m] = a ** m / math.factorial(m)
@@ -165,6 +172,55 @@ class TestResponseSeries:
         ser = response_series(resp, N, s, order)
         for got, w in zip(ser.coefficients, want):
             assert abs(Fraction(float(got)) - w) <= 1e-16 * (1 + abs(w))
+
+    def test_absorption_matches_a_fraction_product(self):
+        # e^(-s x/N) B(x/N)^s, B(x) = 1 + x for two-photon absorption, as a
+        # product of Fraction series; the mpf series at a guessed precision
+        # read -2.59e-72 at k = 56, against -7.74e-74
+        N, s, order = 1, 1, 60
+        e = [Fraction((-s) ** k, N ** k * math.factorial(k))
+             for k in range(order + 1)]
+        b = [Fraction(math.comb(s, k), N ** k) for k in range(order + 1)]
+        want = [sum(e[i] * b[k - i] for i in range(k + 1))
+                for k in range(order + 1)]
+        ser = response_series(NPhotonAbsorption(2), N, s, order)
+        for got, w in zip(ser.coefficients, want):
+            if w:
+                assert abs(Fraction(*_ratio(got)) - w) <= 1e-15 * abs(w)
+
+    def test_absorption_fock_sums_closed_form(self):
+        # <:exp[-f(nhat/2)]:> for three-photon absorption is the average of
+        # e^(-x/2) (1 + x/2 + x^2/8) over the intensity weight: for thermal
+        # light x^m e^(-a x) averages to m! nbar^m / (1 + a nbar)^(m+1), so
+        # 0.784 at nbar 3, and for spats (single-photon-added thermal), with
+        # weight e^(-x/nbar) ((1+nbar) x - nbar)/nbar^3, to ((1+nbar) (m+1)!
+        # / c^(m+2) - nbar m! / c^(m+1)) / nbar^3, c = a + 1/nbar, so 0.4384.
+        # The mpf series at a guessed precision gave -2.7e27 and -1.6e43.
+        nbar = 3.0
+        nb, a = Fraction(nbar), Fraction(1, 2)
+        c = a + 1 / nb
+        terms = [(0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 8))]
+        thermal = sum(t * math.factorial(m) * nb ** m / (1 + a * nb) ** (m + 1)
+                      for m, t in terms)
+        spats = sum(t * ((1 + nb) * math.factorial(m + 1) / c ** (m + 2)
+                         - nb * math.factorial(m) / c ** (m + 1))
+                    for m, t in terms) / nb ** 3
+        assert (thermal, spats) == (Fraction(98, 125), Fraction(274, 625))
+        for state, want in ((thermal_distribution(nbar), thermal),
+                            (spats_distribution(nbar), spats)):
+            h = response_series(NPhotonAbsorption(3), 2, 1, state.cutoff)
+            assert abs(nom_expectation(state, h) - float(want)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, mp.mpf("nan")],
+                             ids=["nan", "inf", "mpf-nan"])
+    def test_rejects_non_finite_s(self, s):
+        # NaN s returned a NaN series
+        with pytest.raises(ValueError, match="^s is "):
+            response_series(Linear(0.5), 4, s, 3)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            response_series(NPhotonAbsorption(2), 4, 1, -1)
 
 
 class TestBinomialPreservation:

@@ -1,14 +1,16 @@
 """Working precision chosen once, from a bound computed before the sum.
 
-Every cancelling sum (Fock sums, superposition expectations, and the one
-rounded number of the formal kernels, q = e^-f(0)) picks its bits from a
-magnitude that bounds its rounding error and is then evaluated exactly
-once; a forced precision is a floor under those bits.  These tests hold the
-chosen precision against a forced 1200-bit recomputation, which is far
-beyond any bound used here.  Formal kernels without a constant term round
-nothing and are held equal to exact references; the float kernels of
-physical responses have no precision to choose.  Both are checked against
-exact rational kernels in test_kernels too.
+Every cancelling sum taken in mpmath (superposition expectations, and the
+one rounded number of the formal kernels, q = e^-f(0)) picks its bits from
+a magnitude that bounds its rounding error and is then evaluated exactly
+once; a forced precision is a floor under those bits.  Fock sums are exact
+on integers and take no precision: forcing one leaves them unchanged.
+These tests hold the chosen precision against a forced 1200-bit
+recomputation, which is far beyond any bound used here.  Formal kernels
+without a constant term round nothing and are held equal to exact
+references; the float kernels of physical responses have no precision to
+choose.  Both are checked against exact rational kernels in test_kernels
+too.
 """
 
 import math
@@ -303,7 +305,7 @@ class TestSuperpositions:
 
 class TestFockSums:
     # sum_k C(n,k) (-2)^k = (-1)^n cancels from 3^n, which lies above the
-    # bound of the floor precision at n = 120
+    # bound of the floor precision at n = 120; the exact sum needs none
     n = 120
 
     def series(self):

@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickstats.errors import NegativeConstantTerm, OrderTooLow
 from clickstats.series import (
@@ -13,6 +17,8 @@ from clickstats.series import (
     series_exp_neg,
     series_mul,
 )
+from clickstats.states import PhotonNumberDistribution, nom_expectation
+from exact_kernels import fraction
 
 
 def expm_series(order, scale=1.0, prefactor=1.0):
@@ -104,6 +110,77 @@ class TestExpNeg:
     def test_rejects_negative_offset(self):
         with pytest.raises(NegativeConstantTerm):
             series_exp_neg(PowerSeries((-0.1, 1.0)), s=1.0)
+
+    def test_rejects_negative_order(self):
+        # it returned a one-term series
+        with pytest.raises(ValueError, match="order must be >= 0, got -3"):
+            series_exp_neg(PowerSeries((0.0, 1.0)), 1.0, -3)
+
+    @pytest.mark.parametrize("coeffs,s,name", [
+        ((math.nan, 1.0), 1.0, "coefficient 0 of f"),
+        ((0.0, 1.0, math.inf), 1.0, "coefficient 2 of f"),
+        ((0.0, mp.mpf("-inf")), 1.0, "coefficient 1 of f"),
+        ((0.0, 1.0), math.nan, "s"),
+        ((0.5, 1.0), -math.inf, "s"),
+    ], ids=["nan-offset", "inf-coefficient", "mpf-inf", "nan-s", "inf-s"])
+    def test_rejects_non_finite_input(self, coeffs, s, name):
+        # these gave all-NaN or infinite series
+        with pytest.raises(ValueError, match=f"^{name} is "):
+            series_exp_neg(PowerSeries(coeffs), s, 4)
+
+
+def exp_neg_fractions(coeffs, s, order):
+    """exp[-s (f(x) - f(0))] through `order` in Fractions, from h' = -s f' h:
+    k h_k = -s sum_j j f_j h_(k-j)."""
+    f = [fraction(c) for c in coeffs] + [Fraction(0)] * order
+    h = [Fraction(1)]
+    for k in range(1, order + 1):
+        h.append(-s * sum(j * f[j] * h[k - j] for j in range(1, k + 1)) / k)
+    return h
+
+
+class TestExactSeries:
+    """series_exp_neg rounds each exact coefficient once, and Fock sums are
+    the exact sums of the numbers given, rounded once to a float."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(f0=st.floats(0.0, 3.0), tail=st.lists(st.floats(-4.0, 4.0),
+                                                  max_size=20),
+           s=st.integers(0, 256).map(lambda i: i / 64),
+           prec=st.sampled_from([64, 200]))
+    def test_exp_neg_rounded_once(self, f0, tail, s, prec):
+        order = len(tail)
+        h = series_exp_neg(PowerSeries((f0, *tail)), s, prec=prec)
+        with mp.workprec(prec + 64):
+            dark = fraction(mp.exp(-mp.mpf(s) * f0))
+        exact = exp_neg_fractions((f0, *tail), Fraction(s), order)
+        for got, want in zip(h.coefficients, exact):
+            # half a unit in the last of prec bits, and the rounding of
+            # e^(-s f(0)) 10 bits below it
+            want *= dark
+            assert abs(fraction(got) - want) <= (Fraction(101, 100 << prec)
+                                                 * abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=20),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=21),
+           s=st.integers(0, 256).map(lambda i: i / 64),
+           prec=st.sampled_from([64, 200]))
+    def test_fock_sums_exact(self, tail, weights, s, prec):
+        h = series_exp_neg(PowerSeries((0.0, *tail)), s, prec=prec)
+        exact = [fraction(c) for c in h.coefficients]
+
+        def fock(n):
+            return sum(c * math.perm(n, k) for k, c in enumerate(exact))
+
+        for n in range(h.order + 1):
+            assert diag_matrix_element(h, n, prec) == float(fock(n))
+        total = math.fsum(weights[:h.order + 1])
+        if total > 0.0:
+            probs = [w / total for w in weights[:h.order + 1]]
+            state = PhotonNumberDistribution(tuple(probs))
+            want = sum(Fraction(p) * fock(n) for n, p in enumerate(probs))
+            assert nom_expectation(state, h, prec) == float(want)
 
 
 class TestFallingFactorial:

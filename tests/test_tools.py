@@ -1,5 +1,6 @@
 """Tests for `tools/sweep_identity.py`, the two-checkout comparison tool:
-its comparisons on planted differences, and one run of the tool."""
+its comparisons on planted differences, and one run of the tool; and one
+run of `tools/slot_times.py`, which times the slots of a workload."""
 
 import importlib.util
 import math
@@ -15,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "sweep_identity.py"
+SLOT_TIMES = ROOT / "tools" / "slot_times.py"
 _spec = importlib.util.spec_from_file_location("sweep_identity", TOOL)
 tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
@@ -126,3 +128,23 @@ def test_monte_carlo_against_itself():
     assert done.returncode == 0, done.stderr
     assert done.stdout == ("seed 1: 18 operations, largest relative change "
                            "0 in point estimates, 0 in uncertainties\n")
+
+
+def test_slot_times_against_itself():
+    done = subprocess.run(
+        [sys.executable, str(SLOT_TIMES), str(ROOT), str(ROOT),
+         "--workload", "monte_carlo", "--rounds", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    rows = {line.split()[0]: line.split()[1:]
+            for line in done.stdout.splitlines()[2:]}
+    old, new, ratio = map(float, rows["round"])
+    assert old > 0 and new > 0 and math.isfinite(ratio) and ratio > 0
+
+
+def test_slot_times_needs_a_round():
+    done = subprocess.run(
+        [sys.executable, str(SLOT_TIMES), str(ROOT), str(ROOT),
+         "--rounds", "0"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--rounds must be at least 1" in done.stderr
