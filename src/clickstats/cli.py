@@ -91,6 +91,9 @@ def _parse_grid(expr: str) -> tuple:
         raise ValueError(
             f"grid {expr!r} is not of the form name=start:stop:steps")
     start, stop = float(parts[0]), float(parts[1])
+    # linspace's points are all finite when the ends and their gap are
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid {expr!r} has points that are not finite")
     steps = int(parts[2])
     if not 1 <= steps <= _MAX_GRID_STEPS:
         raise ValueError(

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 import mpmath as mp
 import numpy as np
@@ -55,7 +54,9 @@ from .series import (
     _exp_series,
     _float,
     _integers,
+    _kept,
     _precision_for,
+    _reals,
     _weights,
 )
 from .states import (
@@ -154,7 +155,8 @@ class PolynomialSeries:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        coeffs = tuple(_reals(coeffs, (len(coeffs),), "coefficients").tolist())
         if not coeffs:
             raise ValueError("polynomial response needs coefficients")
         if not all(math.isfinite(c) for c in coeffs):
@@ -301,9 +303,10 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
-    """The float array `values`, checked and read at once, as an array of
-    its shape and a flat list: tiny negatives clamped to zero, the first
+def _validate_probs(stats, Ns: tuple, what: str) -> tuple:
+    """The click table `stats.probs` of banks of Ns diodes, an integer N >=
+    1 each, read by `_reals` and checked at once, as an array of its shape
+    and a flat list: tiny negatives clamped to zero (on a copy), the first
     material one or number beyond float range rejected, the total checked.
     `formal` statistics (responses with signed kernels) are signed by
     nature, so only their total is checked, as `_ints` over `_scale` (read
@@ -311,46 +314,49 @@ def _validate_probs(stats, values: np.ndarray, what: str) -> tuple:
     power of two, when not given) rounded once: formal click numbers can
     reach 1e16 and cancel to a sum of one.  Each float given must be its
     `exact` value rounded once."""
-    flat = values.ravel()
-    numbers = flat.tolist()
+    shape = ()
+    for N in Ns:
+        if not isinstance(N, int) or N < 1:
+            raise ValueError("diode count must be a positive integer")
+        shape += (N + 1,)
+    values = table = _reals(stats.probs, shape, f"{what} probabilities")
+    numbers = values.ravel().tolist()
     # a pass at C speed finds the usual table, with nothing to clamp or reject
     if not (all(map(math.isfinite, numbers))
             and (stats.formal or min(numbers) >= 0.0)):
+        flat = values.ravel()
         bad = ~np.isfinite(flat) | (flat < (-math.inf if stats.formal
                                             else -_CLAMP))
         stop = int(bad.argmax()) if bad.any() else flat.size
         if not stats.formal:
             for i in np.flatnonzero(flat[:stop] < 0.0).tolist():
                 logger.debug("%s: clamping %r to 0", what, numbers[i])
-            flat = np.where(flat < 0.0, 0.0, flat)
+            table = np.where(values < 0.0, 0.0, values)
         if stop < flat.size:
             raise PrecisionLoss(f"{what} probability {numbers[stop]!r} below "
                                 f"-{_CLAMP} or beyond float range")
-        numbers = flat.tolist()
+        numbers = table.ravel().tolist()
     if stats._ints is None:
         if stats.exact is None:
             ratios = [x.as_integer_ratio() for x in numbers]
             scale = max([d for _, d in ratios])
             ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
         else:
-            ints, scale = _integers(stats.exact)
-            if ints.shape != values.shape:
-                raise ValueError(f"exact has shape {ints.shape}, "
-                                 f"probs {values.shape}")
-            rounded = _floats(ints, scale).astype(float)
+            rounded = _reals(stats.exact, shape, "exact")
             wrong = np.argwhere(rounded != values)
             if wrong.size:
                 i = tuple(wrong[0].tolist())
                 raise ValueError(f"probs{list(i)} is {float(values[i])!r}, but "
                                  f"exact rounds to {float(rounded[i])!r}")
-        object.__setattr__(stats, "_ints", ints.reshape(values.shape))
+            ints, scale = _integers(stats.exact)
+        object.__setattr__(stats, "_ints", ints.reshape(shape))
         object.__setattr__(stats, "_scale", scale)
     total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
     slack = _NORM_TOL + stats.norm_slack
     if not abs(total - 1.0) <= slack:
         raise NormalizationViolation(
             f"{what} probabilities sum to {total!r} (allowed slack {slack:.3e})")
-    return flat.reshape(values.shape), numbers
+    return table, numbers
 
 
 @dataclass(frozen=True)
@@ -385,19 +391,11 @@ class ClickStatistics:
     _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError("diode count must be a positive integer")
-        if len(self.probs) != self.N + 1:
-            raise ValueError(
-                f"expected {self.N + 1} entries, got {len(self.probs)}")
-        # ldexp reads entries as math.isfinite does: no string, None or complex
-        probs = np.asarray(self.probs if isinstance(self.probs, np.ndarray)
-                           else list(map(math.ldexp, self.probs, repeat(0))),
-                           dtype=float)
         object.__setattr__(self, "probs",
-                           tuple(_validate_probs(self, probs, "click")[1]))
+                           tuple(_validate_probs(self, (self.N,), "click")[1]))
         if self.stderr is not None:
-            object.__setattr__(self, "stderr", tuple(float(s) for s in self.stderr))
+            object.__setattr__(self, "stderr", tuple(_reals(
+                self.stderr, (self.N + 1,), "click standard errors").tolist()))
 
 
 @dataclass(frozen=True)
@@ -416,16 +414,11 @@ class JointClickStatistics:
     _scale: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.shape != (self.N1 + 1, self.N2 + 1):
-            raise ValueError(f"expected shape {(self.N1 + 1, self.N2 + 1)}, "
-                             f"got {arr.shape}")
-        arr = _validate_probs(self, arr, "joint click")[0]
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        arr = _validate_probs(self, (self.N1, self.N2), "joint click")[0]
+        object.__setattr__(self, "probs", _kept(arr, self.probs))
         if self.stderr is not None:
-            object.__setattr__(self, "stderr", _read_only(
-                np.array(self.stderr, dtype=float))[0])
+            object.__setattr__(self, "stderr", _kept(_reals(
+                self.stderr, arr.shape, "joint click standard errors"), self.stderr))
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import mpmath as mp
 import numpy as np
@@ -167,6 +168,37 @@ def _integers(values) -> tuple:
     scale = math.lcm(*{d for _, d in pairs})
     return np.array([n * (scale // d) for n, d in pairs],
                     dtype=object).reshape(a.shape), scale
+
+
+def _reals(values, shape: tuple, what: str) -> np.ndarray:
+    """`values`, a table of exactly `shape`, as a float array, each entry
+    read as math.isfinite reads it: any real number (float, integer, bool,
+    Fraction, mpf or numpy scalar) is taken, and a string, None or complex
+    number, also inside a numpy array, is a TypeError.  Another shape is a
+    ValueError that names `what`.  A float64 array comes back as given."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged: each row is then an entry
+        a = np.asarray(values, dtype=object)
+    if a.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {a.shape}")
+    if a.dtype.kind in "biuf":
+        return a.astype(float, copy=False)
+    entries = a.ravel().tolist()
+    for x in entries:  # numpy's complex scalars would read as their real part
+        if isinstance(x, np.complexfloating):
+            raise TypeError(f"must be real number, not {type(x).__name__}")
+    return np.array(list(map(math.ldexp, entries, repeat(0))),
+                    dtype=float).reshape(shape)
+
+
+def _kept(a: np.ndarray, given) -> np.ndarray:
+    """The array `a` that `_reals` read from `given`, read-only and never
+    the caller's memory: copied when it is `given` itself or a view."""
+    if a is given or a.base is not None:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _float(n: int, d: int) -> float:

@@ -36,7 +36,8 @@ from .errors import (
     ZeroAmplitude,
     ZeroMeanPhotonNumber,
 )
-from .series import MIN_PRECISION, PowerSeries, _fock_average, auto_precision
+from .series import (MIN_PRECISION, PowerSeries, _fock_average, _kept, _reals,
+                     auto_precision)
 
 __all__ = [
     "PhotonNumberDistribution",
@@ -80,8 +81,9 @@ class PhotonNumberDistribution:
     analytic: tuple | None = None
 
     def __post_init__(self):
-        probs = tuple(map(float, self.probs))
-        array = np.array(probs)
+        probs = tuple(self.probs)
+        array = _reals(probs, (len(probs),), "photon-number probabilities")
+        probs = tuple(array.tolist())
         if not probs:
             raise ValueError("distribution needs at least the vacuum entry")
         if (array < 0.0).any():
@@ -148,10 +150,10 @@ class JointPhotonDistribution:
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        arr = _reals(self.probs, np.shape(self.probs), "joint probabilities")
         if arr.ndim != 2:
             raise ValueError("joint distribution needs a 2-D probability table")
-        self._settle(arr, self.tail_bound)
+        self._settle(_kept(arr, self.probs), self.tail_bound)
 
     @classmethod
     def _own(cls, values: np.ndarray, tail_bound: float):
@@ -448,11 +450,16 @@ def mandel_q(state) -> float:
 
 
 def _finite(value, what: str) -> float:
-    """A descriptor number as a float; NaN and infinities are rejected."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise DescriptorError(f"{what} must be a finite number, got {value!r}")
-    return x
+    """A descriptor number, a JSON int or float (not a bool), as a float;
+    any other value, NaN, an infinity or one beyond float range is
+    rejected, not parsed."""
+    try:
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise DescriptorError(f"{what} must be a finite number, got {value!r}")
 
 
 def _integer(value, what: str) -> int:
@@ -479,7 +486,7 @@ def state_from_descriptor(desc: dict):
     if not isinstance(desc, dict):
         raise DescriptorError("state descriptor must be a JSON object")
     kind = desc.get("kind")
-    tol = desc.get("tol", DEFAULT_TAIL_TOL)
+    tol = _finite(desc["tol"], "tol") if "tol" in desc else DEFAULT_TAIL_TOL
     try:
         if kind == "coherent":
             return coherent_distribution(

@@ -49,7 +49,7 @@ from .errors import (
     NormalizationViolation,
     OrderExceedsDiodes,
 )
-from .series import _integers
+from .series import _integers, _kept, _reals
 
 __all__ = [
     "PiMoments",
@@ -71,10 +71,18 @@ __all__ = [
 DEFAULT_THRESHOLD = 1e-9
 
 
+def _order(m) -> int:
+    """A moment order: an integer, or an integral float, >= 0, as an int."""
+    if (isinstance(m, (int, np.integer))
+            or isinstance(m, float) and m.is_integer()) and m >= 0:
+        return int(m)
+    raise ValueError(f"moment order {m!r} is not an integer >= 0")
+
+
 def _check_unit(value: float, slack: float, what: str) -> None:
     """The zeroth moment is one, less at most the state's tail (`slack`)."""
     if not abs(value - 1.0) <= _NORM_TOL + slack:
-        raise NormalizationViolation(f"{what} is {value!r}, not 1")
+        raise NormalizationViolation(f"{what} is {float(value)!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -89,12 +97,11 @@ class PiMoments:
     _ints = None  # with _scale, the integers `_as_built` gave it
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if len(values) != self.max_order + 1:
-            raise ValueError(f"expected {self.max_order + 1} values, "
-                             f"got {len(values)}")
+        m = _order(self.max_order)
+        values = tuple(_reals(self.values, (m + 1,), "moments").tolist())
         _check_unit(values[0], self.norm_slack, "zeroth moment")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "max_order", m)
 
 
 @dataclass(frozen=True)
@@ -109,15 +116,11 @@ class JointPiMoments:
     _ints = None  # with _scale, the integers `_as_built` gave it
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        expected = (self.max_orders[0] + 1, self.max_orders[1] + 1)
-        if arr.shape != expected:
-            raise ValueError(f"expected shape {expected}, got {arr.shape}")
+        m1, m2 = map(_order, self.max_orders)
+        arr = _reals(self.values, (m1 + 1, m2 + 1), "joint moments")
         _check_unit(arr[0, 0], self.norm_slack, "(0,0) moment")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "max_orders",
-                           (int(self.max_orders[0]), int(self.max_orders[1])))
+        object.__setattr__(self, "values", _kept(arr, self.values))
+        object.__setattr__(self, "max_orders", (m1, m2))
 
 
 @dataclass(frozen=True)
@@ -131,17 +134,13 @@ class MomentMatrix:
     _ints = None  # with _scale, the integers `_as_built` gave it
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] != len(self.index_basis):
-            raise ValueError("basis length does not match matrix dimension")
+        basis = tuple(self.index_basis)
+        arr = _reals(self.entries, (len(basis),) * 2, "moment matrix")
         if not np.max(np.abs(arr - arr.T)) <= 1e-12:
             raise ValueError("matrix of moments must be symmetric")
         _check_unit(arr[0, 0], self.norm_slack, "top-left entry")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "index_basis", tuple(self.index_basis))
+        object.__setattr__(self, "entries", _kept(arr, self.entries))
+        object.__setattr__(self, "index_basis", basis)
 
     @property
     def dim(self) -> int:
@@ -233,8 +232,7 @@ def _cross_minor(v, scale: int = 1):
 
 def factorial_moment(stats: ClickStatistics, m: int) -> float:
     """sum_k k(k-1)...(k-m+1) c_k."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("moment order must be a non-negative integer")
+    m = _order(m)
     if m > stats.N:
         raise OrderExceedsDiodes(
             f"order {m} exceeds the {stats.N}-diode bank")

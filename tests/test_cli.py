@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -762,6 +763,70 @@ class TestGridBound:
         assert len(_parse_grid(f"t=0:1:{_MAX_GRID_STEPS}")[1]) == _MAX_GRID_STEPS
         with pytest.raises(ValueError, match="100000"):
             _parse_grid(f"t=0:1:{_MAX_GRID_STEPS + 1}")
+
+
+class TestGridPoints:
+    """A grid with a point that is not finite is refused before any point
+    is computed: exit 2 with the grid named, nothing from numpy on stderr
+    and no file written."""
+
+    @pytest.mark.parametrize("name,grid", [
+        ("fig4", "t=nan:1:3"), ("fig4", "t=0:inf:3"),
+        ("fig4", "t=1e308:1e309:2"), ("fig4", "dt=-inf:0:2"),
+        ("fig2", "nbar=-1.7e308:1.7e308:3")])
+    def test_figure(self, name, grid, tmp_path, capsys):
+        out = tmp_path / "figs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["figure", name, "--grid", grid, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: grid {grid!r} has points that are not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nbar=1:inf:3", "nbar=nan:1:1"])
+    def test_witness(self, grid, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["witness", "--state", '{"kind": "thermal", "nbar": 1}',
+                         "--detector", DET_N8, "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: grid {grid!r} has points that are not finite\n")
+
+
+class TestDescriptorNumbers:
+    """A descriptor number is a JSON int or float: a string, bool or null
+    exits 2 with the field named, where strings were parsed before."""
+
+    @pytest.mark.parametrize("state,detector,field", [
+        ({"kind": "thermal", "nbar": "3"}, LINEAR4, "nbar"),
+        ({"kind": "thermal", "nbar": 1.0, "tol": "x"}, LINEAR4, "tol"),
+        ({"kind": "fock", "n": 1, "tol": "1e-6"}, LINEAR4, "tol"),
+        ({"kind": "odd_coherent", "alpha": True}, LINEAR4, "alpha"),
+        ({"kind": "fock", "n": 1},
+         {"N": 4, "response": {"kind": "linear", "eta": "0.5"}}, "eta"),
+        ({"kind": "fock", "n": 1},
+         {"N": 4, "response": {"kind": "affine", "eta": 0.5, "nu": False}},
+         "nu"),
+        ({"kind": "fock", "n": 1},
+         {"N": 4, "response": {"kind": "poly", "coefficients": ["0", "1"]}},
+         "coefficient"),
+    ])
+    def test_exit_two(self, state, detector, field, capsys):
+        code = main(["stats", "--state", json.dumps(state),
+                     "--detector", json.dumps(detector)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be a finite number")
+
+    def test_two_mode_pair(self, capsys):
+        det = json.dumps(LINEAR4)
+        code = main(["stats", "--state", '{"kind": "tmsv", "xi": ["0.5", "0"]}',
+                     "--detector", det, "--detector", det])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: xi must be")
 
 
 def _child_env() -> dict:

@@ -735,7 +735,7 @@ class TestOnePassValidation:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), shape=st.one_of(
                st.integers(2, 10).map(lambda n: (n,)),
-               st.tuples(st.integers(1, 4), st.integers(1, 4))),
+               st.tuples(st.integers(2, 5), st.integers(2, 5))),
            formal=st.booleans(), norm_slack=st.sampled_from([0.0, 1e-10]),
            as_array=st.booleans())
     def test_statistics_match_the_loop(self, data, shape, formal,
@@ -785,12 +785,23 @@ class TestOnePassValidation:
         assert got._array.tobytes() == np.array(want).tobytes()
         assert not got._array.flags.writeable
 
-    @pytest.mark.parametrize("bad", ["0.5", None, 0.5j])
-    def test_click_numbers_must_be_real(self, bad):
+    @pytest.mark.parametrize("table", [
+        (0.5, "0.5"), (0.5, None), (0.5, 0.5j), np.array(["0.5", "0.5"])],
+        ids=["0.5", "None", "0.5j", "string-array"])
+    def test_click_numbers_must_be_real(self, table):
         # entries that are not real numbers are refused as math.isfinite
-        # refuses them, not read as NaN or parsed
+        # refuses them, not read as NaN or parsed, also inside an array
         with pytest.raises(TypeError, match="must be real number"):
-            ClickStatistics(1, (0.5, bad))
+            ClickStatistics(1, table)
+
+    @pytest.mark.parametrize("N1,N2,table", [
+        (0, 1, [[1.0, 0.0]]), (1, 0, [[1.0], [0.0]]),
+        (1.0, 1, [[0.5, 0.5], [0.0, 0.0]])], ids=["N1=0", "N2=0", "N1=1.0"])
+    def test_joint_diode_counts_are_positive_integers(self, N1, N2, table):
+        # the one-bank rule on every axis, although each table has the
+        # shape the counts give: a bank of no diodes, or a float count
+        with pytest.raises(ValueError, match="diode count must be a positive"):
+            JointClickStatistics(N1, N2, table)
 
     def test_caller_array_is_left_as_given(self):
         # a clamp works on a copy: the caller's arrays keep their numbers

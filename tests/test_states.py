@@ -559,3 +559,29 @@ class TestDescriptors:
     def test_missing_field(self):
         with pytest.raises(DescriptorError):
             state_from_descriptor({"kind": "coherent"})
+
+    @pytest.mark.parametrize("desc,field", [
+        ({"kind": "thermal", "nbar": "3"}, "nbar"),
+        ({"kind": "spats", "nbar": True}, "nbar"),
+        ({"kind": "coherent", "mean_photons": "1"}, "mean_photons"),
+        ({"kind": "odd_coherent", "alpha": "1"}, "alpha"),
+        ({"kind": "odd_coherent", "alpha": True}, "alpha"),
+        ({"kind": "tmsv", "xi": ["0.5", "0"]}, "xi"),
+        ({"kind": "fock", "n": "3"}, "n"),
+        ({"kind": "thermal", "nbar": 1.0, "tol": "x"}, "tol"),
+        ({"kind": "thermal", "nbar": 1.0, "tol": "1e-6"}, "tol"),
+        ({"kind": "thermal", "nbar": 1.0, "tol": None}, "tol"),
+        ({"kind": "thermal", "nbar": 10 ** 400}, "nbar"),
+    ])
+    def test_numbers_are_json_numbers(self, desc, field):
+        # a string, bool or null is refused, not parsed, and named
+        with pytest.raises(DescriptorError, match=f"^{field} must be"):
+            state_from_descriptor(desc)
+
+    def test_integral_numbers_are_read(self):
+        # a JSON int is a number wherever a float is
+        assert state_from_descriptor({"kind": "thermal", "nbar": 1}) == (
+            state_from_descriptor({"kind": "thermal", "nbar": 1.0}))
+        assert state_from_descriptor(
+            {"kind": "odd_coherent", "alpha": [1, 0]}).terms == (
+            state_from_descriptor({"kind": "odd_coherent", "alpha": 1.0}).terms)

@@ -1,6 +1,7 @@
 """Tests for `tools/sweep_identity.py`, the two-checkout comparison tool:
-its comparisons on planted differences, and one run of the tool; and one
-run of `tools/slot_times.py`, which times the slots of a workload."""
+its comparisons on planted differences, and one run of the tool; one run
+of `tools/slot_times.py`, which times the slots of a workload; and one run
+of `tools/make_goldens.py`, which must still write `tests/goldens.py`."""
 
 import importlib.util
 import math
@@ -17,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "sweep_identity.py"
 SLOT_TIMES = ROOT / "tools" / "slot_times.py"
+MAKE_GOLDENS = ROOT / "tools" / "make_goldens.py"
 _spec = importlib.util.spec_from_file_location("sweep_identity", TOOL)
 tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tool)
@@ -148,3 +150,20 @@ def test_slot_times_needs_a_round():
          "--rounds", "0"], capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "--rounds must be at least 1" in done.stderr
+
+
+def test_goldens_come_from_their_generator(tmp_path):
+    # the script writes ../tests/goldens.py beside its own folder, so a copy
+    # in a tree of its own regenerates the file there and never touches the
+    # checked-in one
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tests").mkdir()
+    script = tmp_path / "tools" / MAKE_GOLDENS.name
+    script.write_bytes(MAKE_GOLDENS.read_bytes())
+    checked_in = (ROOT / "tests" / "goldens.py").read_bytes()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "tests" / "goldens.py").read_bytes() == checked_in
+    assert (ROOT / "tests" / "goldens.py").read_bytes() == checked_in

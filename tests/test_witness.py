@@ -149,6 +149,26 @@ class TestPiMoments:
         with pytest.raises(NormalizationViolation):
             PiMoments((0.9, 0.1), 1)
 
+    @pytest.mark.parametrize("order", [-1, 1.5, -1.0, math.nan, math.inf,
+                                       "1", None])
+    def test_order_is_an_integer(self, order):
+        # an order that is not an integer >= 0 is named, not met as an
+        # IndexError or as a fractional shape
+        with pytest.raises(ValueError, match="moment order"):
+            PiMoments((), order)
+        with pytest.raises(ValueError, match="moment order"):
+            JointPiMoments(np.ones((2, 2)), (order, 1))
+        with pytest.raises(ValueError, match="moment order"):
+            JointPiMoments(np.ones((2, 2)), (1, order))
+
+    def test_integral_float_orders_are_ints(self):
+        mom = PiMoments((1.0, 0.5), 1.0)
+        joint = JointPiMoments(np.array([[1.0, 0.5], [0.5, 0.25]]),
+                               (1.0, np.int64(1)))
+        assert type(mom.max_order) is int and mom.max_order == 1
+        assert joint.max_orders == (1, 1)
+        assert all(type(m) is int for m in joint.max_orders)
+
     def test_matches_summation_loop(self):
         # the per-order loop over exact rationals as reference: the moments
         # are the exact values of the statistics' numbers, exact Fractions
