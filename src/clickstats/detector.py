@@ -43,18 +43,20 @@ from .errors import (
     DescriptorError,
     LengthMismatch,
     NegativeResponse,
-    NormalizationViolation,
     PrecisionLoss,
     UnboundedKernel,
 )
 from .series import (
     _ABS_TARGET,
     PowerSeries,
+    _check_exact,
+    _check_total,
     _exp_integers,
     _exp_series,
     _float,
     _integers,
     _kept,
+    _number,
     _precision_for,
     _reals,
     _weights,
@@ -90,8 +92,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _CLAMP = 1e-12
-#: Distance from one allowed to click totals and zeroth moments, beyond a tail
-_NORM_TOL = 1e-12
 
 
 # --- response functions -------------------------------------------------------
@@ -342,20 +342,12 @@ def _validate_probs(stats, Ns: tuple, what: str) -> tuple:
             scale = max([d for _, d in ratios])
             ints = np.array([n * (scale // d) for n, d in ratios], dtype=object)
         else:
-            rounded = _reals(stats.exact, shape, "exact")
-            wrong = np.argwhere(rounded != values)
-            if wrong.size:
-                i = tuple(wrong[0].tolist())
-                raise ValueError(f"probs{list(i)} is {float(values[i])!r}, but "
-                                 f"exact rounds to {float(rounded[i])!r}")
+            _check_exact(stats.exact, values, "probs")
             ints, scale = _integers(stats.exact)
         object.__setattr__(stats, "_ints", ints.reshape(shape))
         object.__setattr__(stats, "_scale", scale)
-    total = _float(sum(stats._ints.ravel().tolist()), stats._scale)
-    slack = _NORM_TOL + stats.norm_slack
-    if not abs(total - 1.0) <= slack:
-        raise NormalizationViolation(
-            f"{what} probabilities sum to {total!r} (allowed slack {slack:.3e})")
+    _check_total(_float(sum(stats._ints.ravel().tolist()), stats._scale),
+                 stats.norm_slack, f"total of {what} probabilities")
     return table, numbers
 
 
@@ -784,8 +776,8 @@ def multimode_effective_intensity(etas, intensities) -> float:
     A bank of on-off diodes cannot distinguish a multimode coherent input
     from a single mode carrying this weighted intensity.
     """
-    etas = [float(e) for e in etas]
-    intensities = [float(i) for i in intensities]
+    etas = [_number(e, "efficiency") for e in etas]
+    intensities = [_number(i, "intensity") for i in intensities]
     if len(etas) != len(intensities):
         raise LengthMismatch(
             f"{len(etas)} efficiencies vs {len(intensities)} intensities")

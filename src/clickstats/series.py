@@ -40,7 +40,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp
 
-from .errors import NegativeConstantTerm, OrderTooLow
+from .errors import NegativeConstantTerm, NormalizationViolation, OrderTooLow
 
 __all__ = [
     "PowerSeries",
@@ -201,6 +201,44 @@ def _kept(a: np.ndarray, given) -> np.ndarray:
     return a
 
 
+#: Distance from one allowed to every total of a table, beyond its slack
+_NORM_TOL = 1e-12
+
+
+def _check_total(total, slack, what: str) -> None:
+    """The total `what` is one within _NORM_TOL + `slack`; NaN never is."""
+    if not abs(total - 1.0) <= _NORM_TOL + slack:
+        raise NormalizationViolation(f"{what} is {float(total)!r}, not 1 "
+                                     f"(allowed slack {_NORM_TOL + slack:.3e})")
+
+
+def _check_tail(tail, what: str) -> float:
+    """A photon table's tail bound, a finite number >= 0, as a float."""
+    if not 0.0 <= tail < math.inf:
+        raise ValueError(f"tail bound of the {what} is {tail!r}, "
+                         "not a finite number >= 0")
+    return float(tail)
+
+
+def _check_exact(exact, values: np.ndarray, what: str) -> None:
+    """A caller's `exact`, unless None, rounds to the floats `values`."""
+    if exact is None:
+        return
+    rounded = _reals(exact, values.shape, "exact")
+    wrong = np.argwhere(rounded != values)
+    if wrong.size:
+        i = tuple(wrong[0].tolist())
+        raise ValueError(f"{what}{list(i)} is {float(values[i])!r}, but "
+                         f"exact rounds to {float(rounded[i])!r}")
+
+
+def _number(value, what: str, kind=float):
+    """kind(value), float or complex, but a string or bytes is refused."""
+    if isinstance(value, (str, bytes, bytearray, memoryview)):
+        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+    return kind(value)
+
+
 def _float(n: int, d: int) -> float:
     """n / d rounded once, or a signed infinity beyond float range (rejected)."""
     try:
@@ -223,11 +261,14 @@ def _weights(coeffs, order: int) -> tuple:
 def _exp_integers(steps, s: int, order: int) -> list:
     """U_0..U_order, U_k = k! h_k D^k for the coefficients h_k of
     exp[-s (f(x) - f(0))], from the (j, w_j) steps of f, w_j = j! g_j D^j,
-    and an integer s: U_k = -s sum_j C(k-1, j-1) w_j U_(k-j)."""
-    U = [1]
+    and an integer s: U_k = -s sum_j C(k-1, j-1) w_j U_(k-j), each step's
+    binomial carried from k - 1 as C(k-2, j-1) (k-1) / (k-j), 0 before k = j."""
+    U, binom = [1], [0] * len(steps)
     for k in range(1, order + 1):
-        U.append(-s * sum(math.comb(k - 1, j - 1) * w * U[k - j]
-                          for j, w in steps if j <= k))
+        binom = [c * (k - 1) // (k - j) if j < k else int(j == k)
+                 for (j, _), c in zip(steps, binom)]
+        U.append(-s * sum(c * w * U[k - j]
+                          for (j, w), c in zip(steps, binom) if c))
     return U
 
 

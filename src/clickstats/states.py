@@ -30,13 +30,13 @@ import numpy as np
 from .errors import (
     DescriptorError,
     NonHermitianResult,
-    NormalizationViolation,
     OrderTooLow,
     SqueezingOutOfRange,
     ZeroAmplitude,
     ZeroMeanPhotonNumber,
 )
-from .series import (MIN_PRECISION, PowerSeries, _fock_average, _kept, _reals,
+from .series import (_NORM_TOL, MIN_PRECISION, PowerSeries, _check_tail,
+                     _check_total, _fock_average, _kept, _number, _reals,
                      auto_precision)
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-14
 
-_NORM_SLACK = 1e-12
 _MAX_CUTOFF = 100000
 
 
@@ -86,18 +85,15 @@ class PhotonNumberDistribution:
         probs = tuple(array.tolist())
         if not probs:
             raise ValueError("distribution needs at least the vacuum entry")
+        what = "photon-number distribution"
         if (array < 0.0).any():
-            raise ValueError("negative probability in photon-number distribution")
-        if self.tail_bound < 0.0:
-            raise ValueError("tail bound must be non-negative")
-        total = math.fsum(probs) + self.tail_bound
-        if not abs(total - 1.0) <= _NORM_SLACK:
-            raise NormalizationViolation(
-                f"probabilities plus tail sum to {total!r}, not 1")
+            raise ValueError(f"negative probability in {what}")
+        tail = _check_tail(self.tail_bound, what)
+        _check_total(math.fsum(probs) + tail, 0.0, f"{what} plus tail")
         array.setflags(write=False)
         object.__setattr__(self, "_array", array)  # for the contraction
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "tail_bound", float(self.tail_bound))
+        object.__setattr__(self, "tail_bound", tail)
 
     @property
     def cutoff(self) -> int:
@@ -111,14 +107,12 @@ class CoherentSuperposition:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((complex(c), complex(a)) for c, a in self.terms)
+        terms = tuple((_number(c, "coefficient", complex),
+                       _number(a, "amplitude", complex)) for c, a in self.terms)
         if not terms:
             raise ValueError("superposition needs at least one term")
         object.__setattr__(self, "terms", terms)
-        norm = self.overlap_norm()
-        if not abs(norm - 1.0) <= _NORM_SLACK:
-            raise NormalizationViolation(
-                f"superposition norm is {norm!r}, not 1")
+        _check_total(self.overlap_norm(), 0.0, "superposition norm")
 
     def overlap_norm(self) -> float:
         """sum_ij conj(c_i) c_j <a_i|a_j>, at bits that hold it to 2^-60
@@ -164,18 +158,17 @@ class JointPhotonDistribution:
         return state
 
     def _settle(self, values: np.ndarray, tail_bound: float) -> None:
-        total = float(values.sum()) + tail_bound
-        if not abs(total - 1.0) <= _NORM_SLACK:  # also NaN and empty tables
-            raise NormalizationViolation(
-                f"joint probabilities plus tail sum to {total!r}, not 1")
-        if values.min() < 0.0:
-            raise ValueError("negative probability in joint distribution")
+        what = "joint distribution"
+        if values.min(initial=0.0) < 0.0:  # an empty table fails its total
+            raise ValueError(f"negative probability in {what}")
+        tail = _check_tail(tail_bound, what)
+        _check_total(float(values.sum()) + tail, 0.0, f"{what} plus tail")
         values.setflags(write=False)
         # the table the forward model contracts: `probs`, or the diagonal
         object.__setattr__(self, "_table", values)
         if values.ndim == 2:
             object.__setattr__(self, "probs", values)
-        object.__setattr__(self, "tail_bound", float(tail_bound))
+        object.__setattr__(self, "tail_bound", tail)
 
     def __getattr__(self, name):
         # only a diagonal state lacks its table; it is made once, on demand
@@ -238,7 +231,7 @@ def coherent_distribution(mean_photons: float,
                           tol: float = DEFAULT_TAIL_TOL) -> PhotonNumberDistribution:
     """Poisson photon statistics of a coherent state with <n> = mean_photons."""
     _check_tol(tol)
-    mu = float(mean_photons)
+    mu = _number(mean_photons, "mean_photons")
     # the loop below runs at least to n = mu
     _check_mean(mu, _MAX_CUTOFF)
     if mu == 0.0:
@@ -269,7 +262,7 @@ def thermal_distribution(nbar: float,
                          tol: float = DEFAULT_TAIL_TOL) -> PhotonNumberDistribution:
     """Geometric photon statistics p_n = nbar^n/(nbar+1)^{n+1}."""
     _check_tol(tol)
-    nb = float(nbar)
+    nb = _number(nbar, "nbar")
     _check_mean(nb)
     if nb == 0.0:
         return PhotonNumberDistribution((1.0,), 0.0)
@@ -289,7 +282,7 @@ def spats_distribution(nbar: float,
     beyond cutoff M is exactly q^M (M+1+nbar)/(nbar+1).
     """
     _check_tol(tol)
-    nb = float(nbar)
+    nb = _number(nbar, "nbar")
     _check_mean(nb)
     if nb == 0.0:
         return PhotonNumberDistribution((0.0, 1.0), 0.0)
@@ -322,7 +315,7 @@ def fock_distribution(n: int) -> PhotonNumberDistribution:
 
 def odd_coherent(alpha: complex) -> CoherentSuperposition:
     """Normalized superposition of |alpha> and -|-alpha> (odd Fock support)."""
-    a = complex(alpha)
+    a = _number(alpha, "alpha", complex)
     # products overflow to inf where abs(a) ** 2 would raise
     if not a.real * a.real + a.imag * a.imag < _MAX_CUTOFF:
         raise ValueError(
@@ -338,7 +331,7 @@ def tmsv_joint(xi: complex, tol: float = DEFAULT_TAIL_TOL) -> JointPhotonDistrib
     """Two-mode squeezed vacuum: perfectly photon-number-correlated,
     p_{n,n} = (1-|xi|^2)|xi|^{2n}."""
     _check_tol(tol)
-    x = complex(xi)
+    x = _number(xi, "xi", complex)
     r = abs(x) ** 2
     if r >= 1.0:
         raise SqueezingOutOfRange(f"|xi| = {abs(x)!r} must be < 1")
@@ -359,14 +352,14 @@ def product_joint(d1: PhotonNumberDistribution,
 
 def mixture_joint(weights, components) -> JointPhotonDistribution:
     """Convex mixture of joint distributions (weights must sum to 1)."""
-    weights = [float(w) for w in weights]
+    weights = [_number(w, "weight") for w in weights]
     components = list(components)
     if len(weights) != len(components):
         raise ValueError("one weight per component required")
     if not components:
         raise ValueError("mixture needs at least one component")
     if not (all(w >= 0.0 for w in weights)
-            and abs(math.fsum(weights) - 1.0) <= 1e-12):
+            and abs(math.fsum(weights) - 1.0) <= _NORM_TOL):
         raise ValueError("weights must be non-negative and sum to 1")
     shape = (max(c.probs.shape[0] for c in components),
              max(c.probs.shape[1] for c in components))

@@ -41,15 +41,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector import (_NORM_TOL, ClickStatistics, JointClickStatistics,
-                       _as_built, _Exact, _lowest, _read_only)
-from .errors import (
-    DegenerateMean,
-    InsufficientOrder,
-    NormalizationViolation,
-    OrderExceedsDiodes,
-)
-from .series import _integers, _kept, _reals
+from .detector import (ClickStatistics, JointClickStatistics, _as_built,
+                       _Exact, _lowest, _read_only)
+from .errors import DegenerateMean, InsufficientOrder, OrderExceedsDiodes
+from .series import _check_exact, _check_total, _integers, _kept, _reals
 
 __all__ = [
     "PiMoments",
@@ -79,12 +74,6 @@ def _order(m) -> int:
     raise ValueError(f"moment order {m!r} is not an integer >= 0")
 
 
-def _check_unit(value: float, slack: float, what: str) -> None:
-    """The zeroth moment is one, less at most the state's tail (`slack`)."""
-    if not abs(value - 1.0) <= _NORM_TOL + slack:
-        raise NormalizationViolation(f"{what} is {float(value)!r}, not 1")
-
-
 @dataclass(frozen=True)
 class PiMoments:
     """Normally ordered click-fraction moments, orders 0..max_order."""
@@ -98,9 +87,10 @@ class PiMoments:
 
     def __post_init__(self):
         m = _order(self.max_order)
-        values = tuple(_reals(self.values, (m + 1,), "moments").tolist())
-        _check_unit(values[0], self.norm_slack, "zeroth moment")
-        object.__setattr__(self, "values", values)
+        arr = _reals(self.values, (m + 1,), "moments")
+        _check_exact(self.exact, arr, "values")
+        _check_total(arr[0], self.norm_slack, "zeroth moment")
+        object.__setattr__(self, "values", tuple(arr.tolist()))
         object.__setattr__(self, "max_order", m)
 
 
@@ -118,7 +108,8 @@ class JointPiMoments:
     def __post_init__(self):
         m1, m2 = map(_order, self.max_orders)
         arr = _reals(self.values, (m1 + 1, m2 + 1), "joint moments")
-        _check_unit(arr[0, 0], self.norm_slack, "(0,0) moment")
+        _check_exact(self.exact, arr, "values")
+        _check_total(arr[0, 0], self.norm_slack, "(0,0) moment")
         object.__setattr__(self, "values", _kept(arr, self.values))
         object.__setattr__(self, "max_orders", (m1, m2))
 
@@ -138,7 +129,8 @@ class MomentMatrix:
         arr = _reals(self.entries, (len(basis),) * 2, "moment matrix")
         if not np.max(np.abs(arr - arr.T)) <= 1e-12:
             raise ValueError("matrix of moments must be symmetric")
-        _check_unit(arr[0, 0], self.norm_slack, "top-left entry")
+        _check_exact(self.exact, arr, "entries")
+        _check_total(arr[0, 0], self.norm_slack, "top-left entry")
         object.__setattr__(self, "entries", _kept(arr, self.entries))
         object.__setattr__(self, "index_basis", basis)
 

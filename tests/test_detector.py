@@ -647,7 +647,8 @@ def _reference_click_numbers(flat, formal, norm_slack, what, records):
     slack = 1e-12 + norm_slack
     if not abs(total - 1.0) <= slack:
         raise NormalizationViolation(
-            f"{what} probabilities sum to {total!r} (allowed slack {slack:.3e})")
+            f"total of {what} probabilities is {total!r}, not 1 "
+            f"(allowed slack {slack:.3e})")
     return cleaned, ints, scale
 
 
@@ -658,11 +659,13 @@ def _reference_distribution(table, tail_bound):
     if any(p < 0.0 for p in probs):
         raise ValueError("negative probability in photon-number distribution")
     if tail_bound < 0.0:
-        raise ValueError("tail bound must be non-negative")
+        raise ValueError("tail bound of the photon-number distribution is "
+                         f"{tail_bound!r}, not a finite number >= 0")
     total = math.fsum(probs) + tail_bound
     if not abs(total - 1.0) <= 1e-12:
         raise NormalizationViolation(
-            f"probabilities plus tail sum to {total!r}, not 1")
+            f"photon-number distribution plus tail is {total!r}, not 1 "
+            f"(allowed slack {1e-12:.3e})")
     return probs
 
 
@@ -945,6 +948,20 @@ class TestMultimode:
     def test_negative_intensity(self):
         with pytest.raises(ValueError):
             multimode_effective_intensity((0.5,), (-1.0,))
+
+    @pytest.mark.parametrize("etas,intensities,name", [
+        (["0.9"], [2.0], "efficiency"), ([0.9], ["2"], "intensity"),
+        ([b"0.9"], [2.0], "efficiency"), ([0.9], [bytearray(b"2")], "intensity"),
+    ], ids=["str-eta", "str-intensity", "bytes-eta", "bytearray-intensity"])
+    def test_strings_are_refused(self, etas, intensities, name):
+        # multimode_effective_intensity(["0.9"], ["2"]) returned 1.8
+        with pytest.raises(TypeError, match=f"^{name} must be a number, not "):
+            multimode_effective_intensity(etas, intensities)
+
+    def test_numbers_of_every_type(self):
+        for eta, mu in ((Fraction(1, 2), 3), (mp.mpf(0.5), np.float32(3)),
+                        (np.float64(0.5), np.int64(3))):
+            assert multimode_effective_intensity((eta,), (mu,)) == 1.5
 
     def test_reduction_matches_single_mode(self):
         # a multimode coherent input is indistinguishable from one mode

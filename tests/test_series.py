@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from clickstats.errors import NegativeConstantTerm, OrderTooLow
 from clickstats.series import (
     PowerSeries,
+    _exp_integers,
     diag_matrix_element,
     falling_factorial,
     series_add,
@@ -181,6 +182,33 @@ class TestExactSeries:
             state = PhotonNumberDistribution(tuple(probs))
             want = sum(Fraction(p) * fock(n) for n, p in enumerate(probs))
             assert nom_expectation(state, h, prec) == float(want)
+
+
+def exp_integers_by_comb(steps, s, order):
+    """U_k = -s sum_j C(k-1, j-1) w_j U_(k-j), each binomial from math.comb."""
+    U = [1]
+    for k in range(1, order + 1):
+        U.append(-s * sum(math.comb(k - 1, j - 1) * w * U[k - j]
+                          for j, w in steps if j <= k))
+    return U
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.dictionaries(st.integers(1, 40), st.integers(-2 ** 80, 2 ** 80)
+                             .filter(bool), max_size=8),
+       s=st.integers(-50, 50), order=st.integers(0, 60))
+def test_exp_integers_carry_their_binomials(steps, s, order):
+    # the carried binomials give the integers of math.comb, for sparse
+    # and dense steps, in any order and beyond the order
+    steps = list(steps.items())
+    assert _exp_integers(steps, s, order) == exp_integers_by_comb(
+        steps, s, order)
+
+
+def test_exp_integers_dense_steps():
+    # n-photon absorption: a step at every j, to order 300
+    steps = [(j, (-1) ** j * math.factorial(j) * 3 ** j) for j in range(1, 301)]
+    assert _exp_integers(steps, 7, 300) == exp_integers_by_comb(steps, 7, 300)
 
 
 class TestFallingFactorial:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -391,6 +392,53 @@ class TestValidation:
     def test_superposition_rejects_bad_norm(self):
         with pytest.raises(NormalizationViolation):
             CoherentSuperposition(((1.0, 1.0), (1.0, -1.0)))
+
+
+class TestParametersAreNumbers:
+    """The builders read a caller's number with float() or complex(), which
+    would parse a string: a string or bytes is refused with a TypeError that
+    names the parameter, and a number of any type is taken as it is."""
+
+    BUILDERS = {
+        "mean_photons": coherent_distribution,
+        "nbar": thermal_distribution,
+        "nbar-spats": spats_distribution,
+        "alpha": odd_coherent,
+        "xi": tmsv_joint,
+        "coefficient": lambda x: CoherentSuperposition(((x, 0.5),)),
+        "amplitude": lambda x: CoherentSuperposition(((1.0, x),)),
+        "weight": lambda x: mixture_joint([x], [tmsv_joint(0.5)]),
+    }
+    # the number each builder is given, as a float
+    VALUES = {"coefficient": 1.0, "weight": 1.0}
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    @pytest.mark.parametrize("text", ["1", b"0.5", bytearray(b"0.5"),
+                                      memoryview(b"0.5")],
+                             ids=["str", "bytes", "bytearray", "memoryview"])
+    def test_strings_are_refused(self, name, text):
+        # CoherentSuperposition((("1", "0.5"),)) was the coherent state
+        # |0.5>, and thermal_distribution("0.5") a thermal state
+        with pytest.raises(TypeError, match=(
+                f"^{name.removesuffix('-spats')} must be a number, "
+                f"not {type(text).__name__}$")):
+            self.BUILDERS[name](text)
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_numbers_of_every_type(self, name):
+        x = self.VALUES.get(name, 0.5)
+        want = self.BUILDERS[name](x)
+        forms = [Fraction(x), mp.mpf(x), np.float64(x), np.float32(x)]
+        if x == 1.0:
+            forms.append(np.int64(1))
+        if name in ("alpha", "xi", "coefficient", "amplitude"):
+            forms += [complex(x), np.complex128(x), mp.mpc(x)]
+        for form in forms:
+            got = self.BUILDERS[name](form)
+            for field in ("probs", "tail_bound", "terms"):
+                if hasattr(want, field):
+                    np.testing.assert_array_equal(getattr(got, field),
+                                                  getattr(want, field))
 
 
 def scan_cutoff(tail, tol, lo):

@@ -128,8 +128,21 @@ def test_monte_carlo_against_itself():
          "--workload", "monte_carlo", "--seeds", "1"],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    lines = tool.src_lines(ROOT)
     assert done.stdout == ("seed 1: 18 operations, largest relative change "
-                           "0 in point estimates, 0 in uncertainties\n")
+                           "0 in point estimates, 0 in uncertainties\n"
+                           f"src/: {lines} -> {lines} lines\n")
+
+
+def test_src_lines(tmp_path):
+    # every .py file under src/, at any depth, counted as `wc -l` counts
+    # its newlines; other files and other folders are not counted
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\n\nw = 4")
+    (tmp_path / "src" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tools.py").write_text("v = 5\n")
+    assert tool.src_lines(tmp_path) == 4
 
 
 def test_slot_times_against_itself():

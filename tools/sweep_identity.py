@@ -22,8 +22,9 @@ every operation of one round after the set-up round, and compares them.
 - `figures` (no seeds): every table of fig2 to fig6 on its default grid,
   as bytes; one that differs is shown with its largest gaps.
 
-Prints each operation or table that differs and a line per seed (or for
-the figures).  Run from anywhere:
+Prints each operation or table that differs, a line per seed (or for the
+figures), and the `src/` line count of both checkouts, as `wc -l` counts
+them.  Run from anywhere:
 
     python3 tools/sweep_identity.py OLD NEW
     python3 tools/sweep_identity.py OLD NEW --seeds 1 2
@@ -206,6 +207,12 @@ def compare_tables(old: dict, new: dict) -> tuple:
         f"{len(problems)} differ" if problems else "identical")
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's `src/`."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src").rglob("*.py"))
+
+
 COMPARE = {"sweep": compare_fingerprints, "first_use": compare_fingerprints,
            "monte_carlo": compare_monte_carlo}
 
@@ -222,9 +229,10 @@ def main(argv=None) -> int:
     seeds = () if args.workload == "figures" else args.seeds
     old, new = (fingerprints(c, args.workload, seeds)
                 for c in (args.old, args.new))
+    lines = f"src/: {src_lines(args.old)} -> {src_lines(args.new)} lines"
     if args.workload == "figures":
         problems, summary = compare_tables(old, new)
-        print(*problems, f"figures: {summary}", sep="\n")
+        print(*problems, f"figures: {summary}", lines, sep="\n")
         return 1 if problems else 0
     same = True
     for seed in args.seeds:
@@ -242,6 +250,7 @@ def main(argv=None) -> int:
                 print("  " + line)
         same = same and not problems
         print(f"seed {seed}: {len(a)} operations, {summary}")
+    print(lines)
     return 0 if same else 1
 
 
